@@ -68,7 +68,9 @@ from repro.ir import emit_glsl
 from repro.ir.clone import clone_module
 from repro.ir.fingerprint import fingerprint_module
 from repro.ir.module import Module
-from repro.passes.manager import PASS_ORDER, apply_flag_pass, run_cleanup
+from repro.passes.manager import (
+    PASS_ORDER, apply_flag_pass, run_cleanup, run_step,
+)
 from repro.passes.unroll import unroll
 
 #: A trie edge label; see the module docstring for the three step kinds.
@@ -298,8 +300,8 @@ def _run_step(module: Module, step: Step) -> None:
     elif kind == "pass":
         apply_flag_pass(module, step[1])
     elif kind == "unroll":
-        unroll(module.function, max_trips=step[1], max_growth=step[2])
-        run_cleanup(module.function)
+        run_step(module.function, unroll, max_trips=step[1],
+                 max_growth=step[2])
     else:
         raise KeyError(f"unknown trie step {step!r}")
 

@@ -41,7 +41,7 @@ from repro.passes.coalesce import coalesce
 from repro.passes.div_to_mul import div_to_mul
 from repro.passes.gvn import gvn
 from repro.passes.hoist import hoist
-from repro.passes.manager import run_cleanup
+from repro.passes.manager import run_cleanup, run_step
 from repro.passes.unroll import unroll
 
 _SAFE_PASSES = {
@@ -93,8 +93,11 @@ _COMPILED_MEMO_SIZE = 256
 _COMPILED_LOCK = threading.Lock()
 
 #: Pipeline steps (cleanup / unroll / safe pass) actually executed by the
-#: per-shader ``compile`` path.  The corpus-trie benchmark reads this as the
-#: unshared-JIT baseline; corpus-mode steps are counted by the trie instead.
+#: per-shader ``compile`` path.  An unroll or safe-pass step counts even
+#: when it changed nothing and so skipped its cleanup (``run_step``): the
+#: cleanup would have left the already-cleaned IR as it was.  The
+#: corpus-trie benchmark reads this as the unshared-JIT baseline;
+#: corpus-mode steps are counted by the trie instead.
 _JIT_STEPS = 0
 _JIT_STEPS_LOCK = threading.Lock()
 
@@ -148,13 +151,11 @@ class VendorJIT:
         steps = 1
         run_cleanup(function)
         if self.unroll_max_trips > 0:
-            unroll(function, max_trips=self.unroll_max_trips,
-                   max_growth=self.unroll_max_growth)
-            run_cleanup(function)
+            run_step(function, unroll, max_trips=self.unroll_max_trips,
+                     max_growth=self.unroll_max_growth)
             steps += 1
         for name in self.passes:
-            _SAFE_PASSES[name](function)
-            run_cleanup(function)
+            run_step(function, _SAFE_PASSES[name])
             steps += 1
         _count_jit_steps(steps)
         return module

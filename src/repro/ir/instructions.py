@@ -25,7 +25,7 @@ Br/CondBr/Ret/Discard   terminators
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import IRError
 from repro.ir.types import IRType, BOOL
@@ -55,6 +55,14 @@ class Instr(Value):
 
     def replace_operand(self, old: Value, new: Value) -> None:
         self.operands = [new if op is old else op for op in self.operands]
+
+    def replace_operands(self, replaced: Dict[int, Value]) -> None:
+        """Rewrite each operand whose ``id()`` is a key of *replaced* to the
+        value it maps to."""
+        for operand in self.operands:
+            new = replaced.get(id(operand))
+            if new is not None:
+                self.replace_operand(operand, new)
 
     def short(self) -> str:
         ops = ", ".join(getattr(o, "name", repr(o)) for o in self.operands)

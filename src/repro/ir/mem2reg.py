@@ -7,10 +7,10 @@ resolves const-array accesses after unrolling instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.cfg import compute_dominators, dominance_frontiers
-from repro.ir.instructions import LoadVar, Phi, StoreVar
+from repro.ir.instructions import Instr, LoadVar, Phi, StoreVar
 from repro.ir.module import BasicBlock, Function
 from repro.ir.values import Constant, Slot, Undef, Value
 
@@ -24,7 +24,6 @@ def promote_to_ssa(function: Function) -> int:
 
     idom = compute_dominators(function)
     frontiers = dominance_frontiers(function, idom)
-    preds = function.predecessors()
 
     # Dominator tree children.
     children: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in function.blocks}
@@ -33,15 +32,20 @@ def promote_to_ssa(function: Function) -> int:
         if parent is not None:
             children[parent].append(block)
 
+    # Def blocks of every slot, in one pass.  Each set is filled in
+    # instruction order: its iteration order seeds the worklist below, and
+    # so the order phis are created in, which the fingerprint ranks.
+    def_blocks: Dict[Slot, Set[BasicBlock]] = {slot: set() for slot in slots}
+    for instr in function.instructions():
+        if isinstance(instr, StoreVar) and instr.block:
+            blocks = def_blocks.get(instr.slot)
+            if blocks is not None:
+                blocks.add(instr.block)
+
     # Phi placement.
     phi_for: Dict[Phi, Slot] = {}
     for slot in slots:
-        def_blocks = {
-            instr.block
-            for instr in function.instructions()
-            if isinstance(instr, StoreVar) and instr.slot is slot and instr.block
-        }
-        worklist = list(def_blocks)
+        worklist = list(def_blocks[slot])
         placed = set()
         while worklist:
             block = worklist.pop()
@@ -52,11 +56,17 @@ def promote_to_ssa(function: Function) -> int:
                 phi = Phi(slot.ty)
                 frontier_block.insert_at_front(phi)
                 phi_for[phi] = slot
-                if frontier_block not in def_blocks:
+                if frontier_block not in def_blocks[slot]:
                     worklist.append(frontier_block)
 
-    # Renaming.
+    # Renaming: a preorder walk of the dominator tree on an explicit stack
+    # (a long if-chain nests it deeper than Python's recursion limit).  A
+    # promoted load only records the value it reads, and a store pushes
+    # that value, so the stacks never hold a promoted load; uses are
+    # rewritten in one pass at the end.
     stacks: Dict[Slot, List[Value]] = {slot: [] for slot in slots}
+    replaced: Dict[int, Value] = {}
+    promoted: List[Instr] = []  # keeps the keys of `replaced` alive
 
     def current(slot: Slot) -> Value:
         if stacks[slot]:
@@ -65,30 +75,45 @@ def promote_to_ssa(function: Function) -> int:
         # would hide bugs, Undef keeps them visible in the verifier).
         return Undef(slot.ty)
 
-    def rename(block: BasicBlock) -> None:
-        pushed: List[Slot] = []
-        for instr in list(block.instrs):
+    # A (block, None) frame renames the block; the (block, pushed) frame it
+    # leaves below its children pops what it pushed once they are done.
+    frames: List[Tuple[BasicBlock, Optional[List[Slot]]]] = [
+        (function.entry, None)]
+    while frames:
+        block, pushed = frames.pop()
+        if pushed is not None:
+            for slot in pushed:
+                stacks[slot].pop()
+            continue
+        pushed = []
+        kept: List[Instr] = []
+        for instr in block.instrs:
             if isinstance(instr, Phi) and instr in phi_for:
                 slot = phi_for[instr]
                 stacks[slot].append(instr)
                 pushed.append(slot)
             elif isinstance(instr, LoadVar) and instr.slot in stacks:
-                function.replace_all_uses(instr, current(instr.slot))
-                block.remove(instr)
+                replaced[id(instr)] = current(instr.slot)
+                promoted.append(instr)
+                continue
             elif isinstance(instr, StoreVar) and instr.slot in stacks:
-                stacks[instr.slot].append(instr.value)
+                value = instr.value
+                stacks[instr.slot].append(replaced.get(id(value), value))
                 pushed.append(instr.slot)
-                block.remove(instr)
+                promoted.append(instr)
+                continue
+            kept.append(instr)
+        block.instrs = kept
         for succ in block.successors():
             for phi in succ.phis():
                 if phi in phi_for:
                     phi.add_incoming(block, current(phi_for[phi]))
-        for child in children[block]:
-            rename(child)
-        for slot in pushed:
-            stacks[slot].pop()
+        frames.append((block, pushed))
+        frames.extend((child, None) for child in reversed(children[block]))
 
-    rename(function.entry)
+    for instr in promoted:
+        instr.block = None
+    function.replace_uses(replaced)
 
     # Prune trivial phis (single unique incoming value, or self-references).
     _prune_trivial_phis(function)
@@ -97,10 +122,12 @@ def promote_to_ssa(function: Function) -> int:
     return len(slots)
 
 
-def _prune_trivial_phis(function: Function) -> None:
-    changed = True
-    while changed:
-        changed = False
+def _prune_trivial_phis(function: Function) -> int:
+    """Remove phis with one distinct incoming value (or none) until none
+    is left; returns how many were removed."""
+    pruned = 0
+    while True:
+        before = pruned
         for block in function.blocks:
             for phi in block.phis():
                 distinct = {v for _, v in phi.incoming if v is not phi}
@@ -108,7 +135,9 @@ def _prune_trivial_phis(function: Function) -> None:
                     replacement = distinct.pop()
                     function.replace_all_uses(phi, replacement)
                     block.remove(phi)
-                    changed = True
+                    pruned += 1
                 elif not distinct:
                     block.remove(phi)
-                    changed = True
+                    pruned += 1
+        if pruned == before:
+            return pruned

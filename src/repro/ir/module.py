@@ -142,6 +142,17 @@ class Function:
             self.touch()
         return count
 
+    def replace_uses(self, replaced: Dict[int, Value]) -> None:
+        """:meth:`replace_all_uses` for many values in one pass: rewrite
+        every operand whose ``id()`` is a key of *replaced*.
+
+        The caller keeps the replaced values alive until this returns, so
+        that no new object can take over one of their ids.
+        """
+        for instr in self.instructions():
+            instr.replace_operands(replaced)
+        self.touch()
+
     def remove_unreachable_blocks(self) -> int:
         """Drop blocks unreachable from entry; fix phi incoming lists."""
         reachable = set()

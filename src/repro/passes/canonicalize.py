@@ -26,17 +26,19 @@ from repro.passes.dce import trivial_dce
 _MAX_ROUNDS = 50
 
 
-def canonicalize(function: Function) -> int:
-    """Run folding + DCE to fixpoint; returns number of changes."""
-    total = 0
-    for _ in range(_MAX_ROUNDS):
+def canonicalize(function: Function) -> bool:
+    """Run folding + DCE to fixpoint; returns whether it got there (False
+    only when ``_MAX_ROUNDS`` cut it off first)."""
+    for round_ in range(_MAX_ROUNDS):
         changed = _fold_round(function)
         changed += _fold_branches(function)
-        changed += trivial_dce(function)
-        total += changed
+        # Every earlier round ended in DCE, so it has new work only after
+        # a fold.
+        if changed or not round_:
+            changed += trivial_dce(function)
         if not changed:
-            break
-    return total
+            return True
+    return False
 
 
 def _fold_round(function: Function) -> int:

@@ -11,13 +11,10 @@ stronger algorithm.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Dict, List, Set, Tuple
 
-from repro.ir.instructions import (
-    Instr, LoadElem, Phi, StoreElem, Terminator, is_pure,
-)
+from repro.ir.instructions import Instr, LoadElem, StoreElem
 from repro.ir.module import Function
-from repro.ir.values import Value
 
 
 def trivial_dce(function: Function) -> int:
@@ -27,93 +24,73 @@ def trivial_dce(function: Function) -> int:
     (an accumulator only feeding itself around a loop).  This matches the
     paper's observation that LLVM's always-on trivially-dead removal (plus
     the GLSL extensions) leaves nothing for the ADCE flag to do.
+
+    Each round is one mark-and-sweep in which a ``StoreElem`` is a root only
+    while some ``LoadElem`` of its slot remains, so a store feeding a load
+    of its own slot survives.  Removal only ever makes more instructions
+    removable, so this reaches the same fixpoint as removing one dead
+    instruction at a time; another round is needed only when a sweep drops
+    a load, which may leave a store without readers.
     """
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        used: Set[int] = set()
-        for instr in function.instructions():
-            for operand in instr.operands:
-                used.add(id(operand))
-        for block in function.blocks:
-            for instr in list(block.instrs):
-                if isinstance(instr, Terminator):
-                    continue
-                if is_pure(instr) and id(instr) not in used:
-                    block.remove(instr)
-                    removed += 1
-                    changed = True
-        removed += _dead_store_elimination(function)
-        cycles = _dead_cycle_elimination(function)
-        removed += cycles
-        changed = changed or bool(cycles)
-    return removed
-
-
-def _dead_cycle_elimination(function: Function) -> int:
-    """Remove pure instructions not transitively used by any side effect or
-    terminator (catches phi/add cycles trivial use-counting cannot)."""
-    live: Set[int] = set()
-    index = {}
-    worklist = []
-    for instr in function.instructions():
-        index[id(instr)] = instr
-        if instr.has_side_effects or isinstance(instr, Terminator):
-            live.add(id(instr))
-            worklist.append(instr)
-    while worklist:
-        instr = worklist.pop()
-        for operand in instr.operands:
-            key = id(operand)
-            if key in index and key not in live:
-                live.add(key)
-                worklist.append(index[key])
-    removed = 0
-    for block in function.blocks:
-        for instr in list(block.instrs):
-            if id(instr) not in live:
-                block.remove(instr)
-                removed += 1
-    return removed
-
-
-def _dead_store_elimination(function: Function) -> int:
-    """Remove StoreElem into array slots that are never loaded."""
-    loaded = {id(i.slot) for i in function.instructions() if isinstance(i, LoadElem)}
-    removed = 0
-    for block in function.blocks:
-        for instr in list(block.instrs):
-            if isinstance(instr, StoreElem) and id(instr.slot) not in loaded:
-                block.remove(instr)
-                removed += 1
-    return removed
+    while True:
+        count, dropped_load = _mark_and_sweep(function, store_needs_load=True)
+        removed += count
+        if not dropped_load:
+            return removed
 
 
 def adce(function: Function) -> int:
     """Aggressive DCE: mark live from roots (side effects + control flow),
     sweep everything else."""
-    live: Set[int] = set()
-    worklist = []
-    index = {}
-    for instr in function.instructions():
-        index[id(instr)] = instr
-        if instr.has_side_effects or isinstance(instr, Terminator):
-            live.add(id(instr))
-            worklist.append(instr)
+    return _mark_and_sweep(function, store_needs_load=False)[0]
 
+
+def _mark_and_sweep(function: Function,
+                    store_needs_load: bool) -> Tuple[int, bool]:
+    """Drop every instruction no root transitively uses.
+
+    Roots are the instructions with side effects, terminators included.
+    With *store_needs_load*, a ``StoreElem`` is a root only if the function
+    also loads from its slot.  Returns the number of instructions removed
+    and whether a ``LoadElem`` was among them.
+    """
+    index: Dict[int, Instr] = {}
+    worklist: List[Instr] = []
+    stores: List[StoreElem] = []
+    loaded: Set[int] = set()
+    for block in function.blocks:
+        for instr in block.instrs:
+            index[id(instr)] = instr
+            if instr.has_side_effects:
+                if store_needs_load and isinstance(instr, StoreElem):
+                    stores.append(instr)
+                else:
+                    worklist.append(instr)
+            elif isinstance(instr, LoadElem):
+                loaded.add(id(instr.slot))
+    worklist.extend(store for store in stores if id(store.slot) in loaded)
+    live = {id(instr) for instr in worklist}
     while worklist:
-        instr = worklist.pop()
-        for operand in instr.operands:
+        for operand in worklist.pop().operands:
             key = id(operand)
             if key in index and key not in live:
                 live.add(key)
                 worklist.append(index[key])
+    if len(live) == len(index):
+        return 0, False
 
     removed = 0
+    dropped_load = False
     for block in function.blocks:
-        for instr in list(block.instrs):
-            if id(instr) not in live:
-                block.remove(instr)
+        kept = []
+        for instr in block.instrs:
+            if id(instr) in live:
+                kept.append(instr)
+            else:
+                instr.block = None
                 removed += 1
-    return removed
+                dropped_load = dropped_load or isinstance(instr, LoadElem)
+        if len(kept) != len(block.instrs):
+            block.instrs = kept
+    return removed, dropped_load

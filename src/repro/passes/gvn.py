@@ -9,10 +9,12 @@ would need a memory dependence analysis LunarGlass did not have either.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.cfg import compute_dominators
+from repro.ir.instructions import Instr
 from repro.ir.module import BasicBlock, Function
+from repro.ir.values import Value
 from repro.passes.keys import instr_key
 
 
@@ -27,8 +29,13 @@ def gvn(function: Function) -> int:
         if parent is not None:
             children[parent].append(block)
 
-    merged = 0
     scopes: List[Dict[Tuple, object]] = []
+    # id(merged instruction) -> its dominating twin.  An instruction's
+    # operands are rewritten just before it is keyed, which applies every
+    # earlier merge it can use; the rest are rewritten in one pass at the
+    # end (replace_all_uses per merge would rescan the function each time).
+    replaced: Dict[int, Value] = {}
+    removed: List[Instr] = []  # keeps the keys of `replaced` alive
 
     def lookup(key: Tuple):
         for scope in reversed(scopes):
@@ -36,10 +43,18 @@ def gvn(function: Function) -> int:
                 return scope[key]
         return None
 
-    def visit(block: BasicBlock) -> None:
-        nonlocal merged
+    # Preorder walk of the dominator tree on an explicit stack (a long
+    # if-chain nests it deeper than Python's recursion limit).  A None
+    # entry closes the scope of the block whose subtree just finished.
+    pending: List[Optional[BasicBlock]] = [function.entry]
+    while pending:
+        block = pending.pop()
+        if block is None:
+            scopes.pop()
+            continue
         scopes.append({})
         for instr in list(block.instrs):
+            instr.replace_operands(replaced)
             key = instr_key(instr)
             if key is None:
                 continue
@@ -47,12 +62,11 @@ def gvn(function: Function) -> int:
             if existing is None:
                 scopes[-1][key] = instr
             else:
-                function.replace_all_uses(instr, existing)  # type: ignore[arg-type]
+                replaced[id(instr)] = existing
+                removed.append(instr)
                 block.remove(instr)
-                merged += 1
-        for child in children[block]:
-            visit(child)
-        scopes.pop()
-
-    visit(function.entry)
-    return merged
+        pending.append(None)
+        pending.extend(reversed(children[block]))
+    if removed:
+        function.replace_uses(replaced)
+    return len(removed)

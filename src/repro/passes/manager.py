@@ -7,7 +7,11 @@
 2. each enabled flag pass in a fixed order (unroll first so constant-index
    array loads fold; hoist next so flattened code feeds the scalar passes;
    then the arithmetic passes; GVN and coalesce late; ADCE last), with the
-   canonical cleanup re-run after each one.
+   canonical cleanup re-run after each one that changed the IR.
+
+Skipping the cleanup after a pass that changed nothing gives the same IR:
+the pass ran on cleaned IR and left it as it was, and the cleanup is
+idempotent.  ``tests/test_cleanup_properties.py`` fuzzes both facts.
 
 The same entry point drives both the offline optimizer and the simulated
 vendor JIT pipelines (with vendor-specific flag sets).
@@ -15,7 +19,7 @@ vendor JIT pipelines (with vendor-specific flag sets).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict
 
 from repro.ir.module import Module
 from repro.passes.canonicalize import canonicalize
@@ -50,13 +54,20 @@ _PASS_FN = {
 
 
 def run_cleanup(function) -> None:
-    """The always-on canonical cleanup (runs before the first flag pass and
-    again after every flag pass, as in LunarGlass)."""
-    canonicalize(function)
-    merge_straightline_blocks(function)
-    local_cse(function)
-    trivial_dce(function)
-    canonicalize(function)
+    """The always-on canonical cleanup (LunarGlass's "necessary passes").
+
+    Runs on every fresh front-end module, and again after every pipeline
+    step that changed the IR (see :func:`run_step`).  ``canonicalize``
+    stops at its own fixpoint, so its second run (and the DCE before it)
+    has work only when block merging (trivial-phi pruning included) or
+    local CSE changed something, or when its round cap cut it short.
+    """
+    settled = canonicalize(function)
+    changed = merge_straightline_blocks(function)
+    changed += local_cse(function)
+    if changed or not settled:
+        trivial_dce(function)
+        canonicalize(function)
     # Invalidate any cached fingerprint: the constituent passes mutate
     # blocks/instructions directly, below the Function-level mutators that
     # bump the epoch themselves.  Unconditional (even when every pass was a
@@ -64,16 +75,31 @@ def run_cleanup(function) -> None:
     function.touch()
 
 
+def run_step(function, step: Callable[..., int], **options) -> int:
+    """Run one pipeline step on cleaned IR, then the cleanup only if the
+    step changed something; returns the step's change count.
+
+    *step* is a pass returning its change count, called as
+    ``step(function, **options)``.  A skipped cleanup still bumps the
+    fingerprint-cache epoch, as every pipeline step does.
+    """
+    changed = step(function, **options)
+    if changed:
+        run_cleanup(function)
+    else:
+        function.touch()
+    return changed
+
+
 def apply_flag_pass(module: Module, name: str) -> int:
     """One incremental pipeline step: a single flag pass plus the canonical
-    cleanup.  ``run_passes`` is exactly ``run_cleanup`` followed by one such
-    step per enabled flag in ``PASS_ORDER`` — the compilation trie
-    (:mod:`repro.core.trie`) walks edges of precisely this granularity."""
+    cleanup (skipped when the pass changed nothing).  ``run_passes`` is
+    exactly ``run_cleanup`` followed by one such step per enabled flag in
+    ``PASS_ORDER`` — the compilation trie (:mod:`repro.core.trie`) walks
+    edges of precisely this granularity."""
     if name not in _PASS_FN:
         raise KeyError(f"unknown flag pass {name!r}; have {PASS_ORDER}")
-    changed = _PASS_FN[name](module.function)
-    run_cleanup(module.function)  # also bumps the fingerprint-cache epoch
-    return changed
+    return run_step(module.function, _PASS_FN[name])
 
 
 def run_passes(module: Module, flags: OptimizationFlags) -> Dict[str, int]:

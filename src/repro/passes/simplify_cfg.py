@@ -15,12 +15,13 @@ from repro.ir.module import Function
 
 def merge_straightline_blocks(function: Function) -> int:
     """Merge single-pred/single-succ Br chains and thread empty forwarding
-    blocks; returns the number of blocks eliminated."""
+    blocks; returns the number of blocks eliminated plus trivial phis
+    pruned."""
     merged = 0
     changed = True
     while changed:
         changed = False
-        _prune_trivial_phis(function)
+        merged += _prune_trivial_phis(function)
         preds = function.predecessors()
         for block in list(function.blocks):
             term = block.terminator

@@ -7,7 +7,9 @@ from repro.corpus.generator import (CorpusSpec, IMPORTED_FAMILY,
 from repro.errors import ReproError
 from repro.glsl.ingest import (SHADER_SUFFIXES, ingest_directory, ingest_file,
                                ingest_source, iter_shader_files)
+from repro.gpu.platform import platform_by_name
 from repro.harness.study import StudyConfig, run_study
+from repro.ir import verify_function
 
 WILD_DIR = "examples/wild"
 
@@ -55,6 +57,24 @@ def test_ingest_source_defines_override():
     assert "r = 1.0;" in result.canonical
     with pytest.raises(ReproError):
         ingest_source(source, name="gated")
+
+
+def test_long_if_chain_imports_and_compiles_through_gvn():
+    """Each sequential `if` nests the dominator tree one level deeper, past
+    Python's recursion limit here; mem2reg renaming and GVN walk it
+    without recursing."""
+    count = 1200
+    body = "".join(
+        f"    if (uv.x > {i / count:.6f}) {{ acc += {i % 7 + 1}.0; }}\n"
+        for i in range(count))
+    source = ("#version 330\nin vec2 uv;\nout vec4 color;\n"
+              "void main() {\n    float acc = 0.0;\n" + body
+              + "    color = vec4(acc);\n}\n")
+    result = ingest_source(source, name="if_chain")
+    jit = platform_by_name("NVIDIA").jit
+    assert "gvn" in jit.passes
+    module = jit.compile(result.canonical)
+    verify_function(module.function)
 
 
 # ---------------------------------------------------------------------------
