@@ -272,16 +272,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
     if args.output:
         write_study_output(args.output, study.to_json(), fault=fault)
         print(f"\nstudy saved to {args.output}")
-    if args.trie_stats:
-        import json
-        from pathlib import Path
-
-        from repro.core.pipeline import compile_mode
-
-        payload = {"mode": compile_mode(),
-                   **engine.corpus_stats.as_dict()}
-        Path(args.trie_stats).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"corpus-trie stats saved to {args.trie_stats}")
     return 0
 
 
@@ -350,9 +340,6 @@ def _cmd_merge_results(args: argparse.Namespace) -> int:
 
     if bool(args.caches) != bool(args.cache_out):
         raise SystemExit("error: --caches and --cache-out go together")
-    if bool(args.trie_stats) != bool(args.trie_stats_out):
-        raise SystemExit(
-            "error: --trie-stats and --trie-stats-out go together")
     parts = []
     for path in args.shards:
         try:
@@ -382,30 +369,6 @@ def _cmd_merge_results(args: argparse.Namespace) -> int:
         merged_cache.save()
         print(f"merged cache ({len(merged_cache)} entries): {args.cache_out}")
 
-    if args.trie_stats_out:
-        import json
-
-        from repro.core.corpus_trie import CorpusTrieStats
-
-        parts = []
-        for path in args.trie_stats:
-            try:
-                parts.append(json.loads(Path(path).read_text()))
-            except OSError as exc:
-                raise SystemExit(f"error: cannot read trie stats {path!r}: "
-                                 f"{exc.strerror or exc}") from None
-            except json.JSONDecodeError as exc:
-                raise SystemExit(f"error: {path!r} is not a trie-stats "
-                                 f"JSON ({exc})") from None
-        summed = CorpusTrieStats.merge_dicts(parts)
-        modes = {part.get("mode") for part in parts if "mode" in part}
-        if len(modes) == 1:
-            summed["mode"] = modes.pop()
-        Path(args.trie_stats_out).write_text(
-            json.dumps(summed, indent=2) + "\n")
-        print(f"merged corpus-trie stats of {len(parts)} shards "
-              f"({summed['hits']} hits, {summed['pass_runs']} runs): "
-              f"{args.trie_stats_out}")
     return 0
 
 
@@ -800,11 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heartbeat", default="",
                    help="touch this file after every case — the liveness "
                         "signal `repro dispatch` supervision watches")
-    p.add_argument("--trie-stats", default="",
-                   help="write the corpus-trie hit/miss/state counters as "
-                        "JSON here (all zeros unless REPRO_COMPILE=corpus; "
-                        "shard runs' files merge via `repro merge-results "
-                        "--trie-stats`)")
     p.set_defaults(fn=_cmd_study)
 
     p = sub.add_parser(
@@ -865,11 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard result-cache files to union")
     p.add_argument("--cache-out", default="",
                    help="write the merged result cache here")
-    p.add_argument("--trie-stats", nargs="*", default=[],
-                   help="per-shard corpus-trie stats JSON files "
-                        "(from `repro study --trie-stats`) to sum")
-    p.add_argument("--trie-stats-out", default="",
-                   help="write the summed corpus-trie stats here")
     p.set_defaults(fn=_cmd_merge_results)
 
     p = sub.add_parser(

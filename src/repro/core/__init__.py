@@ -2,20 +2,13 @@
 (GLSL -> IR -> flag-controlled passes -> GLSL) and the exhaustive flag-space
 exploration built on top of it."""
 
-from repro.core.corpus_trie import (
-    CorpusTrie, CorpusTrieStats, TrieState, reset_shared_corpus_trie,
-    shared_corpus_trie,
-)
 from repro.core.pipeline import (
-    COMPILE_MODE_ENV, CompiledShader, ShaderCompiler, VariantSet,
-    compile_mode, compile_shader, optimize_source, unique_variants,
+    CompiledShader, ShaderCompiler, VariantSet, compile_shader,
+    optimize_source, unique_variants,
 )
 from repro.core.trie import TrieStats, VariantTrie
 
 __all__ = [
     "CompiledShader", "ShaderCompiler", "VariantSet", "compile_shader",
-    "optimize_source", "unique_variants",
-    "COMPILE_MODE_ENV", "compile_mode", "TrieStats", "VariantTrie",
-    "CorpusTrie", "CorpusTrieStats", "TrieState",
-    "shared_corpus_trie", "reset_shared_corpus_trie",
+    "optimize_source", "unique_variants", "TrieStats", "VariantTrie",
 ]

@@ -6,39 +6,27 @@ transformed GLSL out, with compilation artifacts included.
 the emitted text — Fig. 4c's "unique shader variants" statistic.  A
 :class:`ShaderCompiler` caches the parse+lower work so the 256 combinations
 run off cheap IR clones; ``all_variants`` walks the shared-prefix
-compilation trie (:mod:`repro.core.trie`) by default, so each pass runs
-once per distinct reachable IR state rather than once per combination
-(``REPRO_COMPILE=naive`` restores the brute-force loop for A/B testing).
+compilation trie (:mod:`repro.core.trie`), so each pass runs once per
+distinct reachable IR state rather than once per combination.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.trie import VariantTrie
 from repro.glsl import parse_shader, preprocess
 from repro.ir import emit_glsl, lower_shader, promote_to_ssa
 from repro.ir.clone import clone_module
 from repro.ir.module import Module
 from repro.passes import OptimizationFlags, run_passes
 
-#: Environment switch for the variant-explosion strategy: ``trie`` (default,
-#: per-shader shared-prefix decision tree), ``corpus`` (the same walk routed
-#: through the corpus-global state trie, :mod:`repro.core.corpus_trie`, which
-#: also reroutes the vendor JIT pipelines), or ``naive`` (256 independent
-#: pipeline runs, kept for A/B equivalence testing and benchmarking).
-COMPILE_MODE_ENV = "REPRO_COMPILE"
-_COMPILE_MODES = ("trie", "naive", "corpus")
 
-
-def compile_mode(explicit: Optional[str] = None) -> str:
-    """Resolve the variant-compilation mode: explicit arg > env > trie."""
-    mode = explicit or os.environ.get(COMPILE_MODE_ENV) or "trie"
-    if mode not in _COMPILE_MODES:
-        raise ValueError(
-            f"unknown compile mode {mode!r}; expected one of {_COMPILE_MODES}")
-    return mode
+def compile_mode() -> str:
+    """The variant-compilation path: always ``"trie"``.  There is one path;
+    ``perfbench/child.py`` records this name with every run."""
+    return "trie"
 
 
 @dataclass
@@ -70,43 +58,19 @@ class ShaderCompiler:
         return CompiledShader(source=self.source, flags=flags, module=module,
                               output=output, pass_stats=stats)
 
-    def all_variants(self, es: bool = False, mode: Optional[str] = None,
-                     trie: Optional["CorpusTrie"] = None) -> "VariantSet":
+    def all_variants(self, es: bool = False) -> "VariantSet":
         """Compile all 256 combinations and deduplicate the emitted text.
 
-        The default ``trie`` mode walks the shared-prefix compilation trie
+        Walks the shared-prefix compilation trie
         (:class:`repro.core.trie.VariantTrie`): one pass application per
         distinct reachable IR state instead of a full pipeline run per
-        combination, with byte-identical output.  ``mode="corpus"`` (or
-        ``REPRO_COMPILE=corpus``) runs the same walk through the
-        corpus-global state trie (*trie*, defaulting to the process-wide
-        :func:`repro.core.corpus_trie.shared_corpus_trie`), sharing states
-        and emissions with every other shader and vendor pipeline in the
-        study.  ``mode="naive"`` forces the brute-force path.
+        combination, with output byte-identical to compiling each
+        combination alone through :meth:`compile`.
         """
-        resolved = compile_mode(mode)
-        if resolved == "naive":
-            by_text: Dict[str, List[OptimizationFlags]] = {}
-            index_to_text: Dict[int, str] = {}
-            for flags in OptimizationFlags.all_combinations():
-                compiled = self.compile(flags, es=es)
-                by_text.setdefault(compiled.output, []).append(flags)
-                index_to_text[flags.index] = compiled.output
-            return VariantSet(by_text, index_to_text)
-        if resolved == "corpus":
-            from repro.core.corpus_trie import shared_corpus_trie
-
-            if trie is None:  # not `or`: an empty trie is len()-falsy
-                trie = shared_corpus_trie()
-            index_to_text = trie.compile_variants(self._module, es=es)
-        else:
-            from repro.core.trie import VariantTrie
-
-            index_to_text = VariantTrie(self._module, es=es).compile()
-        by_text = {}
+        index_to_text = VariantTrie(self._module, es=es).compile()
+        by_text: Dict[str, List[OptimizationFlags]] = {}
         for index in range(256):
-            text = index_to_text[index]
-            by_text.setdefault(text, []).append(
+            by_text.setdefault(index_to_text[index], []).append(
                 OptimizationFlags.from_index(index))
         return VariantSet(by_text, index_to_text)
 

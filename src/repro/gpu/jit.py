@@ -14,23 +14,16 @@ The front end (preprocess -> parse -> lower -> SSA) is identical for every
 vendor, so it is memoized per source text: a study measuring one variant on
 5 platforms parses it once and each vendor pipeline runs off a
 name-preserving clone (exactly equivalent to lowering fresh — see
-:mod:`repro.ir.clone`).
-
-Under ``REPRO_COMPILE=corpus`` each pipeline is additionally routed through
-the corpus-global state trie (:mod:`repro.core.corpus_trie`): every
-cleanup/unroll/pass step becomes a memoized trie edge, so the five vendors'
-overlapping pipelines — and the offline 256-variant walks, whose ``("pass",
-name)`` steps are literally the same edges — execute each step once per
-distinct IR state for the whole study.  The returned module is then an
-*interned shared* module; all consumers here (profiling, cost estimation,
-emission) only read, which the per-shader memo path already required.
+:mod:`repro.ir.clone`).  Measurement reads compiled modules through
+:meth:`VendorJIT.compile_cached`, a memo keyed on the whole JIT
+configuration and the source text.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.glsl import parse_shader, preprocess
@@ -84,35 +77,27 @@ def clear_frontend_memo() -> None:
         _COMPILED_MEMO.clear()
 
 
-#: Fully JIT-compiled modules per (vendor, source) — the batched
-#: measurement path treats these as immutable (profiling and cost
-#: estimation only read the IR), so one compile serves every measurement
-#: seed of a (text, platform) unit.
-_COMPILED_MEMO: "OrderedDict[Tuple[str, str], Module]" = OrderedDict()
+#: Fully JIT-compiled modules per (``VendorJIT``, source) — the measurement
+#: path treats these as immutable (profiling and cost estimation only read
+#: the IR), so one compile serves every measurement seed of a (text,
+#: platform) unit.  The key is the frozen ``VendorJIT`` value itself, so two
+#: JITs that share a name but not a pipeline never share a module.
+_COMPILED_MEMO: "OrderedDict[Tuple[VendorJIT, str], Module]" = OrderedDict()
 _COMPILED_MEMO_SIZE = 256
 _COMPILED_LOCK = threading.Lock()
 
-#: Pipeline steps (cleanup / unroll / safe pass) actually executed by the
-#: per-shader ``compile`` path.  An unroll or safe-pass step counts even
+#: Pipeline steps (cleanup / unroll / safe pass) executed by
+#: ``VendorJIT.compile`` so far.  An unroll or safe-pass step counts even
 #: when it changed nothing and so skipped its cleanup (``run_step``): the
-#: cleanup would have left the already-cleaned IR as it was.  The
-#: corpus-trie benchmark reads this as the unshared-JIT baseline;
-#: corpus-mode steps are counted by the trie instead.
+#: cleanup would have left the already-cleaned IR as it was.
 _JIT_STEPS = 0
 _JIT_STEPS_LOCK = threading.Lock()
 
 
 def jit_pipeline_steps() -> int:
-    """Steps executed by non-corpus ``VendorJIT.compile`` calls so far."""
+    """Pipeline steps executed by ``VendorJIT.compile`` calls so far."""
     with _JIT_STEPS_LOCK:
         return _JIT_STEPS
-
-
-def reset_jit_pipeline_steps() -> None:
-    """Zero the step counter (benchmark bracketing)."""
-    global _JIT_STEPS
-    with _JIT_STEPS_LOCK:
-        _JIT_STEPS = 0
 
 
 def _count_jit_steps(steps: int) -> None:
@@ -135,16 +120,9 @@ class VendorJIT:
     def compile(self, source: str) -> Module:
         """Parse and optimize GLSL the way this vendor's driver would.
 
-        Under ``REPRO_COMPILE=corpus`` the pipeline runs as corpus-trie
-        edges and the result is an interned **shared** module — callers
-        must treat it as immutable (every caller today only reads:
-        profiling, cost estimation, static cycle analysis).  In the other
-        modes the result is a private clone as before.
+        Returns a private module: the front end's memoized IR is cloned
+        before the vendor pipeline runs on it.
         """
-        from repro.core.pipeline import compile_mode
-
-        if compile_mode() == "corpus":
-            return self._compile_shared(source)
         module = clone_module(shared_frontend(source), preserve_names=True)
         function = module.function
 
@@ -160,36 +138,17 @@ class VendorJIT:
         _count_jit_steps(steps)
         return module
 
-    def _compile_shared(self, source: str) -> Module:
-        """The ``REPRO_COMPILE=corpus`` pipeline: every step a trie edge.
-
-        Step keys line up with the offline walk on purpose: ``("pass",
-        "gvn")`` here and in :meth:`CorpusTrie.compile_variants` are the
-        same edge (``apply_flag_pass`` is exactly "safe pass + cleanup"),
-        so a vendor pipeline can serve states the offline walk produced
-        and vice versa.
-        """
-        from repro.core.corpus_trie import shared_corpus_trie
-
-        trie = shared_corpus_trie()
-        state = trie.intern(shared_frontend(source))
-        state = trie.apply(state, ("cleanup",))
-        if self.unroll_max_trips > 0:
-            state = trie.apply(state, ("unroll", self.unroll_max_trips,
-                                       self.unroll_max_growth))
-        for name in self.passes:
-            state = trie.apply(state, ("pass", name))
-        return state.module
-
     def compile_cached(self, source: str) -> Module:
         """Memoized :meth:`compile` for read-only consumers.
 
         The returned module is shared across callers and MUST NOT be
-        mutated — the batched measurement path only profiles and costs it.
-        Callers that optimize the module further (none today) must use
-        :meth:`compile`, which always returns a fresh clone.
+        mutated — the measurement path only profiles and costs it.  Callers
+        that optimize the module further (none today) must use
+        :meth:`compile`, which always returns a fresh clone.  The memo key
+        is this whole frozen JIT (name, passes and unroll limits), not just
+        its name.
         """
-        key = (self.name, source)
+        key = (self, source)
         with _COMPILED_LOCK:
             module = _COMPILED_MEMO.get(key)
             if module is not None:

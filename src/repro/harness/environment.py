@@ -13,21 +13,18 @@ and timed the execution of each draw-call":
    time, and the timer model + protocol produce the reported measurement.
 
 Steps 1–4 are pure functions of (source, platform) — only step 5 consumes
-the measurement seed — so the batched measurement mode (the default)
-prepares them once per (source, platform) and amortizes the work across
-every measurement seed of the unit: :meth:`ShaderExecutionEnvironment.run_many`
-evaluates all of a unit's seeds off one compile, one lane-batched
-interpreter profile (all sample fragments in a single pass over the
-instruction list — :mod:`repro.ir.interp_batch`), and one cost estimate.
-``REPRO_MEASURE=scalar`` restores the reference path — a full scalar
-pipeline per seed — for A/B differential testing, mirroring
-``REPRO_COMPILE=naive``.  Both modes produce bit-identical reports.
+the measurement seed — so :meth:`ShaderExecutionEnvironment.prepare` does
+them once per unit: the JIT compile comes from the vendor JIT's
+compiled-module memo, and the profile runs every sample fragment as a lane
+of one :class:`~repro.ir.interp_batch.BatchedInterpreter` pass.  The scalar
+:class:`~repro.ir.interp.Interpreter` and :meth:`TimerModel.measure
+<repro.gpu.timing.TimerModel.measure>` are the references the tests hold
+this path to, bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -38,10 +35,8 @@ from repro.gpu.platform import Platform
 from repro.harness.protocol import Measurement, run_protocol
 from repro.harness.uniforms import (
     batch_fragment_inputs, default_textures, default_uniform_values,
-    fragment_inputs,
 )
 from repro.harness.vertex_gen import generate_vertex_shader
-from repro.ir.interp import Interpreter
 from repro.ir.interp_batch import BatchedInterpreter
 from repro.ir.module import Module
 
@@ -50,22 +45,11 @@ SAMPLE_FRAGMENTS: Tuple[Tuple[float, float], ...] = (
     (0.5, 0.5), (0.2, 0.2), (0.8, 0.2), (0.2, 0.8), (0.8, 0.8),
 )
 
-#: Environment switch for the measurement execution strategy: ``batched``
-#: (default — lane-batched interpreter, per-unit preparation shared across
-#: seeds, hoisted timer sampling) or ``scalar`` (the reference
-#: one-instruction-at-a-time walk per fragment per seed, kept for A/B
-#: differential testing).  Mirrors ``REPRO_COMPILE``.
-MEASURE_MODE_ENV = "REPRO_MEASURE"
-_MEASURE_MODES = ("batched", "scalar")
 
-
-def measure_mode(explicit: Optional[str] = None) -> str:
-    """Resolve the measurement mode: explicit arg > env > batched."""
-    mode = explicit or os.environ.get(MEASURE_MODE_ENV) or "batched"
-    if mode not in _MEASURE_MODES:
-        raise ValueError(
-            f"unknown measure mode {mode!r}; expected one of {_MEASURE_MODES}")
-    return mode
+def measure_mode() -> str:
+    """The measurement path: always ``"batched"``.  There is one path;
+    ``perfbench/child.py`` records this name with every run."""
+    return "batched"
 
 
 @dataclass
@@ -114,71 +98,52 @@ class ShaderExecutionEnvironment:
     def __init__(self, platform: Platform):
         self.platform = platform
 
-    def compile(self, source: str) -> Module:
-        return self.platform.jit.compile(source)
-
-    def profile(self, module: Module, mode: Optional[str] = None) -> Dict[str, float]:
+    def profile(self, module: Module) -> Dict[str, float]:
         """Average dynamic block-visit counts over the sample fragments.
 
-        Batched mode executes all sample fragments as lanes of a single
+        All sample fragments run as lanes of a single
         :class:`~repro.ir.interp_batch.BatchedInterpreter` pass; the
-        per-lane visit dicts (same keys, same insertion order, same
-        counts) are aggregated in lane order exactly as the scalar loop
-        aggregates its per-fragment runs, so the resulting profile — and
-        every float that the cost model derives from it — is identical.
+        per-lane visit dicts (same keys, same insertion order, same counts
+        as one scalar run per fragment) are summed in lane order, so the
+        profile — and every float the cost model derives from it — equals
+        the scalar reference exactly.
         """
         interface = module.interface
-        uniforms = default_uniform_values(interface)
-        textures = default_textures(interface)
+        batch = BatchedInterpreter(
+            module, uniforms=default_uniform_values(interface),
+            inputs=batch_fragment_inputs(interface, SAMPLE_FRAGMENTS),
+            textures=default_textures(interface))
+        batch.run()
         totals: Dict[str, float] = {}
-        if measure_mode(mode) == "batched":
-            batch = BatchedInterpreter(
-                module, uniforms=uniforms,
-                inputs=batch_fragment_inputs(interface, SAMPLE_FRAGMENTS),
-                textures=textures)
-            batch.run()
-            lane_visits = [stats.block_visits for stats in batch.stats]
-        else:
-            lane_visits = []
-            for position in SAMPLE_FRAGMENTS:
-                interp = Interpreter(module, uniforms=uniforms,
-                                     inputs=fragment_inputs(interface, position),
-                                     textures=textures)
-                interp.run()
-                lane_visits.append(interp.stats.block_visits)
-        for visits in lane_visits:
-            for name, count in visits.items():
+        for stats in batch.stats:
+            for name, count in stats.block_visits.items():
                 totals[name] = totals.get(name, 0.0) + count
         return {name: count / len(SAMPLE_FRAGMENTS)
                 for name, count in totals.items()}
 
-    def prepare(self, source: str, mode: Optional[str] = None) -> PreparedMeasurement:
+    def prepare(self, source: str) -> PreparedMeasurement:
         """JIT, profile, and cost *source* once — everything a measurement
         needs except the seed-dependent timer protocol.
 
-        Batched mode reads the compiled module through the vendor JIT's
+        The compiled module is read through the vendor JIT's
         compiled-module memo, so repeated preparations of the same
-        (source, platform) — e.g. a seed sweep — compile once.
+        (source, platform) compile once.
         """
-        mode = measure_mode(mode)
         try:
-            if mode == "batched":
-                module = self.platform.jit.compile_cached(source)
-            else:
-                module = self.compile(source)
+            module = self.platform.jit.compile_cached(source)
         except Exception as exc:
             raise HarnessError(
                 f"{self.platform.name} driver failed to compile shader: {exc}"
             ) from exc
-        profile = self.profile(module, mode=mode)
+        profile = self.profile(module)
         cost = estimate_kernel(module.function, self.platform.spec, profile)
         true_ns = draw_time_ns(cost, self.platform.spec,
                                self.platform.fragments_per_draw)
         return PreparedMeasurement(module=module, profile=profile, cost=cost,
                                    true_ns=true_ns)
 
-    def _measure_prepared(self, prepared: PreparedMeasurement, seed: int,
-                          batched: bool) -> ExecutionReport:
+    def _measure_prepared(self, prepared: PreparedMeasurement,
+                          seed: int) -> ExecutionReport:
         # A digest, not hash(): str hashing is salted per process, which
         # would make measurements (and any persisted result cache) vary
         # from run to run.
@@ -186,32 +151,18 @@ class ShaderExecutionEnvironment:
             hashlib.sha256(self.platform.name.encode()).digest()[:8], "big")
         rng = random.Random((seed * 1_000_003) ^ platform_digest)
         measurement = run_protocol(prepared.true_ns, self.platform.timer, rng,
-                                   draws_per_frame=self.platform.draws_per_frame,
-                                   batched=batched)
+                                   draws_per_frame=self.platform.draws_per_frame)
         return ExecutionReport(cost=prepared.cost, true_ns=prepared.true_ns,
                                measurement=measurement,
                                interface=prepared.module.interface)
 
-    def run(self, source: str, seed: int = 0,
-            mode: Optional[str] = None) -> ExecutionReport:
+    def run(self, source: str, seed: int = 0) -> ExecutionReport:
         """Full pipeline: JIT, profile, cost, measure."""
-        mode = measure_mode(mode)
-        prepared = self.prepare(source, mode=mode)
-        return self._measure_prepared(prepared, seed,
-                                      batched=(mode == "batched"))
+        return self._measure_prepared(self.prepare(source), seed)
 
-    def run_many(self, source: str, seeds: Sequence[int],
-                 mode: Optional[str] = None) -> List[ExecutionReport]:
-        """Measure *source* under every seed in one pass.
-
-        Bit-identical to ``[self.run(source, s) for s in seeds]`` in either
-        mode; batched mode (the default) pays the seed-independent work —
-        driver JIT, lane-batched interpreter profile, cost model — once for
-        the whole seed batch instead of once per seed.
-        """
-        mode = measure_mode(mode)
-        if mode == "scalar":
-            return [self.run(source, seed, mode=mode) for seed in seeds]
-        prepared = self.prepare(source, mode=mode)
-        return [self._measure_prepared(prepared, seed, batched=True)
-                for seed in seeds]
+    def run_many(self, source: str,
+                 seeds: Sequence[int]) -> List[ExecutionReport]:
+        """Measure *source* under every seed, bit-identical to
+        ``[self.run(source, s) for s in seeds]`` but preparing once."""
+        prepared = self.prepare(source)
+        return [self._measure_prepared(prepared, seed) for seed in seeds]

@@ -35,28 +35,18 @@ class Measurement:
 
 def run_protocol(true_ns: float, timer: TimerModel, rng: random.Random,
                  frames: int = FRAMES_PER_RUN, repeats: int = REPEATS,
-                 draws_per_frame: int = 1,
-                 batched: bool = True) -> Measurement:
+                 draws_per_frame: int = 1) -> Measurement:
     """Simulate the full measurement protocol for a known true draw time.
 
-    ``batched`` (the default) samples each repeat's frames through
-    :meth:`TimerModel.measure_many` — one hoisted pass over the frame loop
-    instead of ``frames`` dispatches — producing bit-identical samples;
-    ``batched=False`` keeps the reference per-frame loop
-    (``REPRO_MEASURE=scalar``).
+    Each frame's sample is one representative timed draw (noise across a
+    frame's draws is highly correlated — thermal state, clocks — so
+    additional draws add little independent information).  A repeat's
+    frames are sampled through :meth:`TimerModel.measure_many`, which is
+    bit-identical to calling :meth:`TimerModel.measure` once per frame.
     """
     repeat_means: List[float] = []
     for _ in range(repeats):
-        if batched:
-            frame_samples = timer.measure_many(true_ns, rng, frames)
-        else:
-            frame_samples = []
-            for _ in range(frames):
-                # Per-frame sample: one representative timed draw (noise
-                # across a frame's draws is highly correlated — thermal
-                # state, clocks — so additional draws add little
-                # independent information).
-                frame_samples.append(timer.measure(true_ns, rng))
+        frame_samples = timer.measure_many(true_ns, rng, frames)
         repeat_means.append(sum(frame_samples) / len(frame_samples))
     mean = sum(repeat_means) / len(repeat_means)
     variance = sum((m - mean) ** 2 for m in repeat_means) / max(

@@ -38,18 +38,6 @@ Large corpora (see ``repro.corpus.synth``) add two scale-out levers:
   A serial streaming run holds one case's variants in memory; a parallel
   one primes in chunks of ``checkpoint_every x max_workers`` cases, so
   memory is bounded by the chunk, never the corpus.
-
-Under ``REPRO_COMPILE=corpus`` every compilation in the study — the offline
-256-variant walks *and* the vendor JIT pipelines behind each measurement —
-routes through the corpus-global state trie
-(:mod:`repro.core.corpus_trie`), so overlapping pipeline steps run once per
-distinct IR state for the whole run.  The sharing unit is the process: the
-main process (and its ``--jobs`` measurement threads, which share the
-engine) uses one trie, each process-pool priming worker builds its own, and
-shard runs are trie-local with their hit statistics merged by ``repro
-merge-results --trie-stats``.  Sharing is an optimization, never a
-dependency — results stay byte-identical across all three compile modes,
-worker counts, and shard layouts (``tests/test_corpus_trie.py``).
 """
 
 from __future__ import annotations
@@ -59,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.pipeline import ShaderCompiler, VariantSet, compile_mode
+from repro.core.pipeline import ShaderCompiler, VariantSet
 from repro.glsl.metrics import lines_of_code
 from repro.gpu.platform import Platform, all_platforms, platform_by_name
 from repro.harness.environment import ShaderExecutionEnvironment
@@ -213,12 +201,6 @@ def run_study(corpus: Sequence[ShaderCase],
                 if position % config.checkpoint_every == 0:
                     engine.cache.save()
     engine.cache.save()
-    if config.verbose and compile_mode() == "corpus":
-        stats = engine.corpus_stats
-        print(f"[study] corpus trie: {stats.hits} step hits, "
-              f"{stats.pass_runs} step runs, {stats.interned_states} "
-              f"interned states, {stats.emits} emits "
-              f"(+{stats.emit_hits} emit hits)")
     return result
 
 
@@ -364,13 +346,7 @@ def _prime_engine(corpus: Sequence[ShaderCase], case_indices: Sequence[int],
 
 def _compile_case_variants(source: str) -> Dict[int, str]:
     """Pool worker: emitted text for all 256 combinations of one shader
-    (module-level so it pickles into process-pool workers).
-
-    The compile mode travels via the inherited ``REPRO_COMPILE`` env var;
-    under ``corpus`` each worker process compiles through its own
-    process-global shared trie (states cannot cross process boundaries, so
-    sharing is per-worker — byte-identity never depends on it).
-    """
+    (module-level so it pickles into process-pool workers)."""
     return ShaderCompiler(source).all_variants().index_to_text
 
 
@@ -381,9 +357,8 @@ def _measure_batch(batch: MeasureBatch) -> List[Tuple[float, int, int]]:
     shared front-end memo then parses it once for all platforms here.  The
     batch's tasks are grouped per platform and run through
     :meth:`~repro.harness.environment.ShaderExecutionEnvironment.run_many`,
-    so in the default ``REPRO_MEASURE=batched`` mode each (text, platform)
-    unit compiles, profiles, and costs once no matter how many measurement
-    seeds it carries.
+    so each (text, platform) unit compiles, profiles, and costs once no
+    matter how many measurement seeds it carries.
     """
     by_platform: Dict[str, List[Tuple[int, int]]] = {}
     for position, (platform_name, seed) in enumerate(batch.tasks):

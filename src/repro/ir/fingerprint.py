@@ -43,15 +43,12 @@ from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.values import Constant, Slot, Undef, Value
 
 
-#: Memoized digests keyed ``(Function.uid, Function.epoch)``.  The clone
-#: paths (``preserve_names=True`` in particular — every trie edge and every
-#: vendor JIT compile starts with one) re-fingerprint the same frozen
-#: function repeatedly: corpus-trie interning hashes a state once when it is
-#: created and again every time another pipeline reaches it.  The key is
-#: sound because ``uid`` is process-unique per Function (reassigned on
-#: unpickle) and every structural mutation bumps ``epoch`` (see
-#: ``Function.touch`` and :mod:`repro.passes.manager`), so a stale digest is
-#: unreachable as long as mutators honor that contract.
+#: Memoized digests keyed ``(Function.uid, Function.epoch)``, so hashing an
+#: unmutated function again is a dict lookup.  The key is sound because
+#: ``uid`` is process-unique per Function (reassigned on unpickle) and every
+#: structural mutation bumps ``epoch`` (see ``Function.touch`` and
+#: :mod:`repro.passes.manager`), so a stale digest is unreachable as long as
+#: mutators honor that contract.
 _FP_CACHE: "OrderedDict[Tuple[int, int], str]" = OrderedDict()
 _FP_CACHE_SIZE = 8192
 _FP_LOCK = threading.Lock()
@@ -77,9 +74,9 @@ def clear_fingerprint_cache() -> None:
 
 def fingerprint_module(module: Module) -> str:
     """Canonical digest of a module's function (interface/version are shared
-    across all trie states of one shader, so the function is the identity;
-    the *corpus*-global trie appends its own interface/version digest — see
-    :mod:`repro.core.corpus_trie`)."""
+    across all trie states of one shader, so the function is the identity).
+    A key that mixes states of different shaders must add its own
+    interface/version digest."""
     return fingerprint_function(module.function)
 
 

@@ -27,9 +27,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.corpus_trie import (
-    CorpusTrie, CorpusTrieStats, shared_corpus_trie,
-)
 from repro.core.pipeline import ShaderCompiler, VariantSet
 from repro.gpu.platform import Platform, all_platforms
 from repro.harness.environment import ShaderExecutionEnvironment
@@ -74,16 +71,10 @@ class EvaluationEngine:
     """Compile-and-measure service shared by the study, ``tune``, and tests."""
 
     def __init__(self, platforms: Optional[Sequence[Platform]] = None,
-                 seed: int = 2018, cache: Optional[ResultCache] = None,
-                 corpus_trie: Optional[CorpusTrie] = None):
+                 seed: int = 2018, cache: Optional[ResultCache] = None):
         self.platforms: List[Platform] = list(platforms or all_platforms())
         self.seed = seed
         self.cache = cache if cache is not None else ResultCache()
-        #: the corpus-global state trie ``REPRO_COMPILE=corpus`` compiles
-        #: through; None means the process-wide shared instance (resolved
-        #: lazily so non-corpus runs never build one).  Tests pass a
-        #: private trie for isolation.
-        self._corpus_trie = corpus_trie
         self._environments: Dict[str, ShaderExecutionEnvironment] = {
             p.name: ShaderExecutionEnvironment(p) for p in self.platforms}
         self._compilers: Dict[str, ShaderCompiler] = {}
@@ -131,36 +122,6 @@ class EvaluationEngine:
             raise KeyError(f"platform {name!r} not configured on this engine; "
                            f"have {sorted(self._environments)}") from None
 
-    @property
-    def corpus_trie(self) -> CorpusTrie:
-        """The corpus-global state trie this engine compiles through
-        (``REPRO_COMPILE=corpus``); the process-wide shared one by default."""
-        if self._corpus_trie is None:
-            self._corpus_trie = shared_corpus_trie()
-        return self._corpus_trie
-
-    @property
-    def corpus_stats(self) -> CorpusTrieStats:
-        """Hit/miss/interned-state counters of the corpus trie — the
-        observability hook mirroring the zero-work counters: all zeros
-        unless the study actually ran under ``REPRO_COMPILE=corpus``."""
-        return self.corpus_trie.stats
-
-    @property
-    def corpus_hit_count(self) -> int:
-        """Pipeline steps served from the corpus trie's edge memo."""
-        return self.corpus_stats.hits
-
-    @property
-    def corpus_miss_count(self) -> int:
-        """Pipeline steps the corpus trie actually had to run."""
-        return self.corpus_stats.pass_runs
-
-    @property
-    def corpus_state_count(self) -> int:
-        """Distinct IR states the corpus trie has interned."""
-        return self.corpus_stats.interned_states
-
     def compiler_for(self, source: str) -> ShaderCompiler:
         digest = source_digest(source)
         compiler = self._compilers.get(digest)
@@ -186,8 +147,7 @@ class EvaluationEngine:
                 variant_set = self.prime_variants(case.source, cached)
             else:
                 self.compile_count += 256
-                variant_set = self.compiler_for(case.source).all_variants(
-                    trie=self._corpus_trie)
+                variant_set = self.compiler_for(case.source).all_variants()
                 self._variant_sets[digest] = variant_set
                 self._texts.update({(digest, index): text for index, text
                                     in variant_set.index_to_text.items()})
@@ -271,12 +231,8 @@ class EvaluationEngine:
 
         The uncached seeds run as one
         :meth:`~repro.harness.environment.ShaderExecutionEnvironment.run_many`
-        batch: in the default ``REPRO_MEASURE=batched`` mode the driver
-        JIT, the (lane-batched) interpreter profile, and the cost model
-        run once for the whole unit and only the seed-dependent timer
-        protocol repeats, so the module is traversed once rather than once
-        per seed.  Samples come back in *seeds* order, bit-identical to
-        per-seed :meth:`measure` calls.
+        batch, which prepares the unit once.  Samples come back in *seeds*
+        order, bit-identical to per-seed :meth:`measure` calls.
         """
         self.check_cancelled()
         name = platform.name if isinstance(platform, Platform) else platform

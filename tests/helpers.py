@@ -8,9 +8,20 @@ collection order.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import hashlib
+import math
+import random
+from typing import Dict, List, Optional
 
-from repro.core import compile_shader
+from repro.core import ShaderCompiler, VariantSet, compile_shader
+from repro.gpu.cost import draw_time_ns, estimate_kernel
+from repro.gpu.platform import Platform
+from repro.gpu.timing import TimerModel
+from repro.harness.environment import SAMPLE_FRAGMENTS, ExecutionReport
+from repro.harness.protocol import FRAMES_PER_RUN, REPEATS, Measurement
+from repro.harness.uniforms import (
+    default_textures, default_uniform_values, fragment_inputs,
+)
 from repro.ir import Interpreter, verify_function
 from repro.passes import OptimizationFlags
 
@@ -41,3 +52,85 @@ def assert_outputs_close(a: Dict, b: Dict, tol: float = 1e-6) -> None:
         for x, y in zip(ta, tb):
             scale = max(abs(float(x)), abs(float(y)), 1.0)
             assert abs(float(x) - float(y)) <= tol * scale, (key, va, vb)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the slow, obviously-correct paths the fast ones must
+# reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def naive_variants(source: str, es: bool = False) -> VariantSet:
+    """The variant oracle: every flag combination compiled alone through
+    ``ShaderCompiler.compile`` (a full pipeline run each), grouped by
+    emitted text in flag-index order."""
+    compiler = ShaderCompiler(source)
+    by_text: Dict[str, List[OptimizationFlags]] = {}
+    index_to_text: Dict[int, str] = {}
+    for flags in OptimizationFlags.all_combinations():
+        output = compiler.compile(flags, es=es).output
+        by_text.setdefault(output, []).append(flags)
+        index_to_text[flags.index] = output
+    return VariantSet(by_text, index_to_text)
+
+
+def reference_profile(module) -> Dict[str, float]:
+    """The profile oracle: one scalar ``Interpreter`` run per sample
+    fragment, block visits summed in fragment order and averaged."""
+    interface = module.interface
+    uniforms = default_uniform_values(interface)
+    textures = default_textures(interface)
+    totals: Dict[str, float] = {}
+    for position in SAMPLE_FRAGMENTS:
+        interp = Interpreter(module, uniforms=uniforms,
+                             inputs=fragment_inputs(interface, position),
+                             textures=textures)
+        interp.run()
+        for name, count in interp.stats.block_visits.items():
+            totals[name] = totals.get(name, 0.0) + count
+    return {name: count / len(SAMPLE_FRAGMENTS)
+            for name, count in totals.items()}
+
+
+def reference_protocol(true_ns: float, timer: TimerModel, rng: random.Random,
+                       frames: int = FRAMES_PER_RUN,
+                       repeats: int = REPEATS) -> Measurement:
+    """The protocol oracle: one ``TimerModel.measure`` call per frame."""
+    repeat_means = []
+    for _ in range(repeats):
+        samples = [timer.measure(true_ns, rng) for _ in range(frames)]
+        repeat_means.append(sum(samples) / len(samples))
+    mean = sum(repeat_means) / len(repeat_means)
+    variance = sum((m - mean) ** 2 for m in repeat_means) / max(
+        len(repeat_means) - 1, 1)
+    return Measurement(mean_ns=mean, std_ns=math.sqrt(variance),
+                       repeat_means=repeat_means)
+
+
+def reference_measurement(platform: Platform, source: str,
+                          seed: int) -> ExecutionReport:
+    """The measurement oracle, from scratch: a fresh driver-JIT compile,
+    the scalar profile (``reference_profile``), the cost model, and the
+    per-frame protocol (``reference_protocol``)."""
+    module = platform.jit.compile(source)
+    cost = estimate_kernel(module.function, platform.spec,
+                           reference_profile(module))
+    true_ns = draw_time_ns(cost, platform.spec, platform.fragments_per_draw)
+
+    platform_digest = int.from_bytes(
+        hashlib.sha256(platform.name.encode()).digest()[:8], "big")
+    rng = random.Random((seed * 1_000_003) ^ platform_digest)
+    return ExecutionReport(cost=cost, true_ns=true_ns,
+                           measurement=reference_protocol(
+                               true_ns, platform.timer, rng),
+                           interface=module.interface)
+
+
+def assert_report_identical(a: ExecutionReport, b: ExecutionReport,
+                            context=None) -> None:
+    """Bit-exact ExecutionReport equality (no tolerance)."""
+    assert a.measurement.mean_ns == b.measurement.mean_ns, context
+    assert a.measurement.std_ns == b.measurement.std_ns, context
+    assert a.measurement.repeat_means == b.measurement.repeat_means, context
+    assert a.cost == b.cost, context
+    assert a.true_ns == b.true_ns, context

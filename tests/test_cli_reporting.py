@@ -71,6 +71,22 @@ def test_cli_time_single_platform(shader_file, capsys):
     assert "AMD" in out and "speed-up" in out
 
 
+def test_cli_rejects_the_removed_trie_stats_options(tmp_path, capsys):
+    """``--trie-stats`` went with the corpus trie; argument parsing
+    rejects it before any study work starts."""
+    for argv in (["study", "--max-shaders", "1",
+                  "--trie-stats", str(tmp_path / "trie.json")],
+                 ["merge-results", "s1.json",
+                  "--output", str(tmp_path / "merged.json"),
+                  "--trie-stats", "s1.stats.json",
+                  "--trie-stats-out", str(tmp_path / "merged.stats.json")]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
+        assert "--trie-stats" in capsys.readouterr().err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # Reporting
 # ---------------------------------------------------------------------------

@@ -1,41 +1,57 @@
-"""Trie-vs-naive variant compilation equivalence.
+"""Compilation-trie correctness against the naive variant oracle.
 
 The shared-prefix compilation trie (repro.core.trie) must be a pure
-optimization: byte-identical ``VariantSet`` contents — texts, flag
-groupings, even insertion order — and byte-identical ``StudyResult`` JSON
-versus the brute-force per-combination path, under every ``REPRO_COMPILE``
-mode and ``max_workers`` setting.
+optimization: ``ShaderCompiler.all_variants`` must equal compiling every
+flag combination alone (``helpers.naive_variants``) — texts, flag
+groupings, even insertion order — and the study's ``StudyResult`` JSON
+must not depend on ``max_workers`` or on sharding.
 """
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
+from helpers import naive_variants
 from repro.core.pipeline import ShaderCompiler, compile_mode
 from repro.core.trie import VariantTrie
 from repro.corpus import MOTIVATING_SHADER, default_corpus
 from repro.gpu.platform import all_platforms
-from repro.harness.study import StudyConfig, run_study
+from repro.harness.results import StudyResult, merge_study_results
+from repro.harness.study import ShardSpec, StudyConfig, run_study
+from repro.ir import emit_glsl
 from repro.ir.clone import clone_module
 from repro.ir.fingerprint import fingerprint_module
 from repro.passes import OptimizationFlags
 from repro.passes.manager import PASS_ORDER
-from repro.search.cache import ResultCache
+
+
+WILD_DIR = Path(__file__).resolve().parents[1] / "examples" / "wild"
+
+
+def _synth_slice(count: int):
+    cases = [case for case in default_corpus(synth_seed=7, synth_count=2)
+             if case.family.startswith("synth_")]
+    assert len(cases) >= count, "synth corpus slice is short"
+    return cases[:count]
 
 
 @pytest.fixture(scope="module")
 def equivalence_corpus():
-    """A cross-section of corpus families plus the motivating shader (the
-    full 50-shader corpus runs in the benchmark job, not tier-1)."""
-    return default_corpus(max_shaders=6)
+    """A cross-section of corpus families plus the motivating shader, two
+    synthesized shaders, and the imported wild shaders as normalized
+    core-subset text (the full 50-shader corpus runs in the benchmark job,
+    not tier-1)."""
+    imported = default_corpus(families=["imported"], import_dir=str(WILD_DIR))
+    assert len(imported) == 6, "examples/wild went missing"
+    return default_corpus(max_shaders=6) + _synth_slice(2) + imported
 
 
 def _variant_sets(source: str, es: bool = False):
-    compiler = ShaderCompiler(source)
-    return (compiler.all_variants(es=es, mode="naive"),
-            compiler.all_variants(es=es, mode="trie"))
+    return (naive_variants(source, es=es),
+            ShaderCompiler(source).all_variants(es=es))
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +85,9 @@ def test_trie_matches_naive_in_es_dialect():
 
 def test_property_random_flag_subsets_match_fresh_compiles():
     """Property test: for random flag subsets, the trie's text equals an
-    independent single-combination pipeline run (not just the naive
-    ``all_variants`` loop, which shares the compiler instance)."""
+    independent single-combination pipeline run on a fresh compiler."""
     compiler = ShaderCompiler(MOTIVATING_SHADER)
-    trie_set = compiler.all_variants(mode="trie")
+    trie_set = compiler.all_variants()
     rng = random.Random(20180417)
     for index in rng.sample(range(256), 32):
         flags = OptimizationFlags.from_index(index)
@@ -97,6 +112,64 @@ def test_trie_shares_prefixes_and_dedups_emission():
     assert trie.stats.emits == len(set(index_to_text.values()))
     assert trie.stats.emits < 256
     assert len(trie.stats.level_states) == len(PASS_ORDER) + 1
+
+
+def test_trie_stats_account_for_every_pass_run_and_emit(equivalence_corpus):
+    """The counters the benchmark tracer reads: one pass run per live state
+    per level, one clone per pass run plus the root, one emission per
+    distinct final state, and a disabled edge never drops a state."""
+    for case in equivalence_corpus:
+        trie = VariantTrie(ShaderCompiler(case.source)._module)
+        index_to_text = trie.compile()
+        stats = trie.stats
+        levels = stats.level_states
+        assert len(levels) == len(PASS_ORDER) + 1, case.name
+        assert levels[0] == 1, case.name
+        assert stats.pass_runs == sum(levels[:-1]), case.name
+        assert stats.clones == stats.pass_runs + 1, case.name
+        assert stats.merges <= stats.pass_runs, case.name
+        for parent, child in zip(levels, levels[1:]):
+            assert parent <= child <= 2 * parent, case.name
+        assert stats.emits == levels[-1], case.name
+        assert stats.emits == len(set(index_to_text.values())), case.name
+
+
+def test_walk_leaves_the_front_end_module_untouched():
+    """The walk clones before its first cleanup, so the compiler's
+    front-end module still compiles single combinations afterwards."""
+    compiler = ShaderCompiler(MOTIVATING_SHADER)
+    base = compiler._module
+    epoch = base.function.epoch
+    text = emit_glsl(base)
+    variants = compiler.all_variants()
+    assert base.function.epoch == epoch
+    assert emit_glsl(base) == text
+    for index in (0, 255):
+        flags = OptimizationFlags.from_index(index)
+        assert compiler.compile(flags).output == variants.index_to_text[index]
+
+
+def test_compile_mode_is_the_trie_whatever_the_environment(monkeypatch):
+    """``REPRO_COMPILE`` is not read: ``all_variants`` always walks the
+    trie and never compiles a combination alone."""
+    monkeypatch.setenv("REPRO_COMPILE", "naive")
+    assert compile_mode() == "trie"
+    walks, compiles = [], []
+    real_walk, real_compile = VariantTrie.compile, ShaderCompiler.compile
+
+    def counting_walk(self):
+        walks.append(self)
+        return real_walk(self)
+
+    def counting_compile(self, *args, **kwargs):
+        compiles.append(args)
+        return real_compile(self, *args, **kwargs)
+
+    monkeypatch.setattr(VariantTrie, "compile", counting_walk)
+    monkeypatch.setattr(ShaderCompiler, "compile", counting_compile)
+    ShaderCompiler(MOTIVATING_SHADER).all_variants()
+    assert len(walks) == 1
+    assert compiles == []
 
 
 def test_fingerprint_is_clone_invariant_and_change_sensitive():
@@ -125,39 +198,32 @@ def test_clone_does_not_mutate_source_module():
 
 
 # ---------------------------------------------------------------------------
-# Mode plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_compile_mode_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_COMPILE", raising=False)
-    assert compile_mode() == "trie"
-    assert compile_mode("naive") == "naive"
-    monkeypatch.setenv("REPRO_COMPILE", "naive")
-    assert compile_mode() == "naive"
-    assert compile_mode("trie") == "trie", "explicit arg beats the env"
-    monkeypatch.setenv("REPRO_COMPILE", "corpus")
-    assert compile_mode() == "corpus"
-    assert compile_mode("corpus") == "corpus"
-    with pytest.raises(ValueError):
-        compile_mode("zealous")
-
-
-# ---------------------------------------------------------------------------
 # Byte-identical StudyResult
 # ---------------------------------------------------------------------------
 
 
-def test_study_json_identical_across_modes_and_jobs(monkeypatch):
+def test_study_json_identical_across_jobs():
     corpus = default_corpus(max_shaders=2)
     platforms = all_platforms()[:2]
 
-    def study_json(mode: str, workers: int) -> str:
-        monkeypatch.setenv("REPRO_COMPILE", mode)
+    def study_json(workers: int) -> str:
         config = StudyConfig(platforms=platforms, max_workers=workers)
         return run_study(corpus, config).to_json()
 
-    baseline = study_json("naive", 1)
-    assert study_json("trie", 1) == baseline
-    assert study_json("trie", 2) == baseline
-    assert study_json("naive", 2) == baseline
+    assert study_json(2) == study_json(1)
+
+
+def test_synth_study_bytes_identical_across_jobs_and_shards():
+    corpus = _synth_slice(4)
+    platforms = all_platforms()[:2]
+
+    def study_json(workers: int, shard=None) -> str:
+        config = StudyConfig(platforms=platforms, max_workers=workers,
+                             shard=shard)
+        return run_study(corpus, config).to_json()
+
+    baseline = study_json(1)
+    assert study_json(2) == baseline
+    parts = [StudyResult.from_json(study_json(1, ShardSpec.parse(f"{i}/2")))
+             for i in (1, 2)]
+    assert merge_study_results(parts).to_json() == baseline

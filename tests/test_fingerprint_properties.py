@@ -1,9 +1,10 @@
-"""Property fuzz of the canonical IR fingerprint — the corpus trie's
+"""Property fuzz of the canonical IR fingerprint — the compilation trie's
 entire safety argument.
 
-The corpus-global trie (:mod:`repro.core.corpus_trie`) substitutes any
-interned module for any fingerprint-equal state reached by any pipeline, so
-three properties must hold over seeded synth IR:
+The per-shader compilation trie (:mod:`repro.core.trie`) merges any two
+states of a walk whose fingerprints are equal and keeps only one of them
+for every later pass and the final emission, so three properties must hold
+over seeded synth IR:
 
 1. **Invariance** — the fingerprint survives clone round-trips (both name
    modes) and rank-preserving SSA renaming: it keys *content*, never object

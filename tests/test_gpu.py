@@ -333,6 +333,101 @@ def test_vendor_jits_share_one_frontend_per_source():
     assert fingerprint_module(shared_frontend(MOTIVATING_SHADER)) == before
 
 
+def test_compiled_module_memo_keys_on_the_whole_jit_configuration():
+    """A JIT that shares a stock JIT's name but not its pipeline must not
+    be served the stock JIT's memoized module."""
+    import dataclasses
+
+    from helpers import assert_report_identical, reference_measurement
+    from repro.corpus import default_corpus
+    from repro.gpu.jit import clear_frontend_memo
+    from repro.harness.environment import ShaderExecutionEnvironment
+
+    # Also clears the compiled-module memo.
+    clear_frontend_memo()
+    source = next(case.source for case in default_corpus()
+                  if case.name == "blur.taps3")
+    bare = dataclasses.replace(
+        NVIDIA, jit=dataclasses.replace(NVIDIA.jit, passes=(),
+                                        unroll_max_trips=0))
+    assert bare.jit.name == NVIDIA.jit.name
+
+    stock = ShaderExecutionEnvironment(NVIDIA).run(source, seed=1)
+    report = ShaderExecutionEnvironment(bare).run(source, seed=1)
+    assert report.true_ns != stock.true_ns
+    assert_report_identical(report, reference_measurement(bare, source, 1))
+    assert (bare.jit.compile_cached(source)
+            is not NVIDIA.jit.compile_cached(source))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", "renamed-driver"),
+    ("passes", ()),
+    ("unroll_max_trips", 0),
+    ("unroll_max_growth", 1),
+], ids=["name", "passes", "unroll_max_trips", "unroll_max_growth"])
+def test_compiled_module_memo_separates_jits_differing_only_in(field, value):
+    """Each of the four ``VendorJIT`` fields is part of the memo key; the
+    three pipeline fields change blur.taps3's compiled IR on NVIDIA, so
+    serving the stock module for them would be wrong."""
+    import dataclasses
+
+    from repro.corpus import default_corpus
+    from repro.gpu.jit import clear_frontend_memo
+    from repro.ir.fingerprint import fingerprint_module
+
+    clear_frontend_memo()
+    source = next(case.source for case in default_corpus()
+                  if case.name == "blur.taps3")
+    other = dataclasses.replace(NVIDIA.jit, **{field: value})
+    stock = NVIDIA.jit.compile_cached(source)
+    module = other.compile_cached(source)
+    assert module is not stock
+    assert other.compile_cached(source) is module
+    assert (fingerprint_module(module)
+            == fingerprint_module(other.compile(source)))
+    if field != "name":
+        assert fingerprint_module(module) != fingerprint_module(stock)
+
+
+def test_compile_cached_serves_one_module_per_jit_and_source():
+    from repro.corpus import MOTIVATING_SHADER
+    from repro.gpu.jit import clear_frontend_memo
+    from repro.ir.fingerprint import fingerprint_module
+
+    clear_frontend_memo()
+    cached = INTEL.jit.compile_cached(MOTIVATING_SHADER)
+    assert INTEL.jit.compile_cached(MOTIVATING_SHADER) is cached
+    # ``compile`` never reads the memo: a private module every call.
+    fresh = INTEL.jit.compile(MOTIVATING_SHADER)
+    assert fresh is not cached
+    assert INTEL.jit.compile(MOTIVATING_SHADER) is not fresh
+    assert fingerprint_module(fresh) == fingerprint_module(cached)
+    # Clearing the front-end memo drops the compiled modules too.
+    clear_frontend_memo()
+    assert INTEL.jit.compile_cached(MOTIVATING_SHADER) is not cached
+
+
+@pytest.mark.parametrize("platform", all_platforms(),
+                         ids=lambda platform: platform.name)
+def test_jit_pipeline_steps_count_each_vendor_step(platform):
+    """The step counter counts the cleanup, the unroller when the driver
+    has one, and each safe pass; a memo hit runs no step."""
+    from repro.corpus import MOTIVATING_SHADER
+    from repro.gpu.jit import clear_frontend_memo, jit_pipeline_steps
+
+    clear_frontend_memo()
+    jit = platform.jit
+    steps = 1 + (1 if jit.unroll_max_trips > 0 else 0) + len(jit.passes)
+    before = jit_pipeline_steps()
+    jit.compile_cached(MOTIVATING_SHADER)
+    assert jit_pipeline_steps() - before == steps
+    jit.compile_cached(MOTIVATING_SHADER)
+    assert jit_pipeline_steps() - before == steps
+    jit.compile(MOTIVATING_SHADER)
+    assert jit_pipeline_steps() - before == 2 * steps
+
+
 def test_execution_report_vertex_shader_is_lazy(monkeypatch):
     import repro.harness.environment as environment
     from repro.corpus import MOTIVATING_SHADER

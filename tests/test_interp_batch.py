@@ -257,9 +257,8 @@ def test_runaway_lane_trips_budget_while_siblings_terminate():
 def test_run_many_seed_permutation_permutes_reports():
     env = ShaderExecutionEnvironment(all_platforms()[0])
     seeds = [3, 1, 4, 1, 5]
-    base = env.run_many(DIVERGENT_DISCARD, seeds, mode="batched")
-    swapped = env.run_many(DIVERGENT_DISCARD, list(reversed(seeds)),
-                           mode="batched")
+    base = env.run_many(DIVERGENT_DISCARD, seeds)
+    swapped = env.run_many(DIVERGENT_DISCARD, list(reversed(seeds)))
     for a, b in zip(base, reversed(swapped)):
         assert a.measurement == b.measurement
         assert a.true_ns == b.true_ns
@@ -268,9 +267,9 @@ def test_run_many_seed_permutation_permutes_reports():
 def test_run_many_split_into_sub_batches_is_equivalent():
     env = ShaderExecutionEnvironment(all_platforms()[1])
     seeds = [10, 20, 30, 40]
-    whole = env.run_many(BRANCHY_LOOP, seeds, mode="batched")
-    parts = (env.run_many(BRANCHY_LOOP, seeds[:2], mode="batched")
-             + env.run_many(BRANCHY_LOOP, seeds[2:], mode="batched"))
+    whole = env.run_many(BRANCHY_LOOP, seeds)
+    parts = (env.run_many(BRANCHY_LOOP, seeds[:2])
+             + env.run_many(BRANCHY_LOOP, seeds[2:]))
     for a, b in zip(whole, parts):
         assert a.measurement == b.measurement
         assert a.cost == b.cost

@@ -1,26 +1,37 @@
-"""Differential testing: batched measurement vs the scalar reference.
+"""Differential testing: the measurement path against its references.
 
-The lane-batched interpreter and the seed-batched measurement path
-(``REPRO_MEASURE=batched``, the default) must be pure optimizations:
-bit-identical per-lane interpreter outputs and stats, bit-identical
-:class:`ExecutionReport` timing samples for every measurement seed, and
-byte-identical :class:`StudyResult` JSON versus the scalar
-one-instruction-at-a-time walk, under every ``REPRO_MEASURE`` mode and
-``max_workers`` setting — for every pass pipeline and for a seeded slice
-of the synthesized corpus.
+The measurement path (memoized driver-JIT compile, lane-batched
+interpreter profile, hoisted timer sampling) must reproduce the
+measurement oracle (``helpers.reference_measurement``: a fresh compile,
+one scalar interpreter run per sample fragment, one ``TimerModel.measure``
+call per frame) bit for bit — through ``ShaderExecutionEnvironment.run``,
+``run_many`` and ``EvaluationEngine.measure_many``, for every pass
+pipeline on every platform and for a seeded slice of the synthesized and
+hand-written corpus.  The profile and the protocol are also held to
+their own references (``helpers.reference_profile`` and
+``helpers.reference_protocol``), and a whole study to both oracles.
 """
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
+from helpers import (
+    assert_report_identical, naive_variants, reference_measurement,
+    reference_profile, reference_protocol,
+)
 from repro.core.pipeline import ShaderCompiler, optimize_source
 from repro.corpus import MOTIVATING_SHADER, default_corpus
+from repro.gpu.jit import clear_frontend_memo, jit_pipeline_steps
 from repro.gpu.platform import all_platforms
 from repro.harness.environment import (
     SAMPLE_FRAGMENTS, ShaderExecutionEnvironment, measure_mode,
 )
-from repro.harness.study import StudyConfig, run_study
+from repro.harness.protocol import FRAMES_PER_RUN, REPEATS, run_protocol
+from repro.harness.study import StudyConfig, _variant_seed, run_study
 from repro.harness.uniforms import (
     batch_fragment_inputs, default_textures, default_uniform_values,
     fragment_inputs,
@@ -46,15 +57,6 @@ def corpus_slice():
     picked = [case for case in corpus
               if case.family in ("sprite", "blur", "phong")][:3]
     return synth[:2] + picked
-
-
-def assert_report_identical(a, b, context=""):
-    """Bit-exact ExecutionReport equality (no tolerance)."""
-    assert a.measurement.mean_ns == b.measurement.mean_ns, context
-    assert a.measurement.std_ns == b.measurement.std_ns, context
-    assert a.measurement.repeat_means == b.measurement.repeat_means, context
-    assert a.cost == b.cost, context
-    assert a.true_ns == b.true_ns, context
 
 
 # ---------------------------------------------------------------------------
@@ -98,42 +100,112 @@ def test_batched_interpreter_matches_scalar_per_lane_every_pipeline():
 
 
 # ---------------------------------------------------------------------------
-# ExecutionReport equivalence across modes, seeds, and the corpus slice
+# Profile and protocol against their references
 # ---------------------------------------------------------------------------
 
 
-def test_reports_identical_across_modes_every_pipeline():
+def test_profile_matches_scalar_reference_every_platform(corpus_slice):
+    """Same averages, same key order: the cost model sums the profile in
+    its iteration order, so order is part of bit-identity."""
+    sources = [MOTIVATING_SHADER] + [case.source for case in corpus_slice]
+    for platform in all_platforms():
+        env = ShaderExecutionEnvironment(platform)
+        for source in sources:
+            module = platform.jit.compile(source)
+            profile = env.profile(module)
+            expected = reference_profile(module)
+            assert profile == expected, platform.name
+            assert list(profile) == list(expected), platform.name
+
+
+@pytest.mark.parametrize("platform", all_platforms(),
+                         ids=lambda platform: platform.name)
+def test_run_protocol_matches_per_frame_reference(platform):
+    for true_ns, frames, repeats in ((4246.875, FRAMES_PER_RUN, REPEATS),
+                                     (120397.75, 7, 3), (3.0, 1, 1)):
+        rng, reference_rng = random.Random(41), random.Random(41)
+        measurement = run_protocol(true_ns, platform.timer, rng,
+                                   frames=frames, repeats=repeats,
+                                   draws_per_frame=platform.draws_per_frame)
+        expected = reference_protocol(true_ns, platform.timer,
+                                      reference_rng, frames=frames,
+                                      repeats=repeats)
+        context = (true_ns, frames, repeats)
+        assert measurement.mean_ns == expected.mean_ns, context
+        assert measurement.std_ns == expected.std_ns, context
+        assert measurement.repeat_means == expected.repeat_means, context
+        assert len(measurement.repeat_means) == repeats, context
+        assert rng.getstate() == reference_rng.getstate(), context
+
+
+def test_prepare_compiles_once_per_platform_and_source():
+    """Preparations of one (source, platform) unit share one compiled
+    module, whichever environment asks and however many seeds follow."""
+    clear_frontend_memo()
+    platform = all_platforms()[0]
+    before = jit_pipeline_steps()
+    first = ShaderExecutionEnvironment(platform).prepare(MOTIVATING_SHADER)
+    steps = jit_pipeline_steps() - before
+    assert steps > 0
+    env = ShaderExecutionEnvironment(platform)
+    second = env.prepare(MOTIVATING_SHADER)
+    env.run_many(MOTIVATING_SHADER, [1, 2, 3])
+    assert jit_pipeline_steps() - before == steps
+    assert second.module is first.module
+    assert second.profile == first.profile
+    assert second.cost == first.cost
+    assert second.true_ns == first.true_ns
+
+
+def test_measure_mode_is_batched_whatever_the_environment(monkeypatch):
+    """``REPRO_MEASURE`` is not read: a run profiles in one batched pass."""
+    monkeypatch.setenv("REPRO_MEASURE", "scalar")
+    assert measure_mode() == "batched"
+    passes = []
+    real_run = BatchedInterpreter.run
+
+    def counting_run(self, *args, **kwargs):
+        passes.append(self)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchedInterpreter, "run", counting_run)
+    platform = all_platforms()[0]
+    report = ShaderExecutionEnvironment(platform).run(MOTIVATING_SHADER,
+                                                      seed=4)
+    assert len(passes) == 1
+    assert_report_identical(
+        report, reference_measurement(platform, MOTIVATING_SHADER, 4))
+
+
+# ---------------------------------------------------------------------------
+# ExecutionReport equivalence with the oracle
+# ---------------------------------------------------------------------------
+
+
+def test_run_matches_reference_every_pipeline():
     for flags in PASS_PIPELINES:
         text = optimize_source(MOTIVATING_SHADER, flags)
         for platform in all_platforms():
             env = ShaderExecutionEnvironment(platform)
-            scalar = env.run(text, seed=13, mode="scalar")
-            batched = env.run(text, seed=13, mode="batched")
-            assert_report_identical(scalar, batched,
+            assert_report_identical(env.run(text, seed=13),
+                                    reference_measurement(platform, text, 13),
                                     (flags.index, platform.name))
 
 
-def test_run_many_matches_scalar_per_seed_on_corpus_slice(corpus_slice):
+def test_run_many_matches_reference_on_corpus_slice(corpus_slice):
     seeds = [2018, 3, 77]
     for case in corpus_slice:
         for platform in all_platforms()[:3]:
             env = ShaderExecutionEnvironment(platform)
-            scalar = [env.run(case.source, seed=seed, mode="scalar")
-                      for seed in seeds]
-            batched = env.run_many(case.source, seeds, mode="batched")
-            assert len(batched) == len(seeds)
-            for seed, a, b in zip(seeds, scalar, batched):
-                assert_report_identical(a, b, (case.name, platform.name, seed))
-
-
-def test_scalar_mode_run_many_equals_per_seed_runs(corpus_slice):
-    case = corpus_slice[0]
-    env = ShaderExecutionEnvironment(all_platforms()[0])
-    seeds = [5, 6]
-    many = env.run_many(case.source, seeds, mode="scalar")
-    for seed, report in zip(seeds, many):
-        assert_report_identical(env.run(case.source, seed=seed, mode="scalar"),
-                                report, seed)
+            reports = env.run_many(case.source, seeds)
+            assert len(reports) == len(seeds)
+            for seed, report in zip(seeds, reports):
+                context = (case.name, platform.name, seed)
+                assert_report_identical(
+                    report, reference_measurement(platform, case.source, seed),
+                    context)
+                assert_report_identical(env.run(case.source, seed=seed),
+                                        report, context)
 
 
 # ---------------------------------------------------------------------------
@@ -141,74 +213,69 @@ def test_scalar_mode_run_many_equals_per_seed_runs(corpus_slice):
 # ---------------------------------------------------------------------------
 
 
-def test_engine_measure_many_matches_per_seed_measures():
+def test_engine_measure_many_matches_reference():
     platforms = all_platforms()[:2]
+    platform = platforms[0]
     seeds = [11, 12, 13]
-    reference = EvaluationEngine(platforms=platforms)
-    expected = [reference.measure(MOTIVATING_SHADER, platforms[0].name, seed)
-                for seed in seeds]
+    expected = {seed: reference_measurement(platform, MOTIVATING_SHADER, seed)
+                for seed in seeds + [99]}
+
+    def assert_matches(sample, seed):
+        reference = expected[seed]
+        assert sample.mean_ns == reference.measurement.mean_ns, seed
+        assert sample.static_ops == reference.cost.static_ops, seed
+        assert sample.registers == reference.cost.registers, seed
 
     engine = EvaluationEngine(platforms=platforms)
-    samples = engine.measure_many(MOTIVATING_SHADER, platforms[0].name, seeds)
-    assert samples == expected
+    samples = engine.measure_many(MOTIVATING_SHADER, platform.name, seeds)
+    for seed, sample in zip(seeds, samples):
+        assert_matches(sample, seed)
     assert engine.measure_count == len(seeds)
 
     # A second batch overlapping the first only measures the new seeds,
     # and cached/uncached samples interleave in request order.
-    mixed = engine.measure_many(MOTIVATING_SHADER, platforms[0].name,
+    mixed = engine.measure_many(MOTIVATING_SHADER, platform.name,
                                 [12, 99, 11])
-    assert mixed[0] == expected[1]
-    assert mixed[2] == expected[0]
+    for seed, sample in zip([12, 99, 11], mixed):
+        assert_matches(sample, seed)
     assert engine.measure_count == len(seeds) + 1
-    assert mixed[1] == reference.measure(MOTIVATING_SHADER,
-                                         platforms[0].name, 99)
 
 
 # ---------------------------------------------------------------------------
-# Mode plumbing
+# A whole study against both oracles
 # ---------------------------------------------------------------------------
 
 
-def test_measure_mode_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_MEASURE", raising=False)
-    assert measure_mode() == "batched"
-    assert measure_mode("scalar") == "scalar"
-    monkeypatch.setenv("REPRO_MEASURE", "scalar")
-    assert measure_mode() == "scalar"
-    assert measure_mode("batched") == "batched", "explicit arg beats the env"
-    with pytest.raises(ValueError):
-        measure_mode("vectorized")
-
-
-# ---------------------------------------------------------------------------
-# Byte-identical StudyResult across REPRO_MEASURE modes and --jobs
-# ---------------------------------------------------------------------------
-
-
-def test_study_json_identical_across_measure_modes_and_jobs(monkeypatch):
-    corpus = default_corpus(max_shaders=2)
+def test_study_matches_reference_on_synth_shader():
+    """Every number a study records equals the measurement oracle on the
+    variant oracle's texts, in the study's variant order."""
+    case = next(case for case in default_corpus(synth_seed=7, synth_count=1)
+                if case.family.startswith("synth_"))
     platforms = all_platforms()[:2]
+    config = StudyConfig(platforms=platforms)
+    shader = run_study([case], config).shader(case.name)
 
-    def study_json(mode: str, workers: int) -> str:
-        monkeypatch.setenv("REPRO_MEASURE", mode)
-        config = StudyConfig(platforms=platforms, max_workers=workers)
-        return run_study(corpus, config).to_json()
+    for platform in platforms:
+        reference = reference_measurement(
+            platform, case.source, _variant_seed(config.seed, 0, -1))
+        assert (shader.original_times_ns[platform.name]
+                == reference.measurement.mean_ns), platform.name
 
-    baseline = study_json("scalar", 1)
-    assert study_json("batched", 1) == baseline
-    assert study_json("batched", 2) == baseline
-    assert study_json("scalar", 2) == baseline
-
-
-def test_synth_study_json_identical_across_measure_modes(monkeypatch):
-    corpus = [case for case in default_corpus(synth_seed=7, synth_count=1)
-              if case.family.startswith("synth_")][:1]
-    assert corpus, "synth corpus slice is empty"
-    platforms = all_platforms()[:2]
-
-    def study_json(mode: str) -> str:
-        monkeypatch.setenv("REPRO_MEASURE", mode)
-        return run_study(corpus,
-                         StudyConfig(platforms=platforms)).to_json()
-
-    assert study_json("batched") == study_json("scalar")
+    variants = sorted(naive_variants(case.source).items(),
+                      key=lambda item: min(f.index for f in item[1]))
+    assert len(shader.variants) == len(variants)
+    for record, (text, combos) in zip(shader.variants, variants):
+        assert record.flag_indices == sorted(f.index for f in combos)
+        assert (record.text_hash
+                == hashlib.sha256(text.encode()).hexdigest()[:16])
+        for platform in platforms:
+            reference = reference_measurement(
+                platform, text,
+                _variant_seed(config.seed, 0, record.variant_id))
+            context = (record.variant_id, platform.name)
+            assert (record.times_ns[platform.name]
+                    == reference.measurement.mean_ns), context
+            assert (record.static_ops[platform.name]
+                    == reference.cost.static_ops), context
+            assert (record.registers[platform.name]
+                    == reference.cost.registers), context

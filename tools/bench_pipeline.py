@@ -2,30 +2,19 @@
 """Record the variant-compilation perf trajectory into BENCH_pipeline.json.
 
 Times the 256-combination variant explosion on the motivating shader (and a
-corpus aggregate) under both ``REPRO_COMPILE`` modes, asserts the trie path
-is byte-identical to the naive path and at least ``--min-speedup`` times
-faster, and writes the numbers as JSON.  Also boots an in-process
-``StudyService`` and times a cold corpus-study submission against a warm
-resubmission of the same spec, asserting the warm path does zero engine
-work.  CI runs this after the pytest-benchmark suite; the committed
-BENCH_pipeline.json seeds the repo's recorded perf baseline.
-
-Also times a seed-sweep measurement workload under both ``REPRO_MEASURE``
-modes (the batched path pays the driver JIT, interpreter profile, and cost
-model once per unit instead of once per seed), asserts bit-identical
-reports, and gates the batched speedup at ``--min-measure-speedup``.
-
-The corpus-trie section compares per-shader tries + isolated vendor JIT
-pipelines against one corpus-global trie on a synth corpus (work counted in
-pass runs + emissions, offline maps checked byte-identical) and gates the
-work ratio at ``--min-corpus-work-ratio``.
+corpus aggregate) through the compilation trie and through a naive baseline
+that runs the full pass pipeline once per combination, asserts the trie is
+byte-identical to the baseline and at least ``--min-speedup`` times faster,
+and writes the numbers as JSON.  Also boots an in-process ``StudyService``
+and times a cold corpus-study submission against a warm resubmission of the
+same spec, asserting the warm path does zero engine work.  CI runs this
+after the pytest-benchmark suite; the committed BENCH_pipeline.json seeds
+the repo's recorded perf baseline.
 
 Usage:
     PYTHONPATH=src python tools/bench_pipeline.py [--out BENCH_pipeline.json]
         [--min-speedup 3.0] [--corpus-shaders 8] [--repeats 3]
-        [--service-shaders 2] [--min-measure-speedup 3.0]
-        [--measure-shaders 0] [--measure-seeds 8]
-        [--corpus-trie-synth 8] [--min-corpus-work-ratio 1.5]
+        [--service-shaders 2]
 """
 
 from __future__ import annotations
@@ -43,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core.pipeline import ShaderCompiler  # noqa: E402
 from repro.core.trie import VariantTrie  # noqa: E402
 from repro.corpus import MOTIVATING_SHADER, default_corpus  # noqa: E402
+from repro.passes import OptimizationFlags  # noqa: E402
 
 
 def _best_of(repeats: int, fn):
@@ -55,11 +45,17 @@ def _best_of(repeats: int, fn):
     return best, result
 
 
+def _naive_variants(compiler: ShaderCompiler) -> dict:
+    """The baseline: a full pass-pipeline run per flag combination."""
+    return {flags.index: compiler.compile(flags).output
+            for flags in OptimizationFlags.all_combinations()}
+
+
 def bench_shader(source: str, repeats: int) -> dict:
     compiler = ShaderCompiler(source)
-    naive_s, naive = _best_of(repeats, lambda: compiler.all_variants(mode="naive"))
-    trie_s, trie = _best_of(repeats, lambda: compiler.all_variants(mode="trie"))
-    if trie.index_to_text != naive.index_to_text or trie.by_text != naive.by_text:
+    naive_s, naive = _best_of(repeats, lambda: _naive_variants(compiler))
+    trie_s, trie = _best_of(repeats, compiler.all_variants)
+    if trie.index_to_text != naive:
         raise SystemExit("FATAL: trie output is not byte-identical to naive")
     walk = VariantTrie(compiler._module)
     walk.compile()
@@ -67,149 +63,12 @@ def bench_shader(source: str, repeats: int) -> dict:
         "naive_seconds": round(naive_s, 6),
         "trie_seconds": round(trie_s, 6),
         "speedup": round(naive_s / trie_s, 2),
-        "unique_variants": naive.unique_count,
+        "unique_variants": trie.unique_count,
         "trie_pass_runs": walk.stats.pass_runs,
         "trie_emits": walk.stats.emits,
         "trie_merges": walk.stats.merges,
         "naive_pass_runs": 1024,   # sum of popcounts over 256 combinations
         "naive_emits": 256,
-    }
-
-
-def bench_measurement(max_shaders: int, seed_count: int, repeats: int) -> dict:
-    """Seed-sweep measurement: scalar reference vs seed-batched mode.
-
-    Every (shader, platform) unit of the study corpus (``max_shaders=0``
-    means the whole default corpus — the study's real workload) is
-    measured under *seed_count* seeds, the paper's repeated-runs protocol.
-    The scalar mode reruns the whole pipeline per seed; the batched mode
-    prepares each unit once (memoized JIT, lane-batched interpreter
-    profile, one cost estimate) and repeats only the seed-dependent timer
-    protocol.  Both front-end memos are dropped before every timed sweep
-    so each mode starts cold, and the report streams are checked
-    bit-identical before any number is kept.
-    """
-    from repro.gpu.jit import clear_frontend_memo
-    from repro.gpu.platform import all_platforms
-    from repro.harness.environment import ShaderExecutionEnvironment
-
-    corpus = default_corpus(max_shaders=max_shaders or None)
-    platforms = all_platforms()
-    seeds = list(range(seed_count))
-    units = [(case, platform) for case in corpus for platform in platforms]
-
-    def sweep(mode):
-        clear_frontend_memo()
-        reports = []
-        for case, platform in units:
-            env = ShaderExecutionEnvironment(platform)
-            reports.append(env.run_many(case.source, seeds, mode=mode))
-        return reports
-
-    scalar_s, scalar_reports = _best_of(repeats, lambda: sweep("scalar"))
-    batched_s, batched_reports = _best_of(repeats, lambda: sweep("batched"))
-    for unit_scalar, unit_batched in zip(scalar_reports, batched_reports):
-        for a, b in zip(unit_scalar, unit_batched):
-            if (a.measurement != b.measurement or a.cost != b.cost
-                    or a.true_ns != b.true_ns):
-                raise SystemExit("FATAL: batched measurement is not "
-                                 "bit-identical to scalar")
-    return {
-        "shaders": len(corpus),
-        "platforms": len(platforms),
-        "seeds_per_unit": seed_count,
-        "scalar_seconds": round(scalar_s, 6),
-        "batched_seconds": round(batched_s, 6),
-        "speedup": round(scalar_s / batched_s, 2),
-    }
-
-
-def bench_corpus_trie(synth_count: int, repeats: int) -> dict:
-    """Per-shader tries + isolated vendor JITs vs one corpus-global trie.
-
-    Work unit = pass runs + emissions.  The baseline walks each synth
-    shader's own ``VariantTrie`` and then compiles every measured text
-    (unique variants + the original source) through every vendor JIT in
-    isolation, counting the JIT pipeline steps actually executed.  The
-    corpus mode routes the same workload — offline walks *and* vendor
-    pipelines — through one shared :class:`CorpusTrie`, where overlapping
-    vendor pass prefixes and repeated texts become edge-memo hits instead
-    of recomputation.  Offline variant maps are checked byte-identical
-    between the modes before any number is kept.
-    """
-    import os
-
-    from repro.core.corpus_trie import (
-        reset_shared_corpus_trie, shared_corpus_trie,
-    )
-    from repro.gpu.jit import (
-        clear_frontend_memo, jit_pipeline_steps, reset_jit_pipeline_steps,
-    )
-    from repro.gpu.platform import all_platforms
-
-    cases = [case
-             for case in default_corpus(synth_seed=2018,
-                                        synth_count=synth_count)
-             if case.family.startswith("synth_")]
-    platforms = all_platforms()
-
-    def run_mode(mode):
-        os.environ["REPRO_COMPILE"] = mode
-        clear_frontend_memo()
-        reset_jit_pipeline_steps()
-        reset_shared_corpus_trie()
-        texts = {}
-        offline_work = 0
-        for case in cases:
-            compiler = ShaderCompiler(case.source)
-            if mode == "corpus":
-                variants = compiler.all_variants()
-                index_to_text = variants.index_to_text
-            else:
-                walk = VariantTrie(compiler._module)
-                index_to_text = walk.compile()
-                offline_work += walk.stats.pass_runs + walk.stats.emits
-            texts[case.name] = index_to_text
-            measured = sorted(set(index_to_text.values())) + [case.source]
-            for text in measured:
-                for platform in platforms:
-                    platform.jit.compile(text)
-        if mode == "corpus":
-            stats = shared_corpus_trie().stats
-            work = stats.pass_runs + stats.emits
-            counters = stats.as_dict()
-        else:
-            work = offline_work + jit_pipeline_steps()
-            counters = None
-        return texts, work, counters
-
-    previous = os.environ.get("REPRO_COMPILE")
-    try:
-        baseline_s, (baseline_texts, baseline_work, _) = _best_of(
-            repeats, lambda: run_mode("trie"))
-        corpus_s, (corpus_texts, corpus_work, counters) = _best_of(
-            repeats, lambda: run_mode("corpus"))
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_COMPILE", None)
-        else:
-            os.environ["REPRO_COMPILE"] = previous
-        clear_frontend_memo()
-        reset_shared_corpus_trie()
-    if corpus_texts != baseline_texts:
-        raise SystemExit("FATAL: corpus-trie variants are not byte-identical "
-                         "to the per-shader trie")
-    return {
-        "shaders": len(cases),
-        "platforms": len(platforms),
-        "baseline_work": baseline_work,
-        "corpus_work": corpus_work,
-        "work_ratio": round(baseline_work / corpus_work, 2),
-        "step_hits": counters["hits"],
-        "emit_hits": counters["emit_hits"],
-        "interned_states": counters["interned_states"],
-        "baseline_seconds": round(baseline_s, 6),
-        "corpus_seconds": round(corpus_s, 6),
     }
 
 
@@ -268,13 +127,6 @@ def main(argv=None) -> int:
     parser.add_argument("--corpus-shaders", type=int, default=8)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--service-shaders", type=int, default=2)
-    parser.add_argument("--min-measure-speedup", type=float, default=3.0)
-    parser.add_argument("--measure-shaders", type=int, default=0,
-                        help="0 = the whole default corpus")
-    parser.add_argument("--measure-seeds", type=int, default=8)
-    parser.add_argument("--corpus-trie-synth", type=int, default=8,
-                        help="synth families per generator seed")
-    parser.add_argument("--min-corpus-work-ratio", type=float, default=1.5)
     args = parser.parse_args(argv)
 
     motivating = bench_shader(MOTIVATING_SHADER, args.repeats)
@@ -298,9 +150,6 @@ def main(argv=None) -> int:
             "trie_seconds": round(trie_total, 6),
             "speedup": round(naive_total / trie_total, 2),
         },
-        "measurement_batching": bench_measurement(
-            args.measure_shaders, args.measure_seeds, args.repeats),
-        "corpus_trie": bench_corpus_trie(args.corpus_trie_synth, 1),
         "service_warm_resubmit": bench_service(args.service_shaders),
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
@@ -312,19 +161,6 @@ def main(argv=None) -> int:
           f"{motivating['trie_emits']} vs 256 emissions)")
     print(f"corpus x{len(corpus)}: naive {naive_total:.2f}s, "
           f"trie {trie_total:.2f}s -> {naive_total / trie_total:.1f}x")
-    measure = payload["measurement_batching"]
-    print(f"measurement x{measure['shaders']} shaders x"
-          f"{measure['platforms']} platforms x{measure['seeds_per_unit']} "
-          f"seeds: scalar {measure['scalar_seconds']:.2f}s, batched "
-          f"{measure['batched_seconds']:.2f}s -> {measure['speedup']:.1f}x")
-    corpus_trie = payload["corpus_trie"]
-    print(f"corpus trie x{corpus_trie['shaders']} shaders x"
-          f"{corpus_trie['platforms']} platforms: unshared "
-          f"{corpus_trie['baseline_work']} vs shared "
-          f"{corpus_trie['corpus_work']} pass-runs+emits -> "
-          f"{corpus_trie['work_ratio']:.2f}x "
-          f"({corpus_trie['step_hits']} step hits, "
-          f"{corpus_trie['interned_states']} interned states)")
     service = payload["service_warm_resubmit"]
     print(f"service x{service['shaders']}: cold {service['cold_seconds']:.2f}s, "
           f"warm resubmit {service['warm_seconds']:.3f}s -> "
@@ -333,15 +169,6 @@ def main(argv=None) -> int:
     if speedup < args.min_speedup:
         print(f"FAIL: speedup {speedup:.2f}x below the "
               f"{args.min_speedup:.1f}x floor", file=sys.stderr)
-        return 1
-    if measure["speedup"] < args.min_measure_speedup:
-        print(f"FAIL: measurement speedup {measure['speedup']:.2f}x below "
-              f"the {args.min_measure_speedup:.1f}x floor", file=sys.stderr)
-        return 1
-    if corpus_trie["work_ratio"] < args.min_corpus_work_ratio:
-        print(f"FAIL: corpus-trie work ratio "
-              f"{corpus_trie['work_ratio']:.2f}x below the "
-              f"{args.min_corpus_work_ratio:.1f}x floor", file=sys.stderr)
         return 1
     return 0
 
