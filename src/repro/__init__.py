@@ -28,7 +28,7 @@ from repro.search import (
     EvaluationEngine, ResultCache, Scheduler, SearchStrategy, make_strategy,
 )
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "CompiledShader", "ShaderCompiler", "compile_shader", "optimize_source",

@@ -450,7 +450,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
                    [("--max-shaders", args.max_shaders),
                     ("--seed", args.seed != 2018),
                     ("--jobs", args.jobs is not None),
-                    ("--synth-count", args.synth_count)] if on]
+                    ("--synth-count", args.synth_count),
+                    ("--synth-seed", args.synth_seed is not None),
+                    ("--import-dir", args.import_dir),
+                    ("--cache", args.cache),
+                    ("--verbose", args.verbose)] if on]
         if ignored:
             print(f"note: {', '.join(ignored)} ignored with --study "
                   "(the saved study's corpus and seed are used)",

@@ -4,8 +4,11 @@
 transformed GLSL out, with compilation artifacts included.
 ``unique_variants(source)`` runs all 256 flag combinations and deduplicates
 the emitted text — Fig. 4c's "unique shader variants" statistic.  A
-:class:`ShaderCompiler` caches the parse+lower work so the 256 combinations
-run off cheap IR clones; ``all_variants`` walks the shared-prefix
+:class:`ShaderCompiler` takes its front-end module from the same memo the
+vendor JITs use (:func:`repro.gpu.jit.shared_frontend`), so a source text is
+preprocessed, parsed, lowered and SSA-promoted once, however many flag
+combinations and platforms compile it; every consumer clones that shared
+module before mutating it.  ``all_variants`` walks the shared-prefix
 compilation trie (:mod:`repro.core.trie`), so each pass runs once per
 distinct reachable IR state rather than once per combination.
 """
@@ -16,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.trie import VariantTrie
-from repro.glsl import parse_shader, preprocess
-from repro.ir import emit_glsl, lower_shader, promote_to_ssa
+from repro.gpu.jit import shared_frontend
+from repro.ir import emit_glsl
 from repro.ir.clone import clone_module
 from repro.ir.module import Module
 from repro.passes import OptimizationFlags, run_passes
@@ -41,17 +44,19 @@ class CompiledShader:
 
 
 class ShaderCompiler:
-    """Front-end work shared across flag combinations of one shader."""
+    """One shader's front-end module, compiled under any flag combination.
 
-    def __init__(self, source: str, defines: Optional[Dict[str, str]] = None):
+    The module comes from :func:`repro.gpu.jit.shared_frontend` and is
+    shared with every other compiler and vendor JIT of the same source
+    text, so it is only ever cloned, never mutated.
+    """
+
+    def __init__(self, source: str):
         self.source = source
-        pp = preprocess(source, defines)
-        self.version = pp.version
-        shader = parse_shader(pp.text)
-        self._module = lower_shader(shader, version=pp.version)
-        promote_to_ssa(self._module.function)
+        self._module = shared_frontend(source)
 
     def compile(self, flags: OptimizationFlags, es: bool = False) -> CompiledShader:
+        """Run the pipeline under *flags* on a clone of the front-end module."""
         module = clone_module(self._module)
         stats = run_passes(module, flags)
         output = emit_glsl(module, es=es)
@@ -67,12 +72,8 @@ class ShaderCompiler:
         combination, with output byte-identical to compiling each
         combination alone through :meth:`compile`.
         """
-        index_to_text = VariantTrie(self._module, es=es).compile()
-        by_text: Dict[str, List[OptimizationFlags]] = {}
-        for index in range(256):
-            by_text.setdefault(index_to_text[index], []).append(
-                OptimizationFlags.from_index(index))
-        return VariantSet(by_text, index_to_text)
+        return VariantSet.from_index_to_text(
+            VariantTrie(self._module, es=es).compile())
 
 
 @dataclass
@@ -82,13 +83,17 @@ class VariantSet:
     by_text: Dict[str, List[OptimizationFlags]]
     #: flag index -> emitted text, for O(1) lookups (``text_for`` is on the
     #: hot path of every per-combination analysis, 256x per shader).
-    index_to_text: Dict[int, str] = field(default_factory=dict)
+    index_to_text: Dict[int, str]
 
-    def __post_init__(self) -> None:
-        if not self.index_to_text:
-            for text, combos in self.by_text.items():
-                for flags in combos:
-                    self.index_to_text[flags.index] = text
+    @classmethod
+    def from_index_to_text(cls, index_to_text: Dict[int, str]) -> "VariantSet":
+        """Group *index_to_text* by emitted text, each text's combinations
+        in ascending flag index."""
+        by_text: Dict[str, List[OptimizationFlags]] = {}
+        for index in sorted(index_to_text):
+            by_text.setdefault(index_to_text[index], []).append(
+                OptimizationFlags.from_index(index))
+        return cls(by_text, dict(index_to_text))
 
     @property
     def unique_count(self) -> int:
@@ -105,21 +110,19 @@ class VariantSet:
 
 
 def compile_shader(source: str, flags: Optional[OptimizationFlags] = None,
-                   defines: Optional[Dict[str, str]] = None,
                    es: bool = False) -> CompiledShader:
     """Preprocess, parse, lower, optimize, and re-emit *source*."""
     flags = flags or OptimizationFlags.none()
-    return ShaderCompiler(source, defines).compile(flags, es=es)
+    return ShaderCompiler(source).compile(flags, es=es)
 
 
 def optimize_source(source: str, flags: OptimizationFlags,
-                    defines: Optional[Dict[str, str]] = None,
                     es: bool = False) -> str:
     """Source-to-source optimization; the paper's core tool invocation."""
-    return compile_shader(source, flags, defines, es).output
+    return compile_shader(source, flags, es=es).output
 
 
-def unique_variants(source: str, defines: Optional[Dict[str, str]] = None,
+def unique_variants(source: str,
                     es: bool = False) -> Dict[str, List[OptimizationFlags]]:
     """Map each distinct emitted text to the flag combinations producing it."""
-    return ShaderCompiler(source, defines).all_variants(es=es).by_text
+    return ShaderCompiler(source).all_variants(es=es).by_text

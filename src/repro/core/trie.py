@@ -63,7 +63,6 @@ def _pass_subset(index: int) -> int:
 class TrieStats:
     """Work counters, exposed so tests and benchmarks can assert sharing."""
 
-    clones: int = 0
     pass_runs: int = 0
     emits: int = 0
     merges: int = 0
@@ -86,7 +85,6 @@ class VariantTrie:
         root = clone_module(self._base)
         run_cleanup(root.function)
         root_fp = fingerprint_module(root)
-        self.stats.clones += 1
 
         # fingerprint -> module for states alive at the current level, and
         # enabled-pass bitmask (over levels walked so far) -> fingerprint.
@@ -100,7 +98,6 @@ class VariantTrie:
             for parent_fp, module in states.items():
                 child = clone_module(module, preserve_names=True)
                 apply_flag_pass(child, name)
-                self.stats.clones += 1
                 self.stats.pass_runs += 1
                 fp = fingerprint_module(child)
                 child_fp[parent_fp] = fp

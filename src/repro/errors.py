@@ -69,9 +69,5 @@ class BackendError(ReproError):
     """Raised when the GLSL backend cannot re-structure the CFG."""
 
 
-class ModelError(ReproError):
-    """Raised by GPU performance models on unknown instruction kinds."""
-
-
 class HarnessError(ReproError):
     """Raised by the measurement harness (e.g. interface mismatch)."""

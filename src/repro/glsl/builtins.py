@@ -10,7 +10,7 @@ and the interpreter implements the same set numerically.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import TypeError_
 from repro.glsl import types as T
@@ -45,22 +45,6 @@ BUILTIN_NAMES = frozenset(
 def is_builtin(name: str) -> bool:
     """Whether *name* is a recognized GLSL builtin function."""
     return name in BUILTIN_NAMES
-
-
-def _widest(arg_types: List[T.GLSLType]) -> T.GLSLType:
-    """The widest float-based argument type (scalars broadcast to vectors)."""
-    best: Optional[T.GLSLType] = None
-    best_n = 0
-    for ty in arg_types:
-        if isinstance(ty, (T.Scalar, T.Vector)):
-            n = T.component_count(ty)
-            if n > best_n:
-                best, best_n = ty, n
-    if best is None:
-        raise TypeError_("builtin requires scalar or vector arguments")
-    if isinstance(best, T.Scalar):
-        return T.FLOAT
-    return T.Vector(T.ScalarKind.FLOAT, best.size)
 
 
 def resolve_builtin(name: str, arg_types: List[T.GLSLType]) -> T.GLSLType:

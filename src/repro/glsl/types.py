@@ -79,16 +79,6 @@ class Sampler(GLSLType):
     def __str__(self) -> str:
         return self.name
 
-    @property
-    def coord_size(self) -> int:
-        return {
-            "sampler2D": 2,
-            "sampler2DArray": 3,
-            "sampler2DShadow": 3,
-            "sampler3D": 3,
-            "samplerCube": 3,
-        }[self.name]
-
 
 @dataclass(frozen=True)
 class Struct(GLSLType):
@@ -213,13 +203,6 @@ def vector_of(kind: ScalarKind, size: int) -> GLSLType:
     if 2 <= size <= 4:
         return Vector(kind, size)
     raise TypeError_(f"invalid vector size {size}")
-
-
-def is_float_based(ty: GLSLType) -> bool:
-    """Whether *ty* is float-valued (scalar, vector, or matrix)."""
-    return isinstance(ty, (Matrix,)) or (
-        isinstance(ty, (Scalar, Vector)) and scalar_kind_of(ty) == ScalarKind.FLOAT
-    )
 
 
 def can_implicitly_convert(src: GLSLType, dst: GLSLType) -> bool:

@@ -11,12 +11,14 @@ The redundancy (or absence) of each offline flag in a vendor's JIT is one of
 the two mechanisms behind the paper's cross-platform variance.
 
 The front end (preprocess -> parse -> lower -> SSA) is identical for every
-vendor, so it is memoized per source text: a study measuring one variant on
-5 platforms parses it once and each vendor pipeline runs off a
-name-preserving clone (exactly equivalent to lowering fresh — see
-:mod:`repro.ir.clone`).  Measurement reads compiled modules through
-:meth:`VendorJIT.compile_cached`, a memo keyed on the whole JIT
-configuration and the source text.
+vendor and for the offline compiler (:class:`repro.core.ShaderCompiler`),
+so :func:`shared_frontend` memoizes it per source text for both: a study
+that walks a shader's 256 flag combinations and measures its variants on 5
+platforms parses each text once.  Every consumer clones the shared module
+before mutating it; each vendor pipeline runs off a name-preserving clone
+(exactly equivalent to lowering fresh — see :mod:`repro.ir.clone`).
+Measurement reads compiled modules through :meth:`VendorJIT.compile_cached`,
+a memo keyed on the whole JIT configuration and the source text.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ _SAFE_PASSES = {
 }
 
 #: Pristine lowered modules per source text (vendor-independent front-end
-#: work).  Entries are never mutated — vendors clone before optimizing.
+#: work).  Entries are never mutated — the vendor JITs, the offline
+#: compiler and its variant walk all clone before optimizing.
 _FRONTEND_MEMO: "OrderedDict[str, Module]" = OrderedDict()
 _FRONTEND_MEMO_SIZE = 256
 _FRONTEND_LOCK = threading.Lock()

@@ -24,88 +24,35 @@ Everything identity-based that passes rely on (``id()``-keyed CSE/GVN maps)
 is isomorphic between two states that agree on both properties, so equal
 fingerprints imply byte-identical emitted GLSL down every remaining path.
 Fingerprints are sha256 digests of a canonical serialization; collisions are
-cryptographically negligible.
+cryptographically negligible.  Nothing is memoized: every call serializes
+the IR as it is now, so code that edits IR directly never has to announce
+the edit for a later digest to be current.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.ir.instructions import (
     BinOp, Br, Call, Cmp, CondBr, Construct, Convert, Discard, ExtractElem,
     InsertElem, Instr, LoadElem, LoadGlobal, LoadVar, Phi, Ret, Sample, Select,
     Shuffle, StoreElem, StoreOutput, StoreVar, UnOp,
 )
-from repro.ir.module import BasicBlock, Function, Module
-from repro.ir.values import Constant, Slot, Undef, Value
-
-
-#: Memoized digests keyed ``(Function.uid, Function.epoch)``, so hashing an
-#: unmutated function again is a dict lookup.  The key is sound because
-#: ``uid`` is process-unique per Function (reassigned on unpickle) and every
-#: structural mutation bumps ``epoch`` (see ``Function.touch`` and
-#: :mod:`repro.passes.manager`), so a stale digest is unreachable as long as
-#: mutators honor that contract.
-_FP_CACHE: "OrderedDict[Tuple[int, int], str]" = OrderedDict()
-_FP_CACHE_SIZE = 8192
-_FP_LOCK = threading.Lock()
-_FP_HITS = 0
-_FP_MISSES = 0
-
-
-def fingerprint_cache_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the fingerprint LRU (tests, diagnostics)."""
-    with _FP_LOCK:
-        return {"hits": _FP_HITS, "misses": _FP_MISSES,
-                "size": len(_FP_CACHE), "max_size": _FP_CACHE_SIZE}
-
-
-def clear_fingerprint_cache() -> None:
-    """Drop the fingerprint LRU and reset its counters."""
-    global _FP_HITS, _FP_MISSES
-    with _FP_LOCK:
-        _FP_CACHE.clear()
-        _FP_HITS = 0
-        _FP_MISSES = 0
+from repro.ir.module import BasicBlock, Module
+from repro.ir.values import Constant, Undef, Value
 
 
 def fingerprint_module(module: Module) -> str:
-    """Canonical digest of a module's function (interface/version are shared
-    across all trie states of one shader, so the function is the identity).
-    A key that mixes states of different shaders must add its own
-    interface/version digest."""
-    return fingerprint_function(module.function)
+    """A sha256 digest of a module's function that is equal iff two functions
+    are structurally identical *and* order their values identically under
+    ``leaf_order_key``.
 
-
-def fingerprint_function(function: Function) -> str:
-    """A sha256 digest that is equal iff two functions are structurally
-    identical *and* order their values identically under ``leaf_order_key``.
-
-    Memoized per ``(uid, epoch)``: repeated fingerprints of an unmutated
-    function (the trie/JIT hot path) are a dict lookup, and any pipeline
-    step invalidates by bumping the epoch rather than by purging.
+    Interface/version are shared across all trie states of one shader, so
+    the function is the identity; a key that mixes states of different
+    shaders must add its own interface/version digest.
     """
-    global _FP_HITS, _FP_MISSES
-    key = (function.uid, function.epoch)
-    with _FP_LOCK:
-        digest = _FP_CACHE.get(key)
-        if digest is not None:
-            _FP_HITS += 1
-            _FP_CACHE.move_to_end(key)
-            return digest
-        _FP_MISSES += 1
-    digest = _fingerprint_uncached(function)
-    with _FP_LOCK:
-        _FP_CACHE[key] = digest
-        while len(_FP_CACHE) > _FP_CACHE_SIZE:
-            _FP_CACHE.popitem(last=False)
-    return digest
-
-
-def _fingerprint_uncached(function: Function) -> str:
+    function = module.function
     block_num: Dict[BasicBlock, int] = {
         block: number for number, block in enumerate(function.blocks)}
     slot_num: Dict[int, int] = {

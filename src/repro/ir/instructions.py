@@ -380,12 +380,6 @@ class Phi(Instr):
         self.incoming.append((block, value))
         self.operands.append(value)
 
-    def set_incoming_value(self, block: "BasicBlock", value: Value) -> None:
-        for i, (b, _) in enumerate(self.incoming):
-            if b is block:
-                self.incoming[i] = (b, value)
-        self._sync_operands()
-
     def replace_operand(self, old: Value, new: Value) -> None:
         self.incoming = [(b, new if v is old else v) for b, v in self.incoming]
         self._sync_operands()

@@ -12,12 +12,6 @@ from repro.ir.values import Slot, Value
 
 _block_counter = itertools.count()
 
-#: Process-unique Function identities for the fingerprint cache
-#: (:mod:`repro.ir.fingerprint`): ``(uid, epoch)`` keys a memoized digest,
-#: and any structural mutation must bump ``epoch`` so the stale digest can
-#: never be served again.
-_function_uids = itertools.count(1)
-
 
 class BasicBlock:
     """A straight-line instruction sequence ending in one terminator."""
@@ -83,25 +77,6 @@ class Function:
         self.name = name
         self.blocks: List[BasicBlock] = []
         self.slots: List[Slot] = []
-        #: identity + mutation generation for the fingerprint cache.  The
-        #: cache contract: every pipeline step (``run_cleanup`` /
-        #: ``apply_flag_pass``) and every Function-level structural mutator
-        #: calls :meth:`touch`; code doing direct block/instruction surgery
-        #: outside those entry points must call it too, or a cached
-        #: fingerprint could go stale (silent state-merge corruption).
-        self.uid = next(_function_uids)
-        self.epoch = 0
-
-    def touch(self) -> None:
-        """Mark the function structurally mutated (fingerprint cache key)."""
-        self.epoch += 1
-
-    def __setstate__(self, state: dict) -> None:
-        # Unpickled copies must never alias the uid of a function from the
-        # sending process (or of this one): reassign a fresh identity.
-        self.__dict__.update(state)
-        self.uid = next(_function_uids)
-        self.epoch = 0
 
     @property
     def entry(self) -> BasicBlock:
@@ -111,12 +86,10 @@ class Function:
 
     def add_block(self, block: BasicBlock) -> BasicBlock:
         self.blocks.append(block)
-        self.touch()
         return block
 
     def new_slot(self, slot: Slot) -> Slot:
         self.slots.append(slot)
-        self.touch()
         return slot
 
     # -- analyses ---------------------------------------------------------
@@ -138,8 +111,6 @@ class Function:
             if old in instr.operands:
                 instr.replace_operand(old, new)
                 count += 1
-        if count:
-            self.touch()
         return count
 
     def replace_uses(self, replaced: Dict[int, Value]) -> None:
@@ -151,7 +122,6 @@ class Function:
         """
         for instr in self.instructions():
             instr.replace_operands(replaced)
-        self.touch()
 
     def remove_unreachable_blocks(self) -> int:
         """Drop blocks unreachable from entry; fix phi incoming lists."""
@@ -175,7 +145,6 @@ class Function:
                     if pred in dead_set:
                         phi.remove_incoming(pred)
         self.blocks = [b for b in self.blocks if b in reachable]
-        self.touch()
         return len(dead)
 
     def dump(self) -> str:

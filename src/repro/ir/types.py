@@ -61,8 +61,3 @@ BOOL = IRType("bool", 1)
 def vec(kind: str, width: int) -> IRType:
     """The IR type with *kind* elements and *width* lanes."""
     return IRType(kind, width)
-
-
-def float_vec(width: int) -> IRType:
-    """The float IR type with *width* lanes."""
-    return IRType("float", width)

@@ -81,9 +81,6 @@ class Constant(Value):
     def is_one(self) -> bool:
         return all(c == 1 for c in self.components())
 
-    def is_splat_of(self, x: Number) -> bool:
-        return all(c == x for c in self.components())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Constant)

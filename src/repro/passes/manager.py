@@ -68,11 +68,6 @@ def run_cleanup(function) -> None:
     if changed or not settled:
         trivial_dce(function)
         canonicalize(function)
-    # Invalidate any cached fingerprint: the constituent passes mutate
-    # blocks/instructions directly, below the Function-level mutators that
-    # bump the epoch themselves.  Unconditional (even when every pass was a
-    # no-op) — a spurious recompute is cheap, a stale digest is corruption.
-    function.touch()
 
 
 def run_step(function, step: Callable[..., int], **options) -> int:
@@ -80,14 +75,11 @@ def run_step(function, step: Callable[..., int], **options) -> int:
     step changed something; returns the step's change count.
 
     *step* is a pass returning its change count, called as
-    ``step(function, **options)``.  A skipped cleanup still bumps the
-    fingerprint-cache epoch, as every pipeline step does.
+    ``step(function, **options)``.
     """
     changed = step(function, **options)
     if changed:
         run_cleanup(function)
-    else:
-        function.touch()
     return changed
 
 

@@ -160,16 +160,9 @@ class EvaluationEngine:
 
     def prime_variants(self, source: str,
                        index_to_text: Dict[int, str]) -> VariantSet:
-        """Install a variant set compiled elsewhere (e.g. a pool worker).
-
-        Grouping iterates indices in ascending order, matching the flag
-        ordering ``all_variants`` produces in-process.
-        """
-        by_text: Dict[str, List[OptimizationFlags]] = {}
-        for index in sorted(index_to_text):
-            flags = OptimizationFlags.from_index(index)
-            by_text.setdefault(index_to_text[index], []).append(flags)
-        variant_set = VariantSet(by_text, dict(index_to_text))
+        """Install a variant set compiled elsewhere (e.g. a pool worker),
+        grouped exactly as ``all_variants`` groups it in-process."""
+        variant_set = VariantSet.from_index_to_text(index_to_text)
         digest = source_digest(source)
         self._variant_sets[digest] = variant_set
         self._texts.update({(digest, index): text

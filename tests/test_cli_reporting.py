@@ -87,6 +87,32 @@ def test_cli_rejects_the_removed_trie_stats_options(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+#: Every flag ``report --study`` ignores, with a value that sets it.
+_IGNORED_WITH_STUDY = {
+    "--max-shaders": ["2"], "--seed": ["7"], "--jobs": ["2"],
+    "--synth-count": ["1"], "--synth-seed": ["5"],
+    "--import-dir": ["wild"], "--cache": ["cache.json"], "--verbose": [],
+}
+
+
+@pytest.mark.parametrize("flag", [None, *_IGNORED_WITH_STUDY])
+def test_cli_report_study_names_each_ignored_flag(tmp_path, monkeypatch,
+                                                  capsys, flag):
+    """``report --study`` renders the saved study as it is, so every corpus,
+    seed, pool and cache flag is ignored, and the note says so before the
+    study is read."""
+    monkeypatch.chdir(tmp_path)
+    extra = [] if flag is None else [flag, *_IGNORED_WITH_STUDY[flag]]
+    with pytest.raises(SystemExit, match="cannot read study"):
+        main(["report", "--study", "missing.json", "--out-dir", "out",
+              *extra])
+    err = capsys.readouterr().err
+    if flag is None:
+        assert "ignored with --study" not in err
+    else:
+        assert f"note: {flag} ignored with --study" in err
+
+
 # ---------------------------------------------------------------------------
 # Reporting
 # ---------------------------------------------------------------------------

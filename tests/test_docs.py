@@ -1,7 +1,8 @@
 """Docs-tree health: the files exist, intra-repo links resolve, the
 paper-mapping table names real modules and artifacts, every documented
-``repro`` command parses against the real argparse tree, and the public
-surface keeps its docstrings."""
+``repro`` command parses against the real argparse tree, the public
+surface keeps its docstrings, and ``repro.__version__`` is the version
+``pyproject.toml`` declares."""
 
 import re
 import shlex
@@ -18,6 +19,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DOC_FILES = ("architecture.md", "paper_mapping.md", "cli.md", "corpus.md",
              "tutorial.md", "service.md", "dispatch.md", "import.md")
+
+
+def test_package_version_matches_pyproject():
+    import repro
+
+    project = (ROOT / "pyproject.toml").read_text().split("[project]", 1)[1]
+    match = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+    assert match, "pyproject.toml declares no [project] version"
+    assert repro.__version__ == match.group(1)
 
 
 def test_docs_tree_exists():

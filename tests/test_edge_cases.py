@@ -217,7 +217,7 @@ void main() {
 #endif
 }
 """
-    fast = compile_shader(src, defines={"FAST_PATH": ""})
+    fast = compile_shader("#define FAST_PATH\n" + src)
     slow = compile_shader(src)
     assert "1.0" in fast.output
     assert "1.0" not in slow.output

@@ -333,6 +333,39 @@ def test_vendor_jits_share_one_frontend_per_source():
     assert fingerprint_module(shared_frontend(MOTIVATING_SHADER)) == before
 
 
+def test_offline_compiler_and_vendor_jits_parse_a_source_once(monkeypatch):
+    """``ShaderCompiler`` takes its module from the JITs' front-end memo, so
+    compiling a shader on all five JITs and walking its 256 flag
+    combinations parses it once."""
+    import sys
+
+    from repro.core import ShaderCompiler
+    from repro.corpus import MOTIVATING_SHADER
+    from repro.glsl import parser
+    from repro.gpu.jit import clear_frontend_memo, shared_frontend
+
+    original = parser.parse_shader
+    parsed = []
+
+    def counting_parse(*args, **kwargs):
+        parsed.append(args)
+        return original(*args, **kwargs)
+
+    # ``from ... import parse_shader`` copies the binding: patch every copy.
+    for name, module in list(sys.modules.items()):
+        if (name == "repro" or name.startswith("repro.")) and \
+                vars(module).get("parse_shader") is original:
+            monkeypatch.setattr(module, "parse_shader", counting_parse)
+
+    clear_frontend_memo()
+    for platform in all_platforms():
+        platform.jit.compile(MOTIVATING_SHADER)
+    ShaderCompiler(MOTIVATING_SHADER).all_variants()
+    assert len(parsed) == 1
+    assert ShaderCompiler(MOTIVATING_SHADER)._module is \
+        shared_frontend(MOTIVATING_SHADER)
+
+
 def test_compiled_module_memo_keys_on_the_whole_jit_configuration():
     """A JIT that shares a stock JIT's name but not its pipeline must not
     be served the stock JIT's memoized module."""
