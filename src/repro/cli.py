@@ -340,6 +340,14 @@ def _cmd_merge_results(args: argparse.Namespace) -> int:
 
     if bool(args.caches) != bool(args.cache_out):
         raise SystemExit("error: --caches and --cache-out go together")
+    for path in args.caches:
+        # A cache that cannot be opened would otherwise merge as empty.
+        try:
+            with open(path, "rb"):
+                pass
+        except OSError as exc:
+            raise SystemExit(f"error: cannot read cache {path!r}: "
+                             f"{exc.strerror or exc}") from None
     parts = []
     for path in args.shards:
         try:
@@ -753,11 +761,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2018)
     p.add_argument("--output", default="", help="save study JSON here")
     p.add_argument("--jobs", type=int, default=None,
-                   help="measurement worker threads "
+                   help="measurement worker processes "
                         "(default: $REPRO_JOBS or serial)")
     p.add_argument("--cache", default="",
-                   help="persist the result cache to this file (.json = one "
-                        "blob, .jsonl = append-only streaming store)")
+                   help="persist the result cache to this append-only log; "
+                        "every entry is on disk the moment it is measured")
     p.add_argument("--shard", default="",
                    help="run one shard, e.g. 1/3; merge the saved outputs "
                         "with `repro merge-results`")
@@ -841,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     p.add_argument("--seed", type=int, default=2018)
     p.add_argument("--cache", default="",
-                   help="persist the result cache to this JSON file")
+                   help="persist the result cache to this append-only log")
     p.add_argument("--no-reference", action="store_true",
                    help="skip the exhaustive-optimum comparison run")
     p.set_defaults(fn=_cmd_tune)
@@ -865,8 +873,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="measurement worker processes "
                         "(default: $REPRO_JOBS or serial)")
     p.add_argument("--cache", default="",
-                   help="persist the result cache to this JSON file; a warm "
-                        "cache re-renders with zero compiles/measurements")
+                   help="persist the result cache to this append-only log; "
+                        "a warm cache re-renders with zero "
+                        "compiles/measurements")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=_cmd_report)
 
@@ -887,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "internally (default: serial)")
     p.add_argument("--cache", default="",
                    help="shared result cache path (default: "
-                        "<dir>/cache.jsonl, the streaming store)")
+                        "<dir>/cache.jsonl)")
     p.set_defaults(fn=_cmd_serve)
 
     client = sub.add_parser(

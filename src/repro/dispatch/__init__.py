@@ -14,9 +14,9 @@ closes that loop:
   exponential backoff with jitter and a bounded attempt budget.
 - :class:`~repro.dispatch.dispatcher.ShardDispatcher` — supervises the
   in-flight shards (per-shard timeouts + heartbeat liveness), retries
-  failures, checkpoints completed shards through the PR 4 streaming
-  ``.jsonl`` store (shard identity = corpus content hash + shard index, so
-  a killed dispatcher resumes exactly where it left off), and auto-merges
+  failures, checkpoints completed shards through a result cache log
+  (shard identity = corpus content hash + shard index, so a killed
+  dispatcher resumes exactly where it left off), and auto-merges
   via :func:`~repro.harness.results.merge_study_results` — or, when a
   shard exhausts its retries, emits a partial merge plus an explicit
   missing-shard manifest instead of pretending completeness.

@@ -15,9 +15,9 @@ in flight), and supervises every launch:
 - **retry** — failed or hung shards relaunch under the deterministic
   seeded :class:`~repro.dispatch.backoff.BackoffPolicy` until its attempt
   budget is exhausted;
-- **checkpointing** — every validated shard is recorded in the PR 4
-  streaming ``.jsonl`` store (``checkpoints.jsonl``; key = corpus content
-  hash + shard index, value = result path + file sha256).  A killed
+- **checkpointing** — every validated shard is recorded in a result
+  cache log (``checkpoints.jsonl``; key = corpus content hash + shard
+  index, value = result path + file sha256).  A killed
   dispatcher re-validates checkpoints on restart and resumes exactly where
   it left off — a checkpoint whose file has since been damaged is
   discarded and re-run, never trusted;
@@ -197,7 +197,7 @@ class ShardDispatcher:
                                         "attempt": flight.attempt})
             if pending or inflight or waiting:
                 report.interrupted = True
-            store.flush()
+            store.save()
 
         self._finalize(report)
         return report
@@ -353,7 +353,7 @@ class ShardDispatcher:
             sha = self._validate_shard_file(flight.task.output, index)
         except ValueError as exc:
             return str(exc)
-        # The streaming store appends this line immediately — the durable
+        # The cache log appends this line immediately — the durable
         # checkpoint a killed dispatcher resumes from.
         store.put(self._checkpoint_key(index),
                   {"path": str(flight.task.output), "sha256": sha,

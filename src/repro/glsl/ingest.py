@@ -80,11 +80,10 @@ def _validate(canonical: str) -> None:
     promote_to_ssa(module.function)
 
 
-def ingest_file(path: Union[str, Path],
-                defines: Optional[Dict[str, str]] = None) -> IngestResult:
+def ingest_file(path: Union[str, Path]) -> IngestResult:
     """Import the shader file at *path*."""
     path = Path(path)
-    return ingest_source(path.read_text(), name=path.stem, defines=defines)
+    return ingest_source(path.read_text(), name=path.stem)
 
 
 def iter_shader_files(directory: Union[str, Path]) -> List[Path]:
@@ -96,9 +95,6 @@ def iter_shader_files(directory: Union[str, Path]) -> List[Path]:
     )
 
 
-def ingest_directory(
-    directory: Union[str, Path],
-    defines: Optional[Dict[str, str]] = None,
-) -> List[IngestResult]:
+def ingest_directory(directory: Union[str, Path]) -> List[IngestResult]:
     """Import every shader file under *directory*; fails on the first error."""
-    return [ingest_file(p, defines=defines) for p in iter_shader_files(directory)]
+    return [ingest_file(p) for p in iter_shader_files(directory)]

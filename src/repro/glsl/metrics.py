@@ -9,7 +9,6 @@ definitions *do* count (the paper notes they inflate the metric).
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from repro.glsl.preprocessor import preprocess
 
@@ -20,11 +19,9 @@ _NON_EXECUTABLE_PREFIXES = (
 _BRACKETS_ONLY = re.compile(r"^[\s{}()\[\];]*$")
 
 
-def lines_of_code(source: str, defines: Optional[dict] = None,
-                  preprocessed: bool = False) -> int:
+def lines_of_code(source: str) -> int:
     """Count executable lines of *source* per the paper's Fig. 4a rules."""
-    text = source if preprocessed else preprocess(source, defines).text
-    text = _strip_comments(text)
+    text = _strip_comments(preprocess(source).text)
     count = 0
     for raw in text.split("\n"):
         line = raw.strip()

@@ -19,8 +19,10 @@ parallel runs, and the pre-refactor nested loop all produce byte-identical
 :class:`StudyResult` JSON.
 
 With ``cache_path`` set, the cache persists both measurements and compiled
-variant sets, so a repeated study — and the ``repro report`` pipeline built
-on top of it — replays from disk with zero compiles and zero measurements.
+variant sets, each appended to its log the moment it is produced, so a
+killed study keeps what it measured, and a repeated study — and the
+``repro report`` pipeline built on top of it — replays from disk with zero
+compiles and zero measurements.
 
 Large corpora (see ``repro.corpus.synth``) add two scale-out levers:
 
@@ -31,10 +33,9 @@ Large corpora (see ``repro.corpus.synth``) add two scale-out levers:
   byte-identical to the unsharded run.  This works because every
   measurement seed derives from the *global* corpus index, which shard runs
   carry along.
-- **Streaming** (``checkpoint_every=N``): per-case results land in the
-  result cache incrementally (a ``.jsonl`` cache path appends entry-by-
-  entry instead of rewriting one JSON blob), and each finished case's
-  compiled variant texts are released from the engine's in-process memos.
+- **Streaming** (``checkpoint_every=N``): the result cache is flushed
+  every N cases, and each finished case's compiled variant texts are
+  released from the engine's in-process memos (its log already holds them).
   A serial streaming run holds one case's variants in memory; a parallel
   one primes in chunks of ``checkpoint_every x max_workers`` cases, so
   memory is bounded by the chunk, never the corpus.
@@ -112,9 +113,8 @@ class StudyConfig:
     #: worker processes for compile/measure sharding; 1 = serial, None =
     #: honor the REPRO_JOBS environment variable (serial when unset).
     max_workers: Optional[int] = None
-    #: optional on-disk store for the result cache; repeated studies and
-    #: benchmark runs skip recompilation/re-measurement.  A ``.jsonl`` path
-    #: selects the append-only streaming store.
+    #: optional append-only log behind the result cache (any suffix);
+    #: repeated studies and benchmark runs skip recompilation/re-measurement.
     cache_path: Optional[str] = None
     #: run only this shard of the corpus (see :class:`ShardSpec`); the
     #: result carries :class:`~repro.harness.results.ShardInfo` so
@@ -149,7 +149,7 @@ def run_study(corpus: Sequence[ShaderCase],
     if engine is None:
         engine = EvaluationEngine(platforms=platforms, seed=config.seed,
                                   cache=ResultCache(config.cache_path))
-    scheduler = scheduler or Scheduler(config.max_workers, kind="process")
+    scheduler = scheduler or Scheduler(config.max_workers)
 
     cases = list(corpus)
     case_indices = list(range(len(cases)))

@@ -7,21 +7,20 @@ unchanged — evaluation order, corpus position, and strategy never matter.
 
 The cache is a plain ``str -> dict`` map with an optional file behind it,
 so repeated studies, ``tune`` runs, and benchmark invocations skip both
-recompilation and re-measurement.  Two on-disk formats:
+recompilation and re-measurement.  Whatever its suffix, the file is a
+:class:`~repro.jsonlog.JsonLog`: a version header, then one
+``[key, value]`` line per entry, appended the moment the entry is ``put``.
+A killed run therefore keeps everything it had already measured, and a
+long sharded study checkpoints incrementally instead of rewriting an
+ever-growing blob.
 
-- ``*.json`` (default): one versioned JSON blob, rewritten atomically by
-  :meth:`ResultCache.save`.
-- ``*.jsonl``: an append-only streaming store — every new entry is written
-  as one JSON line the moment it is ``put``, so a long sharded study
-  checkpoints incrementally instead of rewriting an ever-growing blob, and
-  a killed run keeps everything it had already measured (a torn final line
-  is tolerated on load).
-
-Either format is versioned; an incompatible or corrupt store is ignored
-rather than trusted.  :meth:`ResultCache.merge_from` unions another store
-into this one (the ``repro merge-results`` cache path), rejecting
-conflicting values for the same key — with content-addressed keys and
-deterministic measurement, a conflict can only mean corruption.
+A store in another layout (a different version header, or a pre-log
+one-blob file) replays nothing and is rewritten on the next ``put``: its
+entries become misses and are never misread.  :meth:`ResultCache.merge_from`
+unions another store into this one (the ``repro merge-results`` cache
+path), rejecting conflicting values for the same key — with
+content-addressed keys and deterministic measurement, a conflict can only
+mean corruption.
 """
 
 from __future__ import annotations
@@ -29,19 +28,19 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import tempfile
 import threading
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, IO, Optional, Union
+from typing import Dict, Optional, Union
+
+from repro.jsonlog import JsonLog
 
 logger = logging.getLogger("repro.search.cache")
 
 #: Bump when the cached payload layout or the key recipe changes.
 #: (Compiled variant sets are additive "variants:<digest>" entries, so
-#: they did not need a version bump.)
-CACHE_VERSION = 1
+#: they did not need a version bump.)  2: ``[key, value]`` log records.
+CACHE_VERSION = 2
 
 
 @lru_cache(maxsize=4096)
@@ -71,39 +70,38 @@ def _value_digest(value: object) -> str:
 
 
 class ResultCache:
-    """In-memory evaluation cache with an optional on-disk store.
-
-    A ``*.jsonl`` path selects the append-only streaming store (entries hit
-    disk as they are ``put``); any other path is the one-blob JSON store
-    rewritten by :meth:`save`.
+    """In-memory evaluation cache with an optional append-only log behind it.
 
     The cache is safe for concurrent readers and writers within one
     process: every mutation (``put``/``put_variants``/``merge_from``) and
-    every disk operation (stream append, ``save``, ``flush``) holds one
-    re-entrant lock, so the ``repro serve`` worker pool can share a single
-    process-wide instance across jobs and tenants.  Metered reads
-    (``get``) take the lock too, keeping the hit/miss counters exact.
+    every disk operation (log append, ``save``) holds one re-entrant lock,
+    so the ``repro serve`` worker pool can share a single process-wide
+    instance across jobs and tenants.  Metered reads (``get``) take the
+    lock too, keeping the hit/miss counters exact.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
-        #: guards _entries, the hit/miss counters, and the stream handle.
+        #: guards _entries, the hit/miss counters, and the log.
         self._lock = threading.RLock()
         self.path = Path(path) if path else None
         self._entries: Dict[str, dict] = {}
         self.hits = 0
         self.misses = 0
-        #: True when the in-memory store has entries the disk hasn't seen;
-        #: ``save()`` is a no-op otherwise, so a fully warm study/report
-        #: replay never rewrites the (potentially large) JSON store.
-        self._dirty = False
-        self._streaming = (self.path is not None
-                           and self.path.suffix == ".jsonl")
-        self._stream_handle: Optional[IO[str]] = None
-        #: set when the existing stream file is unusable (version skew,
-        #: corrupt header): the first append truncates instead of appending.
-        self._stream_rewrite = False
+        self._log: Optional[JsonLog] = None
         if self.path is not None:
-            self._load()
+            self._log = JsonLog(self.path, {"version": CACHE_VERSION})
+            records = self._log.replay()
+            try:
+                self._entries.update(records)
+            except (TypeError, ValueError):
+                for record in records:
+                    if (isinstance(record, list) and len(record) == 2
+                            and isinstance(record[0], str)):
+                        self._entries[record[0]] = record[1]
+                    else:
+                        logger.warning(
+                            "%s: skipping malformed cache record %.80r",
+                            self.path, record)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -122,14 +120,12 @@ class ResultCache:
             return entry
 
     def put(self, key: str, value: dict) -> None:
-        """Store *value* under *key* (streaming stores append immediately)."""
+        """Store *value* under *key*; a changed entry is appended to the log."""
         with self._lock:
             if self._entries.get(key) != value:
                 self._entries[key] = value
-                if self._streaming:
-                    self._append_line({"k": key, "v": value})
-                else:
-                    self._dirty = True
+                if self._log is not None:
+                    self._log.append([key, value])
 
     # ------------------------------------------------------------------
     # Compiled variant sets
@@ -174,110 +170,20 @@ class ResultCache:
                 positions[text] = len(texts)
                 texts.append(text)
             combos[str(index)] = positions[text]
-        entry = {"texts": texts, "combos": combos}
-        with self._lock:
-            if self._entries.get(self.variants_key(digest)) != entry:
-                self._entries[self.variants_key(digest)] = entry
-                if self._streaming:
-                    self._append_line(
-                        {"k": self.variants_key(digest), "v": entry})
-                else:
-                    self._dirty = True
+        self.put(self.variants_key(digest), {"texts": texts, "combos": combos})
 
     def release_variants(self, digest: str) -> None:
         """Evict a variants entry from memory once it is safely on disk.
 
-        Only streaming stores evict (their entries were appended at ``put``
-        time); for blob stores and memory-only caches this is a no-op, since
-        evicting could drop data ``save()`` has not persisted yet.
+        A memory-only cache keeps it: evicting would lose it outright.
         """
-        if self._streaming:
+        if self._log is not None:
             with self._lock:
                 self._entries.pop(self.variants_key(digest), None)
 
     # ------------------------------------------------------------------
     # Disk store
     # ------------------------------------------------------------------
-
-    def _load(self) -> None:
-        if self.path is None or not self.path.exists():
-            return
-        if self._streaming:
-            self._load_stream()
-            return
-        try:
-            payload = json.loads(self.path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return
-        if not isinstance(payload, dict):
-            return
-        if payload.get("version") != CACHE_VERSION:
-            return
-        entries = payload.get("entries")
-        if isinstance(entries, dict):
-            self._entries.update(entries)
-
-    def _load_stream(self) -> None:
-        """Replay a ``.jsonl`` store: a version header line, then one
-        ``{"k":…,"v":…}`` record per line.  A torn final line (killed run)
-        is ignored silently — that is the expected trace of a killed
-        writer; a corrupt line anywhere *else* is real damage, so it is
-        skipped with a logged warning while every intact record around it
-        still loads.  A wrong-version or unparsable header discards the
-        file (it is rewritten on the next append)."""
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return
-        lines = text.splitlines()
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            header = None
-        if not isinstance(header, dict) or header.get("version") != CACHE_VERSION:
-            self._stream_rewrite = True
-            return
-        last = len(lines) - 1
-        torn_tail = not text.endswith("\n")
-        for index, line in enumerate(lines[1:], start=1):
-            try:
-                record = json.loads(line)
-                self._entries[record["k"]] = record["v"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                if index == last and torn_tail:
-                    continue
-                logger.warning("%s: skipping corrupt record on line %d: %r",
-                               self.path, index + 1, line[:80])
-
-    def _append_line(self, record: dict) -> None:
-        if self.path is None:
-            return
-        if self._stream_handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = (self._stream_rewrite or not self.path.exists()
-                     or self.path.stat().st_size == 0)
-            torn_tail = False
-            if not fresh:
-                # A killed writer can leave a torn final line with no
-                # newline; appending straight after it would corrupt the
-                # next record too.  Terminate the fragment first (the torn
-                # line itself is already ignored by _load_stream).
-                with open(self.path, "rb") as existing:
-                    existing.seek(-1, os.SEEK_END)
-                    torn_tail = existing.read(1) != b"\n"
-            # Line-buffered: every record hits the OS the moment it is
-            # written, so a killed run loses at most the line being torn.
-            self._stream_handle = open(
-                self.path, "w" if self._stream_rewrite else "a", buffering=1)
-            self._stream_rewrite = False
-            if torn_tail:
-                self._stream_handle.write("\n")
-            if fresh:
-                self._stream_handle.write(
-                    json.dumps({"version": CACHE_VERSION}) + "\n")
-        self._stream_handle.write(json.dumps(record) + "\n")
 
     def merge_from(self, other: Union["ResultCache", str, Path]) -> int:
         """Union *other*'s entries into this store; returns how many were new.
@@ -305,46 +211,14 @@ class ResultCache:
                 self.put(key, value)
             return added
 
-    def flush(self) -> None:
-        """Push every buffered entry to the OS *now*.
+    def save(self) -> None:
+        """Push every appended entry to the OS now (no-op without a file).
 
-        Streaming stores flush their line-buffered handle; blob stores do a
-        full :meth:`save`.  This is the explicit checkpoint the long-running
-        service calls between jobs — a daemon cannot rely on interpreter
-        exit to persist its cache the way one-shot CLI runs do.
+        Entries reach the log as they are ``put``; this is the explicit
+        checkpoint a long-running caller (the service between jobs, the
+        dispatcher, a study every ``checkpoint_every`` cases) makes rather
+        than relying on interpreter exit.
         """
         with self._lock:
-            if self._streaming:
-                if self._stream_handle is not None:
-                    self._stream_handle.flush()
-            else:
-                self.save()
-
-    def save(self) -> None:
-        """Persist the store: flush for streaming stores; an atomic rewrite
-        for blob stores (no-op for memory-only caches and when nothing
-        changed since the last load/save)."""
-        with self._lock:
-            if self._streaming:
-                if self._stream_handle is not None:
-                    self._stream_handle.flush()
-                return
-            if self.path is None or not self._dirty:
-                return
-            payload = {"version": CACHE_VERSION, "entries": self._entries}
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(self.path.parent),
-                                       prefix=self.path.name, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle)
-                os.replace(tmp, self.path)
-                self._dirty = False
-            except BaseException:
-                # Never leak the temp file, whatever the dump/replace raised
-                # (TypeError on an unserializable entry, OSError, Ctrl-C).
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            if self._log is not None:
+                self._log.flush()

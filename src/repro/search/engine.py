@@ -174,8 +174,8 @@ class EvaluationEngine:
     def release_case(self, source: str) -> None:
         """Drop the in-process compiled memos for *source* (streaming mode).
 
-        The result cache keeps the compiled variant set (streaming stores
-        have already appended it to disk), so a later request for the same
+        The result cache keeps the compiled variant set (its log already
+        holds it on disk), so a later request for the same
         source falls back to the cache and, failing that, recompiles —
         correctness is unaffected, only memory residency.  The study's
         streaming path calls this per finished case so a huge synth corpus

@@ -3,20 +3,17 @@
 Measurements are pure functions of (text, platform, seed) — the execution
 environments are stateless and every RNG is derived from the unit's own
 seed — so units can run in any order on any worker and the scheduler's
-outputs are order-preserving and identical to a serial run.  A
-``concurrent.futures`` pool shards the units; ``max_workers <= 1`` (the
-default) or a pool that fails to start falls back to a plain serial loop.
-
-Two pool kinds: ``"process"`` (the study's default — the work is
-pure-Python and CPU-bound, so threads would serialize on the GIL) needs a
-picklable function and items; ``"thread"`` works with closures and suits
-I/O-bound or C-extension work.
+outputs are order-preserving and identical to a serial run.  A process
+pool shards the units (the work is pure-Python and CPU-bound, so threads
+would serialize on the GIL), which needs a picklable function and items;
+``max_workers <= 1`` (the default) or a pool that fails to start falls
+back to a plain serial loop.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
@@ -72,13 +69,9 @@ class Scheduler:
     """
 
     def __init__(self, max_workers: Optional[int] = None,
-                 kind: str = "thread",
                  cancel_check: Optional[Callable[[], None]] = None):
-        if kind not in ("thread", "process"):
-            raise ValueError(f"kind must be 'thread' or 'process', got {kind!r}")
         self.max_workers = (default_workers() if max_workers is None
                             else max(1, int(max_workers)))
-        self.kind = kind
         self.cancel_check = cancel_check
 
     @property
@@ -97,10 +90,7 @@ class Scheduler:
         workers = min(self.max_workers, len(units))
         self._check_cancelled()
         try:
-            if self.kind == "process":
-                pool = ProcessPoolExecutor(max_workers=workers)
-            else:
-                pool = ThreadPoolExecutor(max_workers=workers)
+            pool = ProcessPoolExecutor(max_workers=workers)
         except (OSError, RuntimeError, NotImplementedError):
             # Pool creation can fail in constrained sandboxes; the serial
             # path computes the same results.  Worker exceptions are NOT

@@ -1,14 +1,14 @@
 """Torn-tail-safe job journal: the daemon's durable queue state.
 
 One append-only ``.jsonl`` file records every job submission and every
-lifecycle transition as a single JSON line, written through a line-buffered
-handle so each record hits the OS the moment it is appended (the same
-durability recipe as the PR 4 streaming result store).  A killed daemon
-therefore loses at most the one line it was writing — and
-:meth:`JobJournal.replay` tolerates that torn tail, so a restarted daemon
-reconstructs its queue exactly: jobs whose last recorded state is
-non-terminal (``pending`` or ``running`` — i.e. interrupted) are
-re-queued in their original submission order.
+lifecycle transition as a single JSON line.  The file is a
+:class:`~repro.jsonlog.JsonLog`, the same log the result cache persists
+through: each record reaches the OS the moment it is appended, so a killed
+daemon loses at most the one line it was writing, and replay tolerates
+that torn tail.  A restarted daemon therefore reconstructs its queue
+exactly: jobs whose last recorded state is non-terminal (``pending`` or
+``running`` — i.e. interrupted) are re-queued in their original
+submission order.
 
 Record shapes::
 
@@ -20,14 +20,11 @@ Record shapes::
 
 from __future__ import annotations
 
-import json
-import logging
-import os
 import threading
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
-logger = logging.getLogger("repro.service.journal")
+from repro.jsonlog import JsonLog
 
 #: Bump when the record layout changes incompatibly.
 JOURNAL_VERSION = 1
@@ -36,27 +33,23 @@ _HEADER = {"version": JOURNAL_VERSION, "kind": "repro-service-journal"}
 
 
 class JobJournal:
-    """Append-only journal with torn-tail-tolerant replay.
+    """Job records over one :class:`~repro.jsonlog.JsonLog`.
 
     Thread-safe: the worker pool and the accept loop both write through
-    one lock.  A missing/empty file is a fresh journal; a corrupt or
-    version-skewed header discards the file on the next append (the jobs
-    it described are unrecoverable anyway under a layout change).
+    one lock.  A missing/empty file is a fresh journal; a file with any
+    other header replays nothing and is rewritten on the next append (the
+    jobs it described are unrecoverable anyway under a layout change).
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._handle: Optional[IO[str]] = None
-        self._rewrite = False
-
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
+        self._log = JsonLog(self.path, _HEADER)
 
     def record_submit(self, job_id: str, spec_dict: dict) -> None:
         """Journal a new submission (spec travels in full, for recovery)."""
-        self._append({"t": "submit", "id": job_id, "spec": spec_dict})
+        with self._lock:
+            self._log.append({"t": "submit", "id": job_id, "spec": spec_dict})
 
     def record_state(self, job_id: str, state: str,
                      error: Optional[str] = None) -> None:
@@ -64,88 +57,25 @@ class JobJournal:
         record: dict = {"t": "state", "id": job_id, "state": state}
         if error:
             record["error"] = error
-        self._append(record)
-
-    def _append(self, record: dict) -> None:
         with self._lock:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                fresh = (self._rewrite or not self.path.exists()
-                         or self.path.stat().st_size == 0)
-                torn_tail = False
-                if not fresh:
-                    # Terminate a torn final line before appending after it
-                    # (replay already ignores the fragment itself).
-                    with open(self.path, "rb") as existing:
-                        existing.seek(-1, os.SEEK_END)
-                        torn_tail = existing.read(1) != b"\n"
-                self._handle = open(self.path,
-                                    "w" if self._rewrite else "a",
-                                    buffering=1)
-                self._rewrite = False
-                if torn_tail:
-                    self._handle.write("\n")
-                if fresh:
-                    self._handle.write(json.dumps(_HEADER) + "\n")
-            self._handle.write(json.dumps(record) + "\n")
+            self._log.append(record)
 
     def flush(self) -> None:
         """Push buffered records to the OS (checkpoint boundary)."""
         with self._lock:
-            if self._handle is not None:
-                self._handle.flush()
+            self._log.flush()
 
     def close(self) -> None:
         """Flush and close the underlying handle (daemon shutdown)."""
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
+            self._log.close()
 
     def replay(self) -> List[dict]:
-        """Every intact record, in order (torn tail and garbage skipped).
-
-        A torn *final* line is the expected trace of a killed daemon and
-        is skipped silently; a corrupt line anywhere else is real damage,
-        so it is skipped with a logged warning — the intact records around
-        it still replay.  A bad header marks the file for rewrite-on-next-
-        append and replays nothing, mirroring the result cache's
-        version-skew behaviour.
-        """
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return []
-        lines = text.splitlines()
-        if not lines:
-            return []
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            header = None
-        if (not isinstance(header, dict)
-                or header.get("version") != JOURNAL_VERSION):
-            self._rewrite = True
-            return []
-        records = []
-        last = len(lines) - 1
-        torn_tail = not text.endswith("\n")
-        for index, line in enumerate(lines[1:], start=1):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if not (index == last and torn_tail):
-                    logger.warning(
-                        "%s: skipping corrupt record on line %d: %r",
-                        self.path, index + 1, line[:80])
-                continue
-            if isinstance(record, dict) and "t" in record and "id" in record:
-                records.append(record)
-        return records
+        """Every intact job record, in order (see
+        :meth:`~repro.jsonlog.JsonLog.replay`)."""
+        return [record for record in self._log.replay()
+                if isinstance(record, dict)
+                and "t" in record and "id" in record]
 
     def replay_jobs(self) -> "Dict[str, dict]":
         """Fold :meth:`replay` into ``id -> {"spec", "state", "error"}``.

@@ -110,7 +110,7 @@ class JobRunner:
             return self._run_search(job, engine, publish)
         finally:
             engine.set_cancel_check(None)
-            self.cache.flush()
+            self.cache.save()
 
     def _run_study(self, job: Job, engine: EvaluationEngine,
                    check: Callable[[], None], publish: Publish) -> dict:
@@ -136,8 +136,7 @@ class JobRunner:
             StudyConfig(platforms=platforms, seed=spec.seed,
                         progress=progress),
             engine=engine,
-            scheduler=Scheduler(self.job_workers, kind="process",
-                                cancel_check=check))
+            scheduler=Scheduler(self.job_workers, cancel_check=check))
 
         result_path = None
         if self.results_dir is not None:

@@ -7,9 +7,8 @@ One :class:`StudyService` binds the whole subsystem together:
   non-terminal are re-queued in submission order;
 - a :class:`~repro.service.queue.JobQueue` + :class:`WorkerPool` draining
   it through the shared :class:`~repro.service.runner.JobRunner`, whose
-  process-wide :class:`~repro.search.cache.ResultCache` (``cache.jsonl``,
-  the PR 4 streaming store) turns any cross-job/cross-tenant overlap into
-  cache hits;
+  process-wide :class:`~repro.search.cache.ResultCache` (``cache.jsonl``)
+  turns any cross-job/cross-tenant overlap into cache hits;
 - a threaded Unix-socket server speaking the line-JSON protocol
   (:mod:`repro.service.protocol`), one request per connection.
 
@@ -17,7 +16,7 @@ File layout under the service directory::
 
     service.sock     the client socket (removed on clean shutdown)
     jobs.jsonl       the job journal
-    cache.jsonl      the shared result cache (streaming store)
+    cache.jsonl      the shared result cache
     events/<id>.jsonl   per-job progress stream (tail -f friendly)
     results/<id>.study.json   saved StudyResult of each study job
 """
@@ -158,7 +157,7 @@ class StudyService:
                     job.cancel_event.set()
         self.pool.stop()
         self._draining = False
-        self.cache.flush()
+        self.cache.save()
         self.journal.flush()
         self.journal.close()
         if self.socket_path.exists():
@@ -239,7 +238,7 @@ class StudyService:
         job.state = state
         self.journal.record_state(job.id, state, error=job.error)
         self.journal.flush()
-        self.cache.flush()
+        self.cache.save()
         self._publish(job, {"type": "state", "state": state,
                             "error": job.error, "work": job.work})
 

@@ -231,22 +231,26 @@ def test_corpus_objective_matches_direct_evaluations(small_corpus,
 # ---------------------------------------------------------------------------
 
 
+def _square(x):
+    return x * x
+
+
+def _boom(x):
+    if x == 5:
+        raise RuntimeError("worker failed")
+    return x
+
+
 def test_scheduler_preserves_order_and_parallel_equals_serial():
     items = list(range(100))
-    fn = lambda x: x * x  # noqa: E731
-    serial = Scheduler(max_workers=1).map(fn, items)
-    parallel = Scheduler(max_workers=8).map(fn, items)
+    serial = Scheduler(max_workers=1).map(_square, items)
+    parallel = Scheduler(max_workers=4).map(_square, items)
     assert serial == parallel == [x * x for x in items]
 
 
 def test_scheduler_propagates_worker_exceptions():
-    def boom(x):
-        if x == 5:
-            raise RuntimeError("worker failed")
-        return x
-
     with pytest.raises(RuntimeError, match="worker failed"):
-        Scheduler(max_workers=4).map(boom, list(range(10)))
+        Scheduler(max_workers=4).map(_boom, list(range(10)))
 
 
 def test_scheduler_honors_jobs_env_var(monkeypatch):
@@ -350,29 +354,25 @@ def test_tune_cli_smoke(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_cache_save_skips_clean_store(tmp_path):
-    """A warm-cache replay must not rewrite the JSON store byte-for-byte."""
+def test_warm_store_appends_only_changed_entries(tmp_path):
+    """Re-putting what a loaded store already holds leaves its file
+    byte-for-byte alone; a changed value appends exactly one line."""
     store = tmp_path / "cache.json"
-    cache = ResultCache(store)
-    cache.put("k", {"mean_ns": 1.0})
-    cache.save()
-    assert store.exists()
+    cold = ResultCache(store)
+    cold.put("k", {"mean_ns": 1.0})
+    cold.put_variants("d", {0: "text", 1: "text"})
+    cold.save()
+    before = store.read_bytes()
 
-    store.unlink()
-    cache.save()                      # nothing changed since the last save
-    assert not store.exists(), "clean cache rewrote the store"
-    cache.put("k", {"mean_ns": 1.0})  # identical value: still clean
-    cache.save()
-    assert not store.exists()
-
-    cache.put("k", {"mean_ns": 2.0})  # a real change: must persist again
-    cache.save()
-    assert store.exists()
-
-    warm = ResultCache(store)         # freshly loaded stores start clean
-    store.unlink()
+    warm = ResultCache(store)
+    warm.put("k", {"mean_ns": 1.0})
+    warm.put_variants("d", {0: "text", 1: "text"})
     warm.save()
-    assert not store.exists()
-    warm.put_variants("d", {0: "text"})
+    assert store.read_bytes() == before
+
+    warm.put("k", {"mean_ns": 2.0})
     warm.save()
-    assert store.exists()
+    after = store.read_bytes()
+    assert after.startswith(before)
+    assert after[len(before):].count(b"\n") == 1
+    assert ResultCache(store).get("k") == {"mean_ns": 2.0}

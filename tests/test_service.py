@@ -211,12 +211,17 @@ def test_journal_warns_on_interior_corruption(service_root, caplog):
     assert not caplog.records
 
 
-def test_journal_discards_version_skew(service_root):
+def test_journal_discards_version_skew(service_root, caplog):
     path = service_root / "jobs.jsonl"
     path.write_text('{"version": 999}\n'
                     '{"t": "submit", "id": "x", "spec": {}}\n')
     journal = JobJournal(path)
-    assert journal.replay_jobs() == {}
+    with caplog.at_level("WARNING"):
+        assert journal.replay_jobs() == {}
+    # One warning names the file and both headers.
+    [warning] = [rec.getMessage() for rec in caplog.records]
+    assert str(path) in warning and '{"version": 999}' in warning
+    assert '"kind": "repro-service-journal"' in warning
     journal.record_submit("fresh-1", {"source": TINY_SHADER})
     journal.close()
     assert list(JobJournal(path).replay_jobs()) == ["fresh-1"]

@@ -4,13 +4,14 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.corpus import default_corpus
 from repro.gpu.vendors import INTEL, NVIDIA
 from repro.harness.results import (
     ShardInfo, StudyResult, merge_study_results,
 )
 from repro.harness.study import ShardSpec, StudyConfig, run_study
-from repro.search.cache import ResultCache
+from repro.search.cache import CACHE_VERSION, ResultCache
 
 
 def _corpus():
@@ -141,8 +142,66 @@ def test_shard_info_validate():
 
 
 # ---------------------------------------------------------------------------
-# Streaming (.jsonl) cache
+# Cache log (every --cache path, whatever its suffix)
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("suffix", [".json", ".jsonl"])
+def test_put_reaches_disk_before_save(tmp_path, suffix):
+    """A killed run keeps every entry it had put, whatever the suffix."""
+    path = tmp_path / f"cache{suffix}"
+    ResultCache(path).put("k1", {"mean_ns": 1.0})
+    assert ResultCache(path).get("k1") == {"mean_ns": 1.0}
+
+
+@pytest.mark.parametrize("name, old_layout", [
+    ("cache.json", '{"version": 1, "entries": {"k1": {"mean_ns": 1.0}}}'),
+    ("cache.jsonl", '{"version": 1}\n{"k": "k1", "v": {"mean_ns": 1.0}}\n'),
+], ids=["blob", "v1-log"])
+def test_old_layout_store_is_ignored_then_rewritten(tmp_path, caplog, name,
+                                                    old_layout):
+    """A store in an old layout serves no hits (one warning names the file
+    and both headers), and the next put rewrites it under the new header."""
+    path = tmp_path / name
+    path.write_text(old_layout)
+    with caplog.at_level("WARNING"):
+        cache = ResultCache(path)
+    assert len(cache) == 0
+    assert cache.get("k1") is None
+    assert cache.hits == 0
+    header = json.dumps({"version": CACHE_VERSION})
+    [warning] = [rec.getMessage() for rec in caplog.records]
+    assert str(path) in warning
+    assert old_layout.partition("\n")[0][:40] in warning
+    assert header in warning
+    assert "ignored" in warning
+
+    cache.put("k2", {"mean_ns": 2.0})
+    assert path.read_text().splitlines() == [
+        header, json.dumps(["k2", {"mean_ns": 2.0}])]
+
+
+def test_cache_skips_malformed_records_with_a_warning(tmp_path, caplog):
+    """Under the current header, each record that is not a [key, value]
+    pair is skipped with a warning; the pairs around them still load."""
+    path = tmp_path / "cache.json"
+    path.write_text("\n".join([
+        json.dumps({"version": CACHE_VERSION}),
+        json.dumps(["k1", {"mean_ns": 1.0}]),
+        "42",
+        json.dumps({"k": "k2"}),
+        json.dumps(["k3", {"mean_ns": 3.0}, "extra"]),
+        json.dumps(["k4", {"mean_ns": 4.0}]),
+    ]) + "\n")
+    with caplog.at_level("WARNING"):
+        cache = ResultCache(path)
+    assert cache.get("k1") == {"mean_ns": 1.0}
+    assert cache.get("k4") == {"mean_ns": 4.0}
+    assert len(cache) == 2
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert len(messages) == 3
+    assert all("malformed cache record" in m for m in messages)
+
 
 
 def test_jsonl_cache_appends_incrementally(tmp_path):
@@ -356,3 +415,23 @@ def test_sharded_streaming_caches_merge_warm(tmp_path):
     run_study(corpus, StudyConfig(platforms=[INTEL], seed=9), engine=engine)
     assert engine.compile_count == 0
     assert engine.measure_count == 0
+
+
+@pytest.mark.parametrize("bad_cache", ["typo.jsonl", "a-directory"])
+def test_merge_results_rejects_an_unreadable_cache(tmp_path, monkeypatch,
+                                                   bad_cache):
+    """A --caches path that cannot be read fails before anything is
+    written, as an unreadable shard does, instead of merging as empty."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-directory").mkdir()
+    part = run_study(_corpus()[:1], StudyConfig(
+        platforms=[INTEL], seed=9, shard=ShardSpec(1, 1)))
+    (tmp_path / "s1.json").write_text(part.to_json())
+    ResultCache("good.jsonl").put("k1", {"mean_ns": 1.0})
+    with pytest.raises(SystemExit,
+                       match=f"error: cannot read cache '{bad_cache}'"):
+        main(["merge-results", "s1.json", "--output", "merged.json",
+              "--caches", "good.jsonl", bad_cache,
+              "--cache-out", "merged-cache.json"])
+    assert not (tmp_path / "merged.json").exists()
+    assert not (tmp_path / "merged-cache.json").exists()
