@@ -691,12 +691,23 @@ def _cmd_client_shutdown(args: argparse.Namespace) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of a count flag: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     """The corpus-selection flags shared by study/tune/report."""
-    p.add_argument("--max-shaders", type=int, default=0,
+    p.add_argument("--max-shaders", type=_non_negative_int, default=0,
                    help="truncate the corpus (0 = everything); truncation "
                         "is lazy, so huge synth corpora stay cheap")
-    p.add_argument("--synth-count", type=int, default=0,
+    p.add_argument("--synth-count", type=_non_negative_int, default=0,
                    help="append N procedurally synthesized übershader "
                         "families (repro.corpus.synth)")
     p.add_argument("--synth-seed", type=int, default=None,

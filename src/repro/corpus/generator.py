@@ -40,6 +40,14 @@ class CorpusSpec:
     synth_count: int = 0
     import_dir: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.max_shaders is not None and self.max_shaders < 0:
+            raise ValueError(f"max_shaders must be >= 0 or None, got "
+                             f"{self.max_shaders}")
+        if self.synth_count < 0:
+            raise ValueError(f"synth_count must be >= 0, got "
+                             f"{self.synth_count}")
+
     def build(self) -> List[ShaderCase]:
         """Instantiate the selected corpus (lazily truncated)."""
         return default_corpus(max_shaders=self.max_shaders,

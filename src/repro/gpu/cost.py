@@ -6,6 +6,13 @@ vector ISA pays per issue), weights blocks by the dynamic execution profile,
 and applies the occupancy model: register pressure determines resident warp
 count, which determines how much texture latency is hidden.
 
+It is two halves.  :func:`kernel_summary` does everything that does not
+depend on the GPU: register pressure, the varying-value taint of branch
+conditions, block weights and instruction classes.  :meth:`KernelSummary.fold`
+costs a summary for one :class:`GPUSpec`.  The measurement path
+(:mod:`repro.harness.environment`) builds one summary per distinct driver
+output and folds it once per platform.
+
 The absolute scale is calibrated to plausible `GL_TIME_ELAPSED` magnitudes
 (hundreds of microseconds for a 500x500 full-screen draw), but the study
 reports relative speed-ups, which only depend on the model's structure.
@@ -14,11 +21,11 @@ reports relative speed-ups, which only depend on the model's structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.gpu.isa import MachineOp, OpClass, classify
 from repro.gpu.registers import max_live_scalars
-from repro.ir.instructions import CondBr, Instr, LoadGlobal, Phi, Sample
+from repro.ir.instructions import CondBr, LoadGlobal, Phi, Sample
 from repro.ir.module import Function
 
 
@@ -105,65 +112,110 @@ def _op_cost(op: MachineOp, spec: GPUSpec) -> float:
     raise AssertionError(op.op_class)
 
 
-def estimate_kernel(function: Function, spec: GPUSpec,
-                    profile: Optional[Dict[str, float]] = None) -> CostBreakdown:
-    """Estimate per-fragment cost.
+@dataclass(frozen=True)
+class KernelSummary:
+    """Everything the cost model derives from a compiled function and its
+    profile without a :class:`GPUSpec`, so a summary serves every platform
+    whose driver produced the same IR (see :meth:`fold`).
+
+    ``blocks`` has one ``(weight, instruction count, ops)`` entry per block,
+    in block order: block names are unique per clone, so a summary never
+    refers to them.  ``ops`` pairs each instruction's
+    :class:`~repro.gpu.isa.MachineOp` with whether it is a branch on a
+    per-fragment condition, and is empty for a block of weight 0, which
+    the fold only counts.
+    """
+
+    max_live_scalars: int
+    blocks: Tuple[Tuple[float, int, Tuple[Tuple[MachineOp, bool], ...]], ...]
+
+    def fold(self, spec: GPUSpec) -> CostBreakdown:
+        """The per-fragment cost on *spec*.  Sums in the order the
+        instructions appear, so every float equals a per-instruction walk
+        of the IR bit for bit."""
+        result = CostBreakdown()
+        result.registers = self.max_live_scalars + spec.reg_overhead
+
+        warps = max(1, min(spec.max_warps,
+                           spec.reg_file // max(result.registers, 1)))
+        result.occupancy = min(1.0, warps / spec.warps_full_hiding)
+        unhidden = spec.texture_latency * (1.0 - result.occupancy)
+
+        total = 0.0
+        for weight, size, ops in self.blocks:
+            if weight == 0.0:
+                result.static_ops += size
+                continue
+            block_cost = 0.0
+            for op, divergent in ops:
+                cost = _op_cost(op, spec)
+                if divergent:
+                    # Per-fragment condition: warp divergence penalty.
+                    cost += spec.divergent_branch
+                result.static_ops += 1
+                cls = op.op_class
+                if cls == OpClass.TEXTURE:
+                    cost += unhidden
+                    result.texture_cycles += cost * weight
+                elif cls == OpClass.TRANSCENDENTAL:
+                    result.transcendental_cycles += cost * weight
+                elif cls == OpClass.MOV:
+                    result.mov_cycles += cost * weight
+                elif cls in (OpClass.LOCAL_MEM, OpClass.UNIFORM,
+                             OpClass.INTERP):
+                    result.memory_cycles += cost * weight
+                elif cls == OpClass.BRANCH:
+                    result.branch_cycles += cost * weight
+                else:
+                    result.alu_cycles += cost * weight
+                result.by_class[cls.name] = result.by_class.get(
+                    cls.name, 0.0) + (cost * weight)
+                block_cost += cost
+            total += block_cost * weight
+
+        if result.static_ops > spec.icache_ops:
+            total *= spec.icache_penalty
+
+        result.cycles_per_fragment = total
+        return result
+
+
+#: One shared ``(op, divergent)`` pair per distinct value, so a summary
+#: costs a reference per instruction.
+_OP_PAIRS: Dict[Tuple[MachineOp, bool], Tuple[MachineOp, bool]] = {}
+
+
+def kernel_summary(function: Function,
+                   profile: Optional[Dict[str, float]] = None
+                   ) -> KernelSummary:
+    """Summarize *function* for :meth:`KernelSummary.fold`: register
+    pressure, the varying-value taint of branch conditions, and each
+    block's weight and classified instructions.
 
     *profile* maps block names to average dynamic visit counts per fragment
-    (from the reference interpreter); unprofiled blocks default to 1 for
-    blocks only reachable once and are weighted 0 when absent from a supplied
-    profile (they did not execute).
+    (from the reference interpreter); a block absent from a supplied
+    profile did not execute and weighs 0.  Without a profile every block
+    weighs 1.
     """
-    result = CostBreakdown()
-    result.registers = max_live_scalars(function) + spec.reg_overhead
     varying = _varying_values(function)
-
-    warps = max(1, min(spec.max_warps,
-                       spec.reg_file // max(result.registers, 1)))
-    result.occupancy = min(1.0, warps / spec.warps_full_hiding)
-    unhidden = spec.texture_latency * (1.0 - result.occupancy)
-
-    total = 0.0
+    blocks = []
     for block in function.blocks:
-        if profile is not None:
-            weight = profile.get(block.name, 0.0)
-        else:
-            weight = 1.0
-        if weight == 0.0:
-            result.static_ops += len(block.instrs)
-            continue
-        block_cost = 0.0
-        for instr in block.instrs:
-            op = classify(instr)
-            cost = _op_cost(op, spec)
-            if isinstance(instr, CondBr) and id(instr.cond) in varying:
-                # Per-fragment condition: warp divergence penalty.
-                cost += spec.divergent_branch
-            result.static_ops += 1
-            cls = op.op_class
-            if cls == OpClass.TEXTURE:
-                cost += unhidden
-                result.texture_cycles += cost * weight
-            elif cls == OpClass.TRANSCENDENTAL:
-                result.transcendental_cycles += cost * weight
-            elif cls == OpClass.MOV:
-                result.mov_cycles += cost * weight
-            elif cls in (OpClass.LOCAL_MEM, OpClass.UNIFORM, OpClass.INTERP):
-                result.memory_cycles += cost * weight
-            elif cls == OpClass.BRANCH:
-                result.branch_cycles += cost * weight
-            else:
-                result.alu_cycles += cost * weight
-            result.by_class[cls.name] = result.by_class.get(cls.name, 0.0) + (
-                cost * weight)
-            block_cost += cost
-        total += block_cost * weight
+        weight = 1.0 if profile is None else profile.get(block.name, 0.0)
+        ops = []
+        if weight != 0.0:
+            for instr in block.instrs:
+                pair = (classify(instr), isinstance(instr, CondBr)
+                        and id(instr.cond) in varying)
+                ops.append(_OP_PAIRS.setdefault(pair, pair))
+        blocks.append((weight, len(block.instrs), tuple(ops)))
+    return KernelSummary(max_live_scalars(function), tuple(blocks))
 
-    if result.static_ops > spec.icache_ops:
-        total *= spec.icache_penalty
 
-    result.cycles_per_fragment = total
-    return result
+def estimate_kernel(function: Function, spec: GPUSpec,
+                    profile: Optional[Dict[str, float]] = None) -> CostBreakdown:
+    """Estimate per-fragment cost: :func:`kernel_summary` folded for *spec*
+    (see there for how *profile* weights blocks)."""
+    return kernel_summary(function, profile).fold(spec)
 
 
 def _varying_values(function: Function) -> set:

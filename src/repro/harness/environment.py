@@ -14,12 +14,19 @@ and timed the execution of each draw-call":
 
 Steps 1–4 are pure functions of (source, platform) — only step 5 consumes
 the measurement seed — so :meth:`ShaderExecutionEnvironment.prepare` does
-them once per unit: the JIT compile comes from the vendor JIT's
-compiled-module memo, and the profile runs every sample fragment as a lane
-of one :class:`~repro.ir.interp_batch.BatchedInterpreter` pass.  The scalar
-:class:`~repro.ir.interp.Interpreter` and :meth:`TimerModel.measure
-<repro.gpu.timing.TimerModel.measure>` are the references the tests hold
-this path to, bit for bit.
+them once per unit.  Most of that work does not depend on the platform
+either: drivers whose pipelines changed a text by the same steps
+(``Module.driver_steps``) compile it to identical IR.  So the profile, which
+runs every sample fragment as a lane of one
+:class:`~repro.ir.interp_batch.BatchedInterpreter` pass, and the
+spec-independent half of the cost model
+(:func:`~repro.gpu.cost.kernel_summary`) run once per distinct driver
+output.  The summary is kept in the source's
+front-end memo entry (:func:`~repro.gpu.jit.driver_output_memo`) and folded
+with each platform's spec.  The scalar :class:`~repro.ir.interp.Interpreter`,
+a from-scratch JIT compile, a per-instruction cost walk and
+:meth:`TimerModel.measure <repro.gpu.timing.TimerModel.measure>` are the
+references the tests hold this path to, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import HarnessError
-from repro.gpu.cost import CostBreakdown, draw_time_ns, estimate_kernel
+from repro.gpu.cost import CostBreakdown, draw_time_ns, kernel_summary
+from repro.gpu.jit import driver_output_memo
 from repro.gpu.platform import Platform
 from repro.harness.protocol import Measurement, run_protocol
 from repro.harness.uniforms import (
@@ -83,11 +91,10 @@ class ExecutionReport:
 @dataclass(frozen=True)
 class PreparedMeasurement:
     """The seed-independent part of a (source, platform) measurement unit:
-    compiled module, dynamic profile, cost estimate, and true draw time.
-    Each measurement seed only adds one protocol run on top."""
+    compiled module, cost estimate, and true draw time.  Each measurement
+    seed only adds one protocol run on top."""
 
     module: Module
-    profile: Dict[str, float]
     cost: CostBreakdown
     true_ns: float
 
@@ -125,22 +132,25 @@ class ShaderExecutionEnvironment:
         """JIT, profile, and cost *source* once — everything a measurement
         needs except the seed-dependent timer protocol.
 
-        The compiled module is read through the vendor JIT's
-        compiled-module memo, so repeated preparations of the same
-        (source, platform) compile once.
+        The profile and the kernel summary are shared by every driver whose
+        compile of *source* has the same ``driver_steps``: only the first
+        one runs them, and each platform folds the summary with its spec.
         """
         try:
-            module = self.platform.jit.compile_cached(source)
+            module = self.platform.jit.compile(source)
         except Exception as exc:
             raise HarnessError(
                 f"{self.platform.name} driver failed to compile shader: {exc}"
             ) from exc
-        profile = self.profile(module)
-        cost = estimate_kernel(module.function, self.platform.spec, profile)
+        summaries = driver_output_memo(source)
+        summary = summaries.get(module.driver_steps)
+        if summary is None:
+            summary = kernel_summary(module.function, self.profile(module))
+            summaries[module.driver_steps] = summary
+        cost = summary.fold(self.platform.spec)
         true_ns = draw_time_ns(cost, self.platform.spec,
                                self.platform.fragments_per_draw)
-        return PreparedMeasurement(module=module, profile=profile, cost=cost,
-                                   true_ns=true_ns)
+        return PreparedMeasurement(module=module, cost=cost, true_ns=true_ns)
 
     def _measure_prepared(self, prepared: PreparedMeasurement,
                           seed: int) -> ExecutionReport:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import IRError
 from repro.glsl.introspect import ShaderInterface
@@ -164,6 +164,10 @@ class Module:
         self.function = function
         self.interface = interface
         self.version = version
+        #: The vendor-JIT steps that changed this module, in order (set by
+        #: :meth:`repro.gpu.jit.VendorJIT.compile`); ``None`` on a module
+        #: no driver compiled.
+        self.driver_steps: Optional[Tuple[Tuple, ...]] = None
 
     def dump(self) -> str:
         return self.function.dump()

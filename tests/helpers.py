@@ -14,8 +14,13 @@ import random
 from typing import Dict, List, Optional
 
 from repro.core import ShaderCompiler, VariantSet, compile_shader
-from repro.gpu.cost import draw_time_ns, estimate_kernel
+from repro.gpu.cost import (
+    CostBreakdown, GPUSpec, _op_cost, _varying_values, draw_time_ns,
+)
+from repro.gpu.isa import OpClass, classify
+from repro.gpu.jit import VendorJIT, shared_frontend
 from repro.gpu.platform import Platform
+from repro.gpu.registers import max_live_scalars
 from repro.gpu.timing import TimerModel
 from repro.harness.environment import SAMPLE_FRAGMENTS, ExecutionReport
 from repro.harness.protocol import FRAMES_PER_RUN, REPEATS, Measurement
@@ -23,7 +28,16 @@ from repro.harness.uniforms import (
     default_textures, default_uniform_values, fragment_inputs,
 )
 from repro.ir import Interpreter, verify_function
+from repro.ir.clone import clone_module
+from repro.ir.instructions import CondBr
+from repro.ir.module import Function, Module
 from repro.passes import OptimizationFlags
+from repro.passes.coalesce import coalesce
+from repro.passes.div_to_mul import div_to_mul
+from repro.passes.gvn import gvn
+from repro.passes.hoist import hoist
+from repro.passes.manager import run_cleanup, run_step
+from repro.passes.unroll import unroll
 
 
 DEFAULT_ENV = {
@@ -74,6 +88,83 @@ def naive_variants(source: str, es: bool = False) -> VariantSet:
     return VariantSet(by_text, index_to_text)
 
 
+#: The vendor JITs' safe passes, by the names ``VendorJIT.passes`` uses.
+_DRIVER_PASSES = {"gvn": gvn, "coalesce": coalesce, "div_to_mul": div_to_mul,
+                  "hoist": hoist}
+
+
+def reference_jit_compile(jit: VendorJIT, source: str) -> Module:
+    """The driver-JIT oracle: the whole vendor pipeline (cleanup, the
+    driver unroll, then each safe pass) on one fresh name-preserving clone
+    of the front-end module, with no shared prefix."""
+    module = clone_module(shared_frontend(source), preserve_names=True)
+    function = module.function
+    run_cleanup(function)
+    if jit.unroll_max_trips > 0:
+        run_step(function, unroll, max_trips=jit.unroll_max_trips,
+                 max_growth=jit.unroll_max_growth)
+    for name in jit.passes:
+        run_step(function, _DRIVER_PASSES[name])
+    return module
+
+
+def reference_cost(function: Function, spec: GPUSpec,
+                   profile: Optional[Dict[str, float]] = None
+                   ) -> CostBreakdown:
+    """The cost-model oracle: one walk of the IR that classifies and costs
+    each instruction for *spec* as it goes, with no summary in between."""
+    result = CostBreakdown()
+    result.registers = max_live_scalars(function) + spec.reg_overhead
+    varying = _varying_values(function)
+
+    warps = max(1, min(spec.max_warps,
+                       spec.reg_file // max(result.registers, 1)))
+    result.occupancy = min(1.0, warps / spec.warps_full_hiding)
+    unhidden = spec.texture_latency * (1.0 - result.occupancy)
+
+    total = 0.0
+    for block in function.blocks:
+        if profile is not None:
+            weight = profile.get(block.name, 0.0)
+        else:
+            weight = 1.0
+        if weight == 0.0:
+            result.static_ops += len(block.instrs)
+            continue
+        block_cost = 0.0
+        for instr in block.instrs:
+            op = classify(instr)
+            cost = _op_cost(op, spec)
+            if isinstance(instr, CondBr) and id(instr.cond) in varying:
+                # Per-fragment condition: warp divergence penalty.
+                cost += spec.divergent_branch
+            result.static_ops += 1
+            cls = op.op_class
+            if cls == OpClass.TEXTURE:
+                cost += unhidden
+                result.texture_cycles += cost * weight
+            elif cls == OpClass.TRANSCENDENTAL:
+                result.transcendental_cycles += cost * weight
+            elif cls == OpClass.MOV:
+                result.mov_cycles += cost * weight
+            elif cls in (OpClass.LOCAL_MEM, OpClass.UNIFORM, OpClass.INTERP):
+                result.memory_cycles += cost * weight
+            elif cls == OpClass.BRANCH:
+                result.branch_cycles += cost * weight
+            else:
+                result.alu_cycles += cost * weight
+            result.by_class[cls.name] = result.by_class.get(cls.name, 0.0) + (
+                cost * weight)
+            block_cost += cost
+        total += block_cost * weight
+
+    if result.static_ops > spec.icache_ops:
+        total *= spec.icache_penalty
+
+    result.cycles_per_fragment = total
+    return result
+
+
 def reference_profile(module) -> Dict[str, float]:
     """The profile oracle: one scalar ``Interpreter`` run per sample
     fragment, block visits summed in fragment order and averaged."""
@@ -109,12 +200,14 @@ def reference_protocol(true_ns: float, timer: TimerModel, rng: random.Random,
 
 def reference_measurement(platform: Platform, source: str,
                           seed: int) -> ExecutionReport:
-    """The measurement oracle, from scratch: a fresh driver-JIT compile,
-    the scalar profile (``reference_profile``), the cost model, and the
-    per-frame protocol (``reference_protocol``)."""
-    module = platform.jit.compile(source)
-    cost = estimate_kernel(module.function, platform.spec,
-                           reference_profile(module))
+    """The measurement oracle, from scratch: a fresh driver-JIT compile
+    (``reference_jit_compile``), the scalar profile
+    (``reference_profile``), the per-instruction cost walk
+    (``reference_cost``), and the per-frame protocol
+    (``reference_protocol``)."""
+    module = reference_jit_compile(platform.jit, source)
+    cost = reference_cost(module.function, platform.spec,
+                          reference_profile(module))
     true_ns = draw_time_ns(cost, platform.spec, platform.fragments_per_draw)
 
     platform_digest = int.from_bytes(
@@ -124,6 +217,20 @@ def reference_measurement(platform: Platform, source: str,
                            measurement=reference_protocol(
                                true_ns, platform.timer, rng),
                            interface=module.interface)
+
+
+def count_calls(monkeypatch, owner, name: str) -> List[tuple]:
+    """Patch ``owner.name`` to record the positional arguments of each
+    call, then call through; returns the list the calls land in."""
+    calls: List[tuple] = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def assert_report_identical(a: ExecutionReport, b: ExecutionReport,

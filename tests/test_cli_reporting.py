@@ -87,6 +87,27 @@ def test_cli_rejects_the_removed_trie_stats_options(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["study"], ["tune"], ["report"],
+                                     ["client", "submit"]],
+                         ids=["study", "tune", "report", "client-submit"])
+@pytest.mark.parametrize("flag, value", [("--max-shaders", "-1"),
+                                         ("--synth-count", "-2"),
+                                         ("--max-shaders", "few")])
+def test_cli_rejects_bad_corpus_counts_at_parse_time(tmp_path, monkeypatch,
+                                                     capsys, command, flag,
+                                                     value):
+    """A negative or non-integer corpus count is an argparse error (exit
+    2) on every command that selects a corpus, before any work starts."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert ("must be >= 0" if value.startswith("-") else "invalid int") in err
+    assert list(tmp_path.iterdir()) == []
+
+
 #: Every flag ``report --study`` ignores, with a value that sets it.
 _IGNORED_WITH_STUDY = {
     "--max-shaders": ["2"], "--seed": ["7"], "--jobs": ["2"],

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import count_calls
 from repro.core import compile_shader
 from repro.gpu.cost import GPUSpec, draw_time_ns, estimate_kernel
 from repro.gpu.isa import OpClass, classify
@@ -366,20 +367,32 @@ def test_offline_compiler_and_vendor_jits_parse_a_source_once(monkeypatch):
         shared_frontend(MOTIVATING_SHADER)
 
 
+def _blur_taps3():
+    from repro.corpus import default_corpus
+
+    return next(case.source for case in default_corpus()
+                if case.name == "blur.taps3")
+
+
+def _count_prefix_cleanups(monkeypatch):
+    """Record the cleanups that build a source's prefix.  A vendor step's
+    own cleanup (``run_step``) calls the pass manager's binding instead."""
+    import repro.gpu.jit as jit_module
+
+    return count_calls(monkeypatch, jit_module, "run_cleanup")
+
+
 def test_compiled_module_memo_keys_on_the_whole_jit_configuration():
     """A JIT that shares a stock JIT's name but not its pipeline must not
-    be served the stock JIT's memoized module."""
+    be served the stock JIT's kernel summary."""
     import dataclasses
 
     from helpers import assert_report_identical, reference_measurement
-    from repro.corpus import default_corpus
-    from repro.gpu.jit import clear_frontend_memo
+    from repro.gpu.jit import clear_frontend_memo, driver_output_memo
     from repro.harness.environment import ShaderExecutionEnvironment
 
-    # Also clears the compiled-module memo.
     clear_frontend_memo()
-    source = next(case.source for case in default_corpus()
-                  if case.name == "blur.taps3")
+    source = _blur_taps3()
     bare = dataclasses.replace(
         NVIDIA, jit=dataclasses.replace(NVIDIA.jit, passes=(),
                                         unroll_max_trips=0))
@@ -389,8 +402,10 @@ def test_compiled_module_memo_keys_on_the_whole_jit_configuration():
     report = ShaderExecutionEnvironment(bare).run(source, seed=1)
     assert report.true_ns != stock.true_ns
     assert_report_identical(report, reference_measurement(bare, source, 1))
-    assert (bare.jit.compile_cached(source)
-            is not NVIDIA.jit.compile_cached(source))
+    steps = {jit.compile(source).driver_steps
+             for jit in (bare.jit, NVIDIA.jit)}
+    assert len(steps) == 2
+    assert set(driver_output_memo(source)) == steps, "a summary was shared"
 
 
 @pytest.mark.parametrize("field, value", [
@@ -399,66 +414,254 @@ def test_compiled_module_memo_keys_on_the_whole_jit_configuration():
     ("unroll_max_trips", 0),
     ("unroll_max_growth", 1),
 ], ids=["name", "passes", "unroll_max_trips", "unroll_max_growth"])
-def test_compiled_module_memo_separates_jits_differing_only_in(field, value):
-    """Each of the four ``VendorJIT`` fields is part of the memo key; the
-    three pipeline fields change blur.taps3's compiled IR on NVIDIA, so
-    serving the stock module for them would be wrong."""
+def test_compiled_module_memo_separates_jits_differing_only_in(
+        field, value, monkeypatch):
+    """The three pipeline fields change blur.taps3's compiled IR on NVIDIA,
+    so a JIT differing in one of them records other ``driver_steps`` and
+    shares no kernel summary with the stock JIT.  A JIT differing only in
+    its name runs the same steps and shares the stock JIT's summary: one
+    profile serves both."""
     import dataclasses
 
-    from repro.corpus import default_corpus
-    from repro.gpu.jit import clear_frontend_memo
-    from repro.ir.fingerprint import fingerprint_module
+    from helpers import assert_report_identical, reference_measurement
+    from repro.gpu.jit import clear_frontend_memo, driver_output_memo
+    from repro.harness.environment import ShaderExecutionEnvironment
+    from repro.ir.interp_batch import BatchedInterpreter
 
     clear_frontend_memo()
-    source = next(case.source for case in default_corpus()
-                  if case.name == "blur.taps3")
-    other = dataclasses.replace(NVIDIA.jit, **{field: value})
-    stock = NVIDIA.jit.compile_cached(source)
-    module = other.compile_cached(source)
-    assert module is not stock
-    assert other.compile_cached(source) is module
-    assert (fingerprint_module(module)
-            == fingerprint_module(other.compile(source)))
-    if field != "name":
-        assert fingerprint_module(module) != fingerprint_module(stock)
+    source = _blur_taps3()
+    other = dataclasses.replace(
+        NVIDIA, jit=dataclasses.replace(NVIDIA.jit, **{field: value}))
+    profiles = count_calls(monkeypatch, BatchedInterpreter, "run")
+    ShaderExecutionEnvironment(NVIDIA).run(source, seed=1)
+    report = ShaderExecutionEnvironment(other).run(source, seed=1)
+
+    stock_steps = NVIDIA.jit.compile(source).driver_steps
+    other_steps = other.jit.compile(source).driver_steps
+    if field == "name":
+        assert other_steps == stock_steps
+        assert len(profiles) == 1
+        assert list(driver_output_memo(source)) == [stock_steps]
+    else:
+        assert other_steps != stock_steps
+        assert len(profiles) == 2
+        assert set(driver_output_memo(source)) == {stock_steps, other_steps}
+    assert_report_identical(report, reference_measurement(other, source, 1))
 
 
-def test_compile_cached_serves_one_module_per_jit_and_source():
+def test_compile_cached_serves_one_module_per_jit_and_source(monkeypatch):
+    """Every compile returns a private module (``compile_cached`` is the
+    same method).  The five drivers share one prefix cleanup per source,
+    which ``clear_frontend_memo()`` drops."""
     from repro.corpus import MOTIVATING_SHADER
     from repro.gpu.jit import clear_frontend_memo
     from repro.ir.fingerprint import fingerprint_module
 
     clear_frontend_memo()
-    cached = INTEL.jit.compile_cached(MOTIVATING_SHADER)
-    assert INTEL.jit.compile_cached(MOTIVATING_SHADER) is cached
-    # ``compile`` never reads the memo: a private module every call.
-    fresh = INTEL.jit.compile(MOTIVATING_SHADER)
-    assert fresh is not cached
-    assert INTEL.jit.compile(MOTIVATING_SHADER) is not fresh
-    assert fingerprint_module(fresh) == fingerprint_module(cached)
-    # Clearing the front-end memo drops the compiled modules too.
+    cleanups = _count_prefix_cleanups(monkeypatch)
+    first = INTEL.jit.compile(MOTIVATING_SHADER)
+    again = INTEL.jit.compile_cached(MOTIVATING_SHADER)
+    assert again is not first and again.function is not first.function
+    digest = fingerprint_module(first)
+    assert fingerprint_module(again) == digest
+    # Wrecking one returned module leaves every later compile intact.
+    first.function.blocks.clear()
+    assert fingerprint_module(INTEL.jit.compile(MOTIVATING_SHADER)) == digest
+
+    for platform in all_platforms():
+        platform.jit.compile(MOTIVATING_SHADER)
+    assert len(cleanups) == 1
     clear_frontend_memo()
-    assert INTEL.jit.compile_cached(MOTIVATING_SHADER) is not cached
+    assert fingerprint_module(INTEL.jit.compile(MOTIVATING_SHADER)) == digest
+    assert len(cleanups) == 2
 
 
 @pytest.mark.parametrize("platform", all_platforms(),
                          ids=lambda platform: platform.name)
 def test_jit_pipeline_steps_count_each_vendor_step(platform):
-    """The step counter counts the cleanup, the unroller when the driver
-    has one, and each safe pass; a memo hit runs no step."""
+    """The step counter counts the unroller when the driver has one and
+    each safe pass, on every compile; the cleanup counts once per source,
+    on the first compile of it by any driver."""
     from repro.corpus import MOTIVATING_SHADER
     from repro.gpu.jit import clear_frontend_memo, jit_pipeline_steps
 
+    def vendor_steps(jit):
+        return (1 if jit.unroll_max_trips > 0 else 0) + len(jit.passes)
+
     clear_frontend_memo()
     jit = platform.jit
-    steps = 1 + (1 if jit.unroll_max_trips > 0 else 0) + len(jit.passes)
+    steps = vendor_steps(jit)
     before = jit_pipeline_steps()
-    jit.compile_cached(MOTIVATING_SHADER)
-    assert jit_pipeline_steps() - before == steps
-    jit.compile_cached(MOTIVATING_SHADER)
-    assert jit_pipeline_steps() - before == steps
     jit.compile(MOTIVATING_SHADER)
-    assert jit_pipeline_steps() - before == 2 * steps
+    assert jit_pipeline_steps() - before == 1 + steps
+    jit.compile_cached(MOTIVATING_SHADER)
+    assert jit_pipeline_steps() - before == 1 + 2 * steps
+    other = next(p.jit for p in all_platforms() if p.jit != jit)
+    other.compile(MOTIVATING_SHADER)
+    assert (jit_pipeline_steps() - before
+            == 1 + 2 * steps + vendor_steps(other))
+
+
+#: A 9-trip and a 20-trip loop: Intel (32 trips) unrolls both, Qualcomm
+#: (16) only the first, ARM (4) neither, and AMD has no unroller.
+TWO_LOOP_SRC = """
+uniform sampler2D t;
+in vec2 uv;
+out vec4 f;
+void main() {
+    vec4 acc = vec4(0.0);
+    for (int i = 0; i < 9; i++) { acc += texture(t, uv + vec2(float(i) * 0.01, 0.0)); }
+    for (int j = 0; j < 20; j++) { acc += texture(t, uv + vec2(0.0, float(j) * 0.02)); }
+    f = acc;
+}
+"""
+
+
+def test_drivers_with_equal_steps_share_one_summary_and_profile(monkeypatch):
+    """AMD and ARM change the two-loop shader by the same steps (none), so
+    the later one reuses the earlier one's profile and kernel summary.
+    Intel and Qualcomm both unroll, with different limits, to different
+    modules, and share nothing.  Every platform's run equals the oracle."""
+    from helpers import assert_report_identical, reference_measurement
+    from repro.gpu.jit import clear_frontend_memo, driver_output_memo
+    from repro.harness.environment import ShaderExecutionEnvironment
+    from repro.ir.fingerprint import fingerprint_module
+
+    clear_frontend_memo()
+    profiled = count_calls(monkeypatch, ShaderExecutionEnvironment,
+                            "profile")
+    reports = {platform.name: ShaderExecutionEnvironment(platform).run(
+        TWO_LOOP_SRC, seed=5) for platform in all_platforms()}
+    assert [env.platform.name for env, _ in profiled] == [
+        "Intel", "AMD", "NVIDIA", "Qualcomm"]
+
+    modules = {platform.name: platform.jit.compile(TWO_LOOP_SRC)
+               for platform in all_platforms()}
+    steps = {name: module.driver_steps for name, module in modules.items()}
+    assert steps["AMD"] == steps["ARM"]
+    assert (fingerprint_module(modules["AMD"])
+            == fingerprint_module(modules["ARM"]))
+    assert steps["Intel"][0][0] == steps["Qualcomm"][0][0] == "unroll"
+    assert steps["Intel"] != steps["Qualcomm"]
+    assert (fingerprint_module(modules["Intel"])
+            != fingerprint_module(modules["Qualcomm"]))
+    assert set(driver_output_memo(TWO_LOOP_SRC)) == set(steps.values())
+    for platform in all_platforms():
+        assert_report_identical(
+            reports[platform.name],
+            reference_measurement(platform, TWO_LOOP_SRC, 5), platform.name)
+
+
+def test_five_platforms_clean_once_and_profile_each_distinct_output(
+        monkeypatch):
+    """Measuring a source on all five platforms builds its prefix with one
+    cleanup and runs one profile per distinct ``driver_steps``."""
+    from repro.corpus import MOTIVATING_SHADER
+    from repro.gpu.jit import clear_frontend_memo
+    from repro.harness.environment import ShaderExecutionEnvironment
+    from repro.ir.interp_batch import BatchedInterpreter
+
+    clear_frontend_memo()
+    cleanups = _count_prefix_cleanups(monkeypatch)
+    profiles = count_calls(monkeypatch, BatchedInterpreter, "run")
+    for platform in all_platforms():
+        ShaderExecutionEnvironment(platform).run(MOTIVATING_SHADER, seed=2)
+    assert len(cleanups) == 1
+    distinct = {platform.jit.compile(MOTIVATING_SHADER).driver_steps
+                for platform in all_platforms()}
+    assert len(profiles) == len(distinct) == 3
+
+
+def test_measuring_leaves_the_shared_modules_unchanged():
+    """The front-end module and the cleaned prefix are shared by every
+    compile of a source; measuring it on all five platforms must not
+    mutate either (each driver pipeline runs on a clone)."""
+    from repro.gpu.jit import _cleaned_prefix, clear_frontend_memo, \
+        shared_frontend
+    from repro.harness.environment import ShaderExecutionEnvironment
+    from repro.ir.clone import clone_module
+    from repro.ir.fingerprint import fingerprint_module
+    from repro.passes.manager import run_cleanup
+
+    clear_frontend_memo()
+    frontend = shared_frontend(TWO_LOOP_SRC)
+    prefix = _cleaned_prefix(TWO_LOOP_SRC)
+    cleaned = clone_module(frontend, preserve_names=True)
+    run_cleanup(cleaned.function)
+    assert fingerprint_module(prefix) == fingerprint_module(cleaned)
+    digests = fingerprint_module(frontend), fingerprint_module(prefix)
+
+    for platform in all_platforms():
+        ShaderExecutionEnvironment(platform).run(TWO_LOOP_SRC, seed=3)
+    assert shared_frontend(TWO_LOOP_SRC) is frontend
+    assert _cleaned_prefix(TWO_LOOP_SRC) is prefix
+    assert digests == (fingerprint_module(frontend),
+                       fingerprint_module(prefix))
+
+
+def test_threads_measuring_the_same_sources_match_the_oracle():
+    """Service workers are threads.  Racing to build the same sources'
+    prefixes and kernel summaries, they may build one twice, but every
+    prepared module, cost and draw time still equals the from-scratch
+    oracle's."""
+    import sys
+    import threading
+
+    from helpers import reference_jit_compile, reference_measurement
+    from repro.corpus import MOTIVATING_SHADER
+    from repro.gpu.jit import clear_frontend_memo, shared_frontend
+    from repro.harness.environment import ShaderExecutionEnvironment
+    from repro.ir.fingerprint import fingerprint_module
+
+    sources = (MOTIVATING_SHADER, TWO_LOOP_SRC, _blur_taps3())
+    units = [(source, platform) for source in sources
+             for platform in all_platforms()]
+    results, errors = [], []
+
+    def prepare(offset, start):
+        try:
+            start.wait(timeout=60)
+            for index in range(len(units)):
+                index = (index + offset) % len(units)
+                source, platform = units[index]
+                results.append((index, ShaderExecutionEnvironment(
+                    platform).prepare(source)))
+        except Exception as exc:  # re-raised below, in the test's thread
+            errors.append(exc)
+
+    expected = [reference_measurement(platform, source, 7)
+                for source, platform in units]
+    interval = sys.getswitchinterval()
+    try:
+        # Each round races the first compiles of every source again.  The
+        # front ends are parsed first, so the oracle compiles the same
+        # modules: only the prefixes and the summaries are raced for.
+        for _ in range(6):
+            clear_frontend_memo()
+            for source in sources:
+                shared_frontend(source)
+            digests = [
+                fingerprint_module(reference_jit_compile(platform.jit, source))
+                for source, platform in units]
+            del results[:]
+            start = threading.Barrier(6)
+            threads = [threading.Thread(target=prepare, args=(offset, start))
+                       for offset in range(6)]
+            sys.setswitchinterval(1e-5)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            assert len(results) == len(threads) * len(units)
+            for index, prepared in results:
+                assert fingerprint_module(prepared.module) == digests[index]
+                assert prepared.cost == expected[index].cost, index
+                assert prepared.true_ns == expected[index].true_ns, index
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_execution_report_vertex_shader_is_lazy(monkeypatch):

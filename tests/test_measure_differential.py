@@ -1,13 +1,16 @@
 """Differential testing: the measurement path against its references.
 
-The measurement path (memoized driver-JIT compile, lane-batched
-interpreter profile, hoisted timer sampling) must reproduce the
-measurement oracle (``helpers.reference_measurement``: a fresh compile,
-one scalar interpreter run per sample fragment, one ``TimerModel.measure``
-call per frame) bit for bit — through ``ShaderExecutionEnvironment.run``,
-``run_many`` and ``EvaluationEngine.measure_many``, for every pass
-pipeline on every platform and for a seeded slice of the synthesized and
-hand-written corpus.  The profile and the protocol are also held to
+The measurement path (a driver-JIT compile from the source's shared
+cleaned prefix, one lane-batched interpreter profile and kernel summary
+per distinct driver output, the summary folded per platform, hoisted timer
+sampling) must reproduce the measurement oracle
+(``helpers.reference_measurement``: a from-scratch vendor pipeline, one
+scalar interpreter run per sample fragment, a per-instruction cost walk,
+one ``TimerModel.measure`` call per frame) bit for bit — through
+``ShaderExecutionEnvironment.run``, ``run_many`` and
+``EvaluationEngine.measure_many``, for every pass pipeline on every
+platform and for a seeded slice of the synthesized and hand-written
+corpus.  The profile and the protocol are also held to
 their own references (``helpers.reference_profile`` and
 ``helpers.reference_protocol``), and a whole study to both oracles.
 """
@@ -20,12 +23,14 @@ import random
 import pytest
 
 from helpers import (
-    assert_report_identical, naive_variants, reference_measurement,
-    reference_profile, reference_protocol,
+    assert_report_identical, count_calls, naive_variants,
+    reference_measurement, reference_profile, reference_protocol,
 )
 from repro.core.pipeline import ShaderCompiler, optimize_source
 from repro.corpus import MOTIVATING_SHADER, default_corpus
-from repro.gpu.jit import clear_frontend_memo, jit_pipeline_steps
+from repro.gpu.jit import (
+    clear_frontend_memo, driver_output_memo, jit_pipeline_steps,
+)
 from repro.gpu.platform import all_platforms
 from repro.harness.environment import (
     SAMPLE_FRAGMENTS, ShaderExecutionEnvironment, measure_mode,
@@ -138,23 +143,41 @@ def test_run_protocol_matches_per_frame_reference(platform):
         assert rng.getstate() == reference_rng.getstate(), context
 
 
-def test_prepare_compiles_once_per_platform_and_source():
-    """Preparations of one (source, platform) unit share one compiled
-    module, whichever environment asks and however many seeds follow."""
+def test_prepare_compiles_once_per_platform_and_source(monkeypatch):
+    """A second preparation of a (source, platform) unit re-runs only the
+    vendor's own steps: the cleaned prefix and the kernel summary of the
+    first are reused, so it runs no prefix cleanup and no profile, for an
+    equal cost and draw time.  The summaries live in the source's
+    front-end memo entry, so ``clear_frontend_memo()`` drops them."""
+    import repro.gpu.jit as jit_module
+
     clear_frontend_memo()
     platform = all_platforms()[0]
+    jit = platform.jit
+    vendor_steps = (1 if jit.unroll_max_trips > 0 else 0) + len(jit.passes)
+    cleanups = count_calls(monkeypatch, jit_module, "run_cleanup")
+    profiles = count_calls(monkeypatch, BatchedInterpreter, "run")
+
     before = jit_pipeline_steps()
     first = ShaderExecutionEnvironment(platform).prepare(MOTIVATING_SHADER)
-    steps = jit_pipeline_steps() - before
-    assert steps > 0
+    assert jit_pipeline_steps() - before == 1 + vendor_steps
+    assert (len(cleanups), len(profiles)) == (1, 1)
+
     env = ShaderExecutionEnvironment(platform)
+    before = jit_pipeline_steps()
     second = env.prepare(MOTIVATING_SHADER)
+    assert jit_pipeline_steps() - before == vendor_steps
     env.run_many(MOTIVATING_SHADER, [1, 2, 3])
-    assert jit_pipeline_steps() - before == steps
-    assert second.module is first.module
-    assert second.profile == first.profile
+    assert (len(cleanups), len(profiles)) == (1, 1)
+    assert second.module is not first.module
+    assert second.module.driver_steps == first.module.driver_steps
     assert second.cost == first.cost
     assert second.true_ns == first.true_ns
+
+    assert list(driver_output_memo(MOTIVATING_SHADER)) == [
+        first.module.driver_steps]
+    clear_frontend_memo()
+    assert driver_output_memo(MOTIVATING_SHADER) == {}
 
 
 def test_measure_mode_is_batched_whatever_the_environment(monkeypatch):

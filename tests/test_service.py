@@ -384,6 +384,18 @@ def test_protocol_rejects_garbage_and_unknown_ops(service):
         {"op": "status", "id": "nope"})["error"]
 
 
+def test_submit_rejects_negative_corpus_counts(service):
+    """``CorpusSpec`` validates its counts, so a bad one is refused at
+    submit time rather than failing the job when it builds its corpus."""
+    svc, _ = service
+    for corpus, field in (({"max_shaders": -1}, "max_shaders"),
+                          ({"synth_count": -2}, "synth_count")):
+        error = svc.handle({"op": "submit",
+                            "spec": {"corpus": corpus}})["error"]
+        assert error.startswith("invalid job spec: "), error
+        assert f"{field} must be >= 0" in error, error
+
+
 # ---------------------------------------------------------------------------
 # Restart recovery
 # ---------------------------------------------------------------------------

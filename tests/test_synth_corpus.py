@@ -7,7 +7,7 @@ from repro.analysis.static_metrics import corpus_composition_spec
 from repro.core import ShaderCompiler
 from repro.corpus import default_corpus, iter_corpus, synth_family
 from repro.corpus import synth
-from repro.corpus.generator import corpus_families
+from repro.corpus.generator import CorpusSpec, corpus_families
 from repro.glsl import parse_shader, preprocess
 from repro.gpu.platform import all_platforms
 from repro.harness.environment import ShaderExecutionEnvironment
@@ -195,3 +195,18 @@ def test_corpus_composition_spec_splits_synth_and_handwritten():
     assert flat_row[1:] == (2, 6, 8, 8, "2.5")
     assert "3 cases across 2 families" in spec.caption
     assert "2 hand-written" in spec.caption and "1 synthesized" in spec.caption
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"max_shaders": -1}, "max_shaders must be >= 0"),
+    ({"synth_count": -2}, "synth_count must be >= 0"),
+    ({"max_shaders": -3, "synth_seed": 5, "synth_count": 4},
+     "max_shaders must be >= 0"),
+])
+def test_corpus_spec_rejects_negative_counts(payload, message):
+    """The service's ``JobSpec`` path rebuilds specs with ``from_dict``: a
+    negative count fails there, not when the job builds its corpus."""
+    with pytest.raises(ValueError, match=message):
+        CorpusSpec.from_dict(payload)
+    assert CorpusSpec.from_dict({"max_shaders": 0}).build() == []
+    assert CorpusSpec.from_dict({"max_shaders": None}).max_shaders is None
