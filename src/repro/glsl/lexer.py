@@ -7,6 +7,7 @@ one, which usually indicates a caller skipped :func:`repro.glsl.preprocess`.
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.errors import LexerError
@@ -20,9 +21,13 @@ from repro.glsl.tokens import (
 )
 
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DIGITS = frozenset("0123456789")
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+#: The multi-character operators by length.  Matching every 3-character
+#: operator before any 2-character one is the longest-first greedy match.
+_OPS_3 = frozenset(op for op in MULTI_CHAR_OPS if len(op) == 3)
+_OPS_2 = frozenset(op for op in MULTI_CHAR_OPS if len(op) == 2)
 
 
 def tokenize(source: str) -> List[Token]:
@@ -50,11 +55,12 @@ def tokenize(source: str) -> List[Token]:
             continue
 
         # Comments (tolerated even post-preprocess).
-        if source.startswith("//", i):
+        follower = source[i + 1 : i + 2] if ch == "/" else ""
+        if follower == "/":
             end = source.find("\n", i)
             i = n if end < 0 else end
             continue
-        if source.startswith("/*", i):
+        if follower == "*":
             end = source.find("*/", i + 2)
             if end < 0:
                 raise error("unterminated block comment")
@@ -72,8 +78,7 @@ def tokenize(source: str) -> List[Token]:
 
         if ch in _IDENT_START:
             start = i
-            while i < n and source[i] in _IDENT_CONT:
-                i += 1
+            i = _IDENT_RE.match(source, i).end()
             text = source[start:i]
             if text in ("true", "false"):
                 kind = TokenKind.BOOL
@@ -127,15 +132,15 @@ def tokenize(source: str) -> List[Token]:
             col += i - start
             continue
 
-        matched = False
-        for op in MULTI_CHAR_OPS:
-            if source.startswith(op, i):
-                tokens.append(Token(TokenKind.OP, op, line, col))
-                i += len(op)
-                col += len(op)
-                matched = True
-                break
-        if matched:
+        op = source[i:i + 3]
+        if op not in _OPS_3:
+            op = op[:2]
+            if op not in _OPS_2:
+                op = ""
+        if op:
+            tokens.append(Token(TokenKind.OP, op, line, col))
+            i += len(op)
+            col += len(op)
             continue
 
         if ch in SINGLE_CHAR_OPS:

@@ -99,32 +99,33 @@ def _strip_comments(source: str) -> str:
     A block comment is replaced by one space (so ``a/*x*/b`` stays two
     tokens) plus every newline it spanned, keeping all subsequent line
     numbers accurate.  An unterminated block comment reports the line the
-    comment *opened* on.
+    comment *opened* on.  Comments can only start at a ``/``, so the scan
+    jumps from one ``/`` to the next and copies the text between comments
+    as whole slices.
     """
     out: List[str] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        if source.startswith("/*", i):
+    kept = 0  # start of the text not yet copied to *out*
+    i = source.find("/")
+    while i >= 0:
+        follower = source[i + 1:i + 2]
+        if follower == "*":
             end = source.find("*/", i + 2)
             if end < 0:
                 raise PreprocessorError("unterminated block comment",
                                         source.count("\n", 0, i) + 1)
+            out.append(source[kept:i])
             out.append(" ")
             out.append("\n" * source.count("\n", i, end + 2))
-            i = end + 2
-        elif source.startswith("//", i):
+            kept = i = end + 2
+        elif follower == "/":
+            out.append(source[kept:i])
             end = source.find("\n", i)
-            i = n if end < 0 else end
+            kept = i = len(source) if end < 0 else end
         else:
-            out.append(source[i])
             i += 1
+        i = source.find("/", i)
+    out.append(source[kept:])
     return "".join(out)
-
-
-# Backwards-compatible alias (the comment stripper used to handle only block
-# comments; tests and callers may still import it under the old name).
-_strip_block_comments = _strip_comments
 
 
 def _logical_lines(source: str) -> List[Tuple[int, str, int]]:

@@ -8,13 +8,20 @@ measured draw time as
 
 with per-platform sigma (Intel least noisy per Section VI-D-7, mobile worst)
 plus timer quantization.  All randomness is seeded for reproducibility.
+
+The randomness never depends on the true time: :meth:`TimerModel.noise`
+draws the per-query factors ``1 + eps (+ drift)`` on their own and
+:meth:`TimerModel.apply` turns factors into readings, so one stream of
+factors can time any number of shaders under the same seed.
+:meth:`TimerModel.measure` draws and applies in one step and is the
+reference the split path is held to, bit for bit.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -33,31 +40,32 @@ class TimerModel:
             noisy = round(noisy / self.quantum_ns) * self.quantum_ns
         return max(noisy, 0.0)
 
-    def measure_many(self, true_ns: float, rng: random.Random,
-                     count: int) -> List[float]:
-        """*count* consecutive queries, bit-identical to calling
-        :meth:`measure` *count* times on the same ``rng``.
-
-        This is the timer-sampling inner loop (hundreds of queries per
-        measurement protocol run): attribute lookups, the drift/quantum
-        mode tests, and method dispatch are hoisted out of the loop, with
-        every arithmetic expression and RNG-draw order kept exactly as in
-        :meth:`measure` so the float stream — and the ``rng`` state left
-        behind — are unchanged.
+    def noise(self, rng: random.Random, count: int) -> Tuple[float, ...]:
+        """The factors of *count* consecutive queries: the multipliers of
+        the true time that *count* :meth:`measure` calls on the same
+        ``rng`` would use, drawn in the same order and summed with the same
+        float association, so the ``rng`` is left in the same state too.
         """
         gauss = rng.gauss
-        sigma, overhead = self.sigma, self.overhead_ns
-        quantum, drift_sigma = self.quantum_ns, self.drift_sigma
+        sigma, drift_sigma = self.sigma, self.drift_sigma
         if drift_sigma:
-            raw = [true_ns * _noise_factor(gauss(0.0, drift_sigma),
-                                           gauss(0.0, sigma)) + overhead
-                   for _ in range(count)]
-        else:
-            raw = [true_ns * (1.0 + gauss(0.0, sigma) + 0.0) + overhead
-                   for _ in range(count)]
+            return tuple([_noise_factor(gauss(0.0, drift_sigma),
+                                        gauss(0.0, sigma))
+                          for _ in range(count)])
+        return tuple([1.0 + gauss(0.0, sigma) + 0.0 for _ in range(count)])
+
+    def apply(self, true_ns: float,
+              factors: Sequence[float]) -> List[float]:
+        """The readings of queries timing a *true_ns* draw with *factors*
+        (see :meth:`noise`): the arithmetic of :meth:`measure`, one fused
+        expression per query, so the readings equal its results bit for
+        bit."""
+        overhead, quantum = self.overhead_ns, self.quantum_ns
         if quantum > 0:
-            raw = [round(value / quantum) * quantum for value in raw]
-        return [max(value, 0.0) for value in raw]
+            return [max(round((true_ns * factor + overhead) / quantum)
+                        * quantum, 0.0)
+                    for factor in factors]
+        return [max(true_ns * factor + overhead, 0.0) for factor in factors]
 
 
 def _noise_factor(drift: float, noise: float) -> float:
@@ -66,6 +74,6 @@ def _noise_factor(drift: float, noise: float) -> float:
     ``measure`` draws the drift before the noise but sums left-to-right as
     ``(1.0 + noise) + drift``; call arguments evaluate left-to-right, so
     this helper preserves both the RNG draw order and the float-addition
-    association, keeping the batched stream bit-identical.
+    association.
     """
     return 1.0 + noise + drift

@@ -27,6 +27,13 @@ with each platform's spec.  The scalar :class:`~repro.ir.interp.Interpreter`,
 a from-scratch JIT compile, a per-instruction cost walk and
 :meth:`TimerModel.measure <repro.gpu.timing.TimerModel.measure>` are the
 references the tests hold this path to, bit for bit.
+
+Step 5's timer draws depend only on the seed and the platform, never on the
+shader, so an environment keeps the stream of the last seed it measured
+(:func:`~repro.harness.protocol.protocol_noise`) and reuses it while the
+seed repeats.  Every ``tune`` point is measured under the engine's one
+seed, so one stream serves the whole search; the study's per-variant seeds
+never repeat, so there each unit draws its own.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ from repro.errors import HarnessError
 from repro.gpu.cost import CostBreakdown, draw_time_ns, kernel_summary
 from repro.gpu.jit import driver_output_memo
 from repro.gpu.platform import Platform
-from repro.harness.protocol import Measurement, run_protocol
+from repro.harness.protocol import (
+    Measurement, ProtocolNoise, protocol_noise, run_protocol,
+)
 from repro.harness.uniforms import (
     batch_fragment_inputs, default_textures, default_uniform_values,
 )
@@ -104,6 +113,15 @@ class ShaderExecutionEnvironment:
 
     def __init__(self, platform: Platform):
         self.platform = platform
+        # A digest, not hash(): str hashing is salted per process, which
+        # would make measurements (and any persisted result cache) vary
+        # from run to run.
+        self._platform_digest = int.from_bytes(
+            hashlib.sha256(platform.name.encode()).digest()[:8], "big")
+        #: ``(seed, noise)`` of the last seed measured.  It is replaced
+        #: whole, in one attribute store, so threads sharing the
+        #: environment always read a matching pair without a lock.
+        self._noise: Optional[Tuple[int, ProtocolNoise]] = None
 
     def profile(self, module: Module) -> Dict[str, float]:
         """Average dynamic block-visit counts over the sample fragments.
@@ -154,14 +172,13 @@ class ShaderExecutionEnvironment:
 
     def _measure_prepared(self, prepared: PreparedMeasurement,
                           seed: int) -> ExecutionReport:
-        # A digest, not hash(): str hashing is salted per process, which
-        # would make measurements (and any persisted result cache) vary
-        # from run to run.
-        platform_digest = int.from_bytes(
-            hashlib.sha256(self.platform.name.encode()).digest()[:8], "big")
-        rng = random.Random((seed * 1_000_003) ^ platform_digest)
-        measurement = run_protocol(prepared.true_ns, self.platform.timer, rng,
-                                   draws_per_frame=self.platform.draws_per_frame)
+        slot = self._noise
+        if slot is None or slot[0] != seed:
+            rng = random.Random((seed * 1_000_003) ^ self._platform_digest)
+            slot = (seed, protocol_noise(self.platform.timer, rng))
+            self._noise = slot
+        measurement = run_protocol(prepared.true_ns, self.platform.timer,
+                                   slot[1])
         return ExecutionReport(cost=prepared.cost, true_ns=prepared.true_ns,
                                measurement=measurement,
                                interface=prepared.module.interface)

@@ -5,6 +5,14 @@ run for 100 frames, and then repeated 5 times per shader variant.  These
 large numbers of samples are used to reduce noise."  Each frame's sample is
 the mean over the frame's draw calls; the protocol reports the mean of the
 five repeat means plus dispersion statistics.
+
+The protocol's randomness is drawn apart from its arithmetic:
+:func:`protocol_noise` draws one run's timer factors from an rng, and
+:func:`run_protocol` applies them to a true draw time.  The draws never
+depend on the true time, so every shader measured under one seed on one
+platform can share one stream; applying it is bit-identical to one
+:meth:`TimerModel.measure <repro.gpu.timing.TimerModel.measure>` call per
+frame on that rng.
 """
 
 from __future__ import annotations
@@ -12,12 +20,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 from repro.gpu.timing import TimerModel
 
 FRAMES_PER_RUN = 100
 REPEATS = 5
+
+#: One protocol run's timer factors: one tuple of per-frame factors per
+#: repeat.
+ProtocolNoise = Tuple[Tuple[float, ...], ...]
 
 
 @dataclass
@@ -33,21 +45,28 @@ class Measurement:
         return self.mean_ns / 1000.0
 
 
-def run_protocol(true_ns: float, timer: TimerModel, rng: random.Random,
-                 frames: int = FRAMES_PER_RUN, repeats: int = REPEATS,
-                 draws_per_frame: int = 1) -> Measurement:
-    """Simulate the full measurement protocol for a known true draw time.
+def protocol_noise(timer: TimerModel, rng: random.Random,
+                   frames: int = FRAMES_PER_RUN,
+                   repeats: int = REPEATS) -> ProtocolNoise:
+    """Draw the timer factors of one protocol run, repeat by repeat.
 
     Each frame's sample is one representative timed draw (noise across a
-    frame's draws is highly correlated — thermal state, clocks — so
-    additional draws add little independent information).  A repeat's
-    frames are sampled through :meth:`TimerModel.measure_many`, which is
-    bit-identical to calling :meth:`TimerModel.measure` once per frame.
+    frame's draw calls is highly correlated — thermal state, clocks — so
+    additional draws add little independent information).
     """
+    return tuple(timer.noise(rng, frames) for _ in range(repeats))
+
+
+def run_protocol(true_ns: float, timer: TimerModel,
+                 noise: ProtocolNoise) -> Measurement:
+    """Simulate the full measurement protocol for a known true draw time,
+    timing each frame with its factor from *noise* (see
+    :func:`protocol_noise`) through :meth:`TimerModel.apply
+    <repro.gpu.timing.TimerModel.apply>`, one pass per repeat."""
     repeat_means: List[float] = []
-    for _ in range(repeats):
-        frame_samples = timer.measure_many(true_ns, rng, frames)
-        repeat_means.append(sum(frame_samples) / len(frame_samples))
+    for factors in noise:
+        samples = timer.apply(true_ns, factors)
+        repeat_means.append(sum(samples) / len(samples))
     mean = sum(repeat_means) / len(repeat_means)
     variance = sum((m - mean) ** 2 for m in repeat_means) / max(
         len(repeat_means) - 1, 1)

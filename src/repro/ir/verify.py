@@ -135,8 +135,3 @@ def verify_function(function: Function) -> None:
                 raise IRError(f"{instr.name}: select arm types differ")
             if instr.cond.ty.kind != "bool":
                 raise IRError(f"{instr.name}: select condition is not bool")
-
-
-def verify_module(module) -> None:
-    """Verify the module's function (see :func:`verify_function`)."""
-    verify_function(module.function)

@@ -35,7 +35,3 @@ def fmt_cell(value: object) -> str:
             return f"{value:+.2f}"
         return f"{value:+.4g}"
     return str(value)
-
-
-# Backwards-compatible alias (pre-report-pipeline name).
-_fmt = fmt_cell

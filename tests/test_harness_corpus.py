@@ -16,7 +16,7 @@ from repro.corpus.generator import corpus_families
 from repro.glsl import parse_shader, preprocess, shader_interface
 from repro.gpu.vendors import INTEL, NVIDIA
 from repro.harness.environment import ShaderExecutionEnvironment
-from repro.harness.protocol import run_protocol
+from repro.harness.protocol import protocol_noise, run_protocol
 from repro.harness.results import StudyResult
 from repro.harness.study import StudyConfig, run_study
 from repro.harness.uniforms import (
@@ -85,8 +85,8 @@ def test_generated_vertex_shader_parses_and_matches_interface():
 
 def test_protocol_shape_and_determinism():
     timer = TimerModel(sigma=0.02, overhead_ns=0.0, quantum_ns=1.0)
-    m1 = run_protocol(50000.0, timer, random.Random(3))
-    m2 = run_protocol(50000.0, timer, random.Random(3))
+    m1 = run_protocol(50000.0, timer, protocol_noise(timer, random.Random(3)))
+    m2 = run_protocol(50000.0, timer, protocol_noise(timer, random.Random(3)))
     assert m1.mean_ns == m2.mean_ns
     assert len(m1.repeat_means) == 5
     assert m1.std_ns < m1.mean_ns * 0.01  # frame averaging crushes noise

@@ -281,8 +281,9 @@ def test_run_many_split_into_sub_batches_is_equivalent():
 
 
 def test_timer_measure_many_bit_identical_to_measure_loop():
-    """measure_many must reproduce measure()'s float stream exactly —
-    including drift models — and leave the rng in the identical state."""
+    """Applying the factors noise() draws must reproduce measure()'s float
+    stream exactly — including drift models — and noise() must leave the
+    rng in the identical state."""
     drifty = [p for p in all_platforms() if p.timer.drift_sigma > 0.0]
     steady = [p for p in all_platforms() if p.timer.drift_sigma == 0.0]
     assert drifty and steady, "need both timer families for coverage"
@@ -290,6 +291,6 @@ def test_timer_measure_many_bit_identical_to_measure_loop():
         timer = platform.timer
         rng_a, rng_b = random.Random(99), random.Random(99)
         expected = [timer.measure(1234.5, rng_a) for _ in range(250)]
-        got = timer.measure_many(1234.5, rng_b, 250)
+        got = timer.apply(1234.5, timer.noise(rng_b, 250))
         assert got == expected, platform.name
         assert rng_a.getstate() == rng_b.getstate(), platform.name

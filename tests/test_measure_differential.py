@@ -2,8 +2,9 @@
 
 The measurement path (a driver-JIT compile from the source's shared
 cleaned prefix, one lane-batched interpreter profile and kernel summary
-per distinct driver output, the summary folded per platform, hoisted timer
-sampling) must reproduce the measurement oracle
+per distinct driver output, the summary folded per platform, one stream of
+timer factors per seed applied to every text measured under it) must
+reproduce the measurement oracle
 (``helpers.reference_measurement``: a from-scratch vendor pipeline, one
 scalar interpreter run per sample fragment, a per-instruction cost walk,
 one ``TimerModel.measure`` call per frame) bit for bit — through
@@ -12,7 +13,9 @@ one ``TimerModel.measure`` call per frame) bit for bit — through
 platform and for a seeded slice of the synthesized and hand-written
 corpus.  The profile and the protocol are also held to
 their own references (``helpers.reference_profile`` and
-``helpers.reference_protocol``), and a whole study to both oracles.
+``helpers.reference_protocol``), and a whole study to both oracles.  The
+shared timer stream is checked on its own: for any true time, under seed
+changes, and across threads sharing one engine.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     assert_report_identical, count_calls, naive_variants,
@@ -32,10 +36,13 @@ from repro.gpu.jit import (
     clear_frontend_memo, driver_output_memo, jit_pipeline_steps,
 )
 from repro.gpu.platform import all_platforms
+from repro.gpu.timing import TimerModel
 from repro.harness.environment import (
     SAMPLE_FRAGMENTS, ShaderExecutionEnvironment, measure_mode,
 )
-from repro.harness.protocol import FRAMES_PER_RUN, REPEATS, run_protocol
+from repro.harness.protocol import (
+    FRAMES_PER_RUN, REPEATS, protocol_noise, run_protocol,
+)
 from repro.harness.study import StudyConfig, _variant_seed, run_study
 from repro.harness.uniforms import (
     batch_fragment_inputs, default_textures, default_uniform_values,
@@ -129,9 +136,9 @@ def test_run_protocol_matches_per_frame_reference(platform):
     for true_ns, frames, repeats in ((4246.875, FRAMES_PER_RUN, REPEATS),
                                      (120397.75, 7, 3), (3.0, 1, 1)):
         rng, reference_rng = random.Random(41), random.Random(41)
-        measurement = run_protocol(true_ns, platform.timer, rng,
-                                   frames=frames, repeats=repeats,
-                                   draws_per_frame=platform.draws_per_frame)
+        noise = protocol_noise(platform.timer, rng, frames=frames,
+                               repeats=repeats)
+        measurement = run_protocol(true_ns, platform.timer, noise)
         expected = reference_protocol(true_ns, platform.timer,
                                       reference_rng, frames=frames,
                                       repeats=repeats)
@@ -141,6 +148,125 @@ def test_run_protocol_matches_per_frame_reference(platform):
         assert measurement.repeat_means == expected.repeat_means, context
         assert len(measurement.repeat_means) == repeats, context
         assert rng.getstate() == reference_rng.getstate(), context
+
+
+# ---------------------------------------------------------------------------
+# One timer stream per seed, shared across the texts measured under it
+# ---------------------------------------------------------------------------
+
+
+#: Every platform's timer, plus one without quantization.
+TIMERS = ([(platform.name, platform.timer) for platform in all_platforms()]
+          + [("unquantized", TimerModel(sigma=0.03, overhead_ns=250.0,
+                                        quantum_ns=0.0, drift_sigma=0.01))])
+
+
+@pytest.mark.parametrize("timer", [timer for _, timer in TIMERS],
+                         ids=[name for name, _ in TIMERS])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       true_times=st.lists(st.floats(min_value=0.0, max_value=1e12),
+                           min_size=1, max_size=4))
+def test_one_noise_stream_times_any_true_time(timer, seed, true_times):
+    """The safety argument for sharing a seed's stream: the draws never
+    depend on the true time, so one stream applied to any true time equals
+    the per-frame reference on a fresh rng of that seed."""
+    noise = protocol_noise(timer, random.Random(seed))
+    for true_ns in true_times:
+        measurement = run_protocol(true_ns, timer, noise)
+        expected = reference_protocol(true_ns, timer, random.Random(seed))
+        assert measurement.mean_ns == expected.mean_ns, true_ns
+        assert measurement.std_ns == expected.std_ns, true_ns
+        assert measurement.repeat_means == expected.repeat_means, true_ns
+
+
+@pytest.mark.parametrize("platform", all_platforms(),
+                         ids=lambda platform: platform.name)
+def test_texts_measured_under_one_seed_draw_the_noise_once(monkeypatch,
+                                                           platform):
+    texts = [MOTIVATING_SHADER,
+             optimize_source(MOTIVATING_SHADER,
+                             OptimizationFlags.from_index(255))]
+    env = ShaderExecutionEnvironment(platform)
+    draws = count_calls(monkeypatch, random.Random, "gauss")
+    reports = [env.run(text, seed=5) for text in texts]
+    per_frame = 2 if platform.timer.drift_sigma else 1
+    assert len(draws) == FRAMES_PER_RUN * REPEATS * per_frame
+    assert reports[0].true_ns != reports[1].true_ns
+    for text, report in zip(texts, reports):
+        assert_report_identical(
+            report, reference_measurement(platform, text, 5), text[:40])
+
+
+def test_seed_changes_replace_the_stream():
+    """Seeds A, B, A, A on one environment: each run draws or reuses the
+    stream of its own seed."""
+    for platform in (all_platforms()[0], all_platforms()[3]):
+        env = ShaderExecutionEnvironment(platform)
+        for seed in (21, 8, 21, 21):
+            assert_report_identical(
+                env.run(MOTIVATING_SHADER, seed=seed),
+                reference_measurement(platform, MOTIVATING_SHADER, seed),
+                (platform.name, seed))
+
+
+def test_threads_sharing_an_engine_measure_mixed_seeds_exactly():
+    """Service workers are threads sharing one engine, and so its
+    environments.  More threads than cores measure mixed seeds and texts
+    with the GIL switching often; every report and sample must still equal
+    the oracle."""
+    import os
+    import sys
+    import threading
+
+    texts = [MOTIVATING_SHADER,
+             optimize_source(MOTIVATING_SHADER,
+                             OptimizationFlags.from_index(255))]
+    platforms = [all_platforms()[0], all_platforms()[3]]
+    units = [(text, platform, seed) for text in texts
+             for platform in platforms for seed in (3, 4, 3, 9)]
+    expected = {(text, platform.name, seed):
+                reference_measurement(platform, text, seed)
+                for text, platform, seed in units}
+    engine = EvaluationEngine(platforms=platforms)
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    workers = cores + 2
+    results, errors = [], []
+
+    def measure(offset, start):
+        try:
+            start.wait(timeout=60)
+            for step in range(2 * len(units)):
+                text, platform, seed = units[(step + offset) % len(units)]
+                key = (text, platform.name, seed)
+                report = engine.environment(platform.name).run(text, seed)
+                sample = engine.measure(text, platform.name, seed)
+                results.append((key, report, sample))
+        except Exception as exc:  # re-raised below, in the test's thread
+            errors.append(exc)
+
+    start = threading.Barrier(workers)
+    threads = [threading.Thread(target=measure, args=(offset * 3, start))
+               for offset in range(workers)]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(results) == workers * 2 * len(units)
+    for key, report, sample in results:
+        reference = expected[key]
+        assert_report_identical(report, reference, key[1:])
+        assert sample.mean_ns == reference.measurement.mean_ns, key[1:]
+        assert sample.static_ops == reference.cost.static_ops, key[1:]
+        assert sample.registers == reference.cost.registers, key[1:]
 
 
 def test_prepare_compiles_once_per_platform_and_source(monkeypatch):

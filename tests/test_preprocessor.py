@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PreprocessorError
-from repro.glsl.preprocessor import preprocess
+from repro.glsl.preprocessor import _strip_comments, preprocess
 
 
 def text(source, defines=None):
@@ -269,6 +269,28 @@ def test_block_comment_preserves_newlines():
     src = "float a;\n/* one\ntwo */\nfloat b;\n"
     out = text(src)
     assert out.splitlines().index("float b;") == 3
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("a /", "a /"),                     # "/" at end of input
+    ("a/b", "a/b"),                     # a lone "/" is kept
+    ("x/**/y", "x y"),                  # empty block comment
+    ("x/*/ */y", "x y"),                # "/*/" does not close the comment
+    ("x/* // \n */y", "x \ny"),         # "//" inside "/* */"
+    ("x // /* \ny", "x \ny"),           # "/*" inside "//"
+    ("x // end", "x "),                 # "//" comment without a newline
+    ("/**//x/**/", " /x "),             # back-to-back comments
+    ("a\nb\nc /* d\ne", 3),             # unterminated "/*" opened on line 3
+])
+def test_strip_comments_edge_cases(source, expected):
+    """The comment stripper's output, or (an int) the line its error
+    names."""
+    if isinstance(expected, int):
+        with pytest.raises(PreprocessorError) as excinfo:
+            _strip_comments(source)
+        assert excinfo.value.line == expected
+    else:
+        assert _strip_comments(source) == expected
 
 
 def test_directive_lines_preserved_as_blanks():
