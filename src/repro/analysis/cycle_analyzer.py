@@ -62,9 +62,9 @@ def _block_weights(function: Function) -> Dict[str, float]:
 
 
 def _static_trip_count(function: Function, loop) -> float:
-    from repro.passes.unroll import _plan
+    from repro.passes.unroll import plan_loop
 
-    plan = _plan(function, loop, max_trips=1024, max_growth=10 ** 9)
+    plan = plan_loop(function, loop, trip_cap=1024)
     if plan is None:
         return _DEFAULT_TRIPS
-    return float(plan[1])
+    return float(plan.trips)

@@ -4,8 +4,12 @@ OpenGL drivers receive GLSL source and compile it with their own (opaque)
 optimizer.  Each vendor's JIT here re-parses the (possibly offline-optimized)
 source through the shared frontend and applies a vendor-specific pipeline:
 the always-on canonical cleanup, a driver unroller with vendor limits, and a
-subset of the safe passes.  No JIT performs the unsafe FP passes — a
-conformant driver cannot (paper Section III-B).
+subset of the offline flag passes.  None runs the reassociation passes
+(``reassociate``, ``fp_reassociate``), but every stock pipeline runs
+``div_to_mul``, which :mod:`repro.passes.div_to_mul` and
+:mod:`repro.passes.flags` call unsafe because the compile-time reciprocal
+rounds.  Whether a conformant driver may do that is an open question;
+changing a pipeline changes every measured time.
 
 The redundancy (or absence) of each offline flag in a vendor's JIT is one of
 the two mechanisms behind the paper's cross-platform variance.
@@ -18,15 +22,30 @@ platforms parses each text once.  Every vendor pipeline then starts with
 the same step, the cleanup, so the source's memo entry also keeps that
 step's result: a cleaned name-preserving clone of the front-end module
 (the *prefix*), built the first time any driver compiles the text.
-:meth:`VendorJIT.compile` clones the prefix (exactly equivalent to lowering
-fresh and cleaning — see :mod:`repro.ir.clone`), runs only the driver's own
-unroll and safe passes, and records the steps that changed the module in
-``Module.driver_steps``.  Two drivers with equal steps compile a text to
-identical IR, because a step that reports no change leaves the IR alone
+
+The drivers' pipelines differ only in their unroll limits and safe passes,
+so they share most steps too.  A compile is a walk from the prefix, state
+``()``, where a state is the tuple of steps that changed the IR so far
+(``Module.driver_steps``).  The driver unroller runs as rounds, as in
+:func:`~repro.passes.unroll.unroll`: each round unrolls the first loop
+within the driver's limits and is the step ``("unroll", loop index,
+trips)``; ``("cleanup",)`` follows the last round; each safe pass that
+changes the IR is the step ``(name,)``.  The entry's step memo maps
+``(state, step)`` to the state after it, and ``(state, ("loops", trip
+cap))`` to the state's limit-free loop sizes
+(:func:`~repro.passes.unroll.loop_sizes`), from which every driver picks
+its round.  :meth:`VendorJIT.compile` follows the memo while it hits, and
+runs a missed step on its one private module, cloned from the prefix the
+first time the walk needs IR and brought to the walk's state by replaying
+the steps it skipped.  Drivers that unroll the same loops share
+the rounds and everything after them.  Two compiles with equal steps
+produce identical IR, because every step is a deterministic function of
+the IR it runs on and a step that reports no change leaves the IR alone
 (``tests/test_cleanup_properties.py``), so the measurement path analyses
 each distinct driver output once and keeps the analysis in the same entry
-(:func:`driver_output_memo`).  Nothing stored in an entry is ever mutated,
-and an entry goes as a whole: by LRU eviction or :func:`clear_frontend_memo`.
+(:func:`driver_output_memo`).  The step memo holds no IR, nothing stored
+in an entry is ever mutated, and an entry goes as a whole: by LRU eviction
+or :func:`clear_frontend_memo`.
 """
 
 from __future__ import annotations
@@ -39,13 +58,15 @@ from typing import Dict, Optional, Tuple
 from repro.glsl import parse_shader, preprocess
 from repro.ir import lower_shader, promote_to_ssa
 from repro.ir.clone import clone_module
-from repro.ir.module import Module
+from repro.ir.module import Function, Module
 from repro.passes.coalesce import coalesce
 from repro.passes.div_to_mul import div_to_mul
 from repro.passes.gvn import gvn
 from repro.passes.hoist import hoist
 from repro.passes.manager import run_cleanup, run_step
-from repro.passes.unroll import unroll
+from repro.passes.unroll import (
+    MAX_ROUNDS, MAX_TRIPS, first_fit, loop_sizes, unroll_round,
+)
 
 _SAFE_PASSES = {
     "gvn": gvn,
@@ -58,10 +79,10 @@ _SAFE_PASSES = {
 class _FrontEnd:
     """One source text's memo entry.  Its modules are never mutated: the
     vendor JITs, the offline compiler and its variant walk all clone
-    ``module`` or ``prefix`` before optimizing.  ``prefix`` and
+    ``module`` or ``prefix`` before optimizing.  ``prefix``, ``steps`` and
     ``driver_outputs`` fill in as the text is compiled and measured."""
 
-    __slots__ = ("module", "prefix", "driver_outputs")
+    __slots__ = ("module", "prefix", "steps", "driver_outputs")
 
     def __init__(self, module: Module):
         #: The pristine lowered, SSA-promoted module.
@@ -69,6 +90,10 @@ class _FrontEnd:
         #: The cleaned clone every vendor pipeline starts from (built by
         #: the first :meth:`VendorJIT.compile` of the text).
         self.prefix: Optional[Module] = None
+        #: The driver pipelines' step memo: ``(state, step) -> state
+        #: after`` and ``(state, ("loops", trip cap)) -> loop sizes``,
+        #: where a state is a ``driver_steps`` tuple.  It holds no IR.
+        self.steps: Dict[Tuple, Tuple] = {}
         #: Per-``driver_steps`` analyses of this text's driver outputs.
         self.driver_outputs: Dict[Tuple, object] = {}
 
@@ -102,8 +127,8 @@ def shared_frontend(source: str) -> Module:
 
 
 def clear_frontend_memo() -> None:
-    """Drop the shared front-end memo, with every prefix and driver-output
-    analysis it holds (tests and memory-sensitive callers)."""
+    """Drop the shared front-end memo, with every prefix, step memo and
+    driver-output analysis it holds (tests and memory-sensitive callers)."""
     with _FRONTEND_LOCK:
         _FRONTEND_MEMO.clear()
 
@@ -119,28 +144,35 @@ def driver_output_memo(source: str) -> Dict[Tuple, object]:
     return {} if entry is None else entry.driver_outputs
 
 
-def _cleaned_prefix(source: str) -> Module:
-    """``run_cleanup`` on a name-preserving clone of the front-end module,
-    run once per memo entry (a race may build it twice; both are equal).
-    The lookup goes through :func:`shared_frontend`, which keeps the
-    entry's place in the LRU current."""
+def _prefixed_entry(source: str) -> _FrontEnd:
+    """*source*'s memo entry with its prefix, built once per entry (a race
+    may build it twice; both are equal).  The lookup goes through
+    :func:`shared_frontend`, which keeps the entry's place in the LRU
+    current; an entry evicted since is replaced by an unshared one."""
     frontend = shared_frontend(source)
-    entry = _memo_entry(source)
-    if entry is not None and entry.prefix is not None:
-        return entry.prefix
+    entry = _memo_entry(source) or _FrontEnd(frontend)
+    if entry.prefix is None:
+        entry.prefix = _build_prefix(frontend)
+    return entry
+
+
+def _build_prefix(frontend: Module) -> Module:
+    """``run_cleanup`` on a name-preserving clone of *frontend*."""
     prefix = clone_module(frontend, preserve_names=True)
     run_cleanup(prefix.function)
     _count_jit_steps(1)
-    if entry is not None:
-        entry.prefix = prefix
     return prefix
 
 
-#: Pipeline steps (cleanup / unroll / safe pass) executed by
-#: ``VendorJIT.compile`` so far.  The cleanup counts once per source, when
-#: the prefix is built.  An unroll or safe-pass step counts even when it
-#: changed nothing and so skipped its cleanup (``run_step``): the cleanup
-#: would have left the already-cleaned IR as it was.
+def _cleaned_prefix(source: str) -> Module:
+    """The cleaned prefix every vendor pipeline of *source* starts from."""
+    return _prefixed_entry(source).prefix
+
+
+#: Pipeline steps that ``VendorJIT.compile`` ran on IR so far: the prefix
+#: cleanup, once per source; each loop scan, unroll round, post-unroll
+#: cleanup and safe pass run on a step-memo miss; and each step replayed to
+#: bring a walk's module to its state.  A memo hit counts nothing.
 _JIT_STEPS = 0
 _JIT_STEPS_LOCK = threading.Lock()
 
@@ -157,6 +189,90 @@ def _count_jit_steps(steps: int) -> None:
         _JIT_STEPS += steps
 
 
+def _run(function: Function, step: Tuple) -> bool:
+    """Run one pipeline step on *function*; True when it changed the IR."""
+    _count_jit_steps(1)
+    if step[0] == "unroll":
+        unroll_round(function, step[1], step[2])
+        return True
+    if step[0] == "cleanup":
+        run_cleanup(function)
+        return True
+    return bool(run_step(function, _SAFE_PASSES[step[0]]))
+
+
+class _Walk:
+    """One compile's way through its source's step memo.
+
+    ``module`` is the walk's one private module, at state ``at``: cloned
+    from the prefix the first time the walk needs IR, it falls behind
+    while the walk follows memo hits, and catches up by replaying the
+    steps it skipped when the walk next needs IR.
+    """
+
+    __slots__ = ("prefix", "memo", "module", "at")
+
+    def __init__(self, entry: _FrontEnd):
+        self.prefix: Module = entry.prefix
+        self.memo = entry.steps
+        self.module: Optional[Module] = None
+        self.at: Tuple = ()
+
+    def ir(self, state: Tuple) -> Function:
+        """The IR at *state*, on the walk's module."""
+        if self.module is None:
+            self.module = clone_module(self.prefix, preserve_names=True)
+        function = self.module.function
+        for step in state[len(self.at):]:
+            if not _run(function, step):
+                raise AssertionError(f"replayed step {step} changed nothing")
+        self.at = state
+        return function
+
+    def loops(self, state: Tuple, trip_cap: int) -> Tuple:
+        """Limit-free ``loop_sizes`` of the IR at *state*."""
+        key = (state, ("loops", trip_cap))
+        sizes = self.memo.get(key)
+        if sizes is None:
+            sizes = loop_sizes(self.ir(state), trip_cap)
+            _count_jit_steps(1)
+            self.memo[key] = sizes
+        return sizes
+
+    def step(self, state: Tuple, step: Tuple) -> Tuple:
+        """The state after *step*, run on the walk's module on a miss."""
+        key = (state, step)
+        after = self.memo.get(key)
+        if after is None:
+            after = state + (step,) if _run(self.ir(state), step) else state
+            self.at = after
+            self.memo[key] = after
+        return after
+
+
+class _DriverModule(Module):
+    """A driver's compile of a source: ``driver_steps`` and ``interface``
+    are set at once, ``function`` is built on first read, from the walk's
+    module or by replaying the steps on a clone of the prefix.  The IR is
+    private to this object."""
+
+    def __init__(self, walk: _Walk, steps: Tuple):
+        self._walk: Optional[_Walk] = walk
+        super().__init__(None, walk.prefix.interface, walk.prefix.version)
+        self.driver_steps = steps
+
+    @property
+    def function(self) -> Function:
+        if self._function is None:
+            self._function = self._walk.ir(self.driver_steps)
+            self._walk = None
+        return self._function
+
+    @function.setter
+    def function(self, function: Function) -> None:
+        self._function = function
+
+
 @dataclass(frozen=True)
 class VendorJIT:
     """One driver compiler: which redundant optimizations it already does."""
@@ -171,27 +287,31 @@ class VendorJIT:
     def compile(self, source: str) -> Module:
         """Parse and optimize GLSL the way this vendor's driver would.
 
-        Returns a private module: a clone of the source's cleaned prefix,
-        with this driver's unroll and safe passes run on it and the steps
-        that changed it in ``driver_steps`` (the unroller with its limits,
-        e.g. ``(("unroll", 32, 2048), ("gvn",))``).
+        Walks this driver's pipeline through the source's step memo (see
+        the module docstring) and returns a module whose ``driver_steps``
+        are the steps that changed the prefix, e.g.
+        ``(("unroll", 0, 9), ("cleanup",), ("gvn",))``.  Its IR is built
+        on the first read of ``function`` and is private to it.
         """
-        module = clone_module(_cleaned_prefix(source), preserve_names=True)
-        function = module.function
-        changed = []
-        steps = len(self.passes)
+        walk = _Walk(_prefixed_entry(source))
+        state: Tuple = ()
         if self.unroll_max_trips > 0:
-            if run_step(function, unroll, max_trips=self.unroll_max_trips,
-                        max_growth=self.unroll_max_growth):
-                changed.append(("unroll", self.unroll_max_trips,
-                                self.unroll_max_growth))
-            steps += 1
+            # One scan of a state serves every driver with at most
+            # MAX_TRIPS trips, whatever its limits.
+            trip_cap = max(MAX_TRIPS, self.unroll_max_trips)
+            for _ in range(MAX_ROUNDS):
+                chosen = first_fit(walk.loops(state, trip_cap),
+                                   self.unroll_max_trips,
+                                   self.unroll_max_growth)
+                if chosen is None:
+                    break
+                index, (trips, _) = chosen
+                state = walk.step(state, ("unroll", index, trips))
+            if state:  # a round unrolled a loop
+                state = walk.step(state, ("cleanup",))
         for name in self.passes:
-            if run_step(function, _SAFE_PASSES[name]):
-                changed.append((name,))
-        _count_jit_steps(steps)
-        module.driver_steps = tuple(changed)
-        return module
+            state = walk.step(state, (name,))
+        return _DriverModule(walk, state)
 
     #: :meth:`compile` under the name ``perfbench``'s tracer resolves.
     compile_cached = compile

@@ -21,12 +21,6 @@ class Platform:
     timer: TimerModel
     is_mobile: bool = False
 
-    @property
-    def draws_per_frame(self) -> int:
-        """1000 full-screen triangles per frame on desktop, 100 on mobile
-        (paper Section IV-B)."""
-        return 100 if self.is_mobile else 1000
-
     #: 500x500 clipped quad (paper Section IV-B).
     fragments_per_draw: int = 500 * 500
 

@@ -15,16 +15,20 @@ and timed the execution of each draw-call":
 Steps 1–4 are pure functions of (source, platform) — only step 5 consumes
 the measurement seed — so :meth:`ShaderExecutionEnvironment.prepare` does
 them once per unit.  Most of that work does not depend on the platform
-either: drivers whose pipelines changed a text by the same steps
-(``Module.driver_steps``) compile it to identical IR.  So the profile, which
-runs every sample fragment as a lane of one
+either.  The driver JITs share every pipeline step they have in common
+through the source's step memo, and drivers whose pipelines changed a text
+by the same steps (``Module.driver_steps``) compile it to identical IR.  So
+the profile, which runs every sample fragment as a lane of one
 :class:`~repro.ir.interp_batch.BatchedInterpreter` pass, and the
 spec-independent half of the cost model
 (:func:`~repro.gpu.cost.kernel_summary`) run once per distinct driver
 output.  The summary is kept in the source's
 front-end memo entry (:func:`~repro.gpu.jit.driver_output_memo`) and folded
-with each platform's spec.  The scalar :class:`~repro.ir.interp.Interpreter`,
-a from-scratch JIT compile, a per-instruction cost walk and
+with each platform's spec.  A compile builds its IR only when
+``function`` is read, and ``prepare`` reads it only on a summary miss, so a
+unit whose driver output is already summarized builds no IR.  The scalar
+:class:`~repro.ir.interp.Interpreter`, a from-scratch JIT compile, a
+per-instruction cost walk and
 :meth:`TimerModel.measure <repro.gpu.timing.TimerModel.measure>` are the
 references the tests hold this path to, bit for bit.
 
@@ -152,7 +156,8 @@ class ShaderExecutionEnvironment:
 
         The profile and the kernel summary are shared by every driver whose
         compile of *source* has the same ``driver_steps``: only the first
-        one runs them, and each platform folds the summary with its spec.
+        one runs them, and reads the compiled IR to do so; each platform
+        folds the summary with its spec.
         """
         try:
             module = self.platform.jit.compile(source)

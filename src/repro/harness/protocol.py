@@ -2,9 +2,11 @@
 
 Paper Section IV-B: draws are timed with GL_TIME_ELAPSED; "the tests were
 run for 100 frames, and then repeated 5 times per shader variant.  These
-large numbers of samples are used to reduce noise."  Each frame's sample is
-the mean over the frame's draw calls; the protocol reports the mean of the
-five repeat means plus dispersion statistics.
+large numbers of samples are used to reduce noise."  The paper's frames
+hold 1000 draws on desktop and 100 on mobile; the model times one
+representative draw per frame (:func:`protocol_noise` says why).  The
+protocol reports the mean of the five repeat means plus dispersion
+statistics.
 
 The protocol's randomness is drawn apart from its arithmetic:
 :func:`protocol_noise` draws one run's timer factors from an rng, and

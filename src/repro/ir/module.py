@@ -164,9 +164,12 @@ class Module:
         self.function = function
         self.interface = interface
         self.version = version
-        #: The vendor-JIT steps that changed this module, in order (set by
+        #: The vendor-JIT steps that changed the source's cleaned prefix
+        #: into this module, in order: unroll rounds ``("unroll", loop
+        #: index, trips)``, the ``("cleanup",)`` after the last round, and
+        #: each safe pass ``(name,)`` that changed the IR (set by
         #: :meth:`repro.gpu.jit.VendorJIT.compile`); ``None`` on a module
-        #: no driver compiled.
+        #: no driver compiled.  Equal steps mean equal IR.
         self.driver_steps: Optional[Tuple[Tuple, ...]] = None
 
     def dump(self) -> str:

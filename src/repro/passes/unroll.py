@@ -9,13 +9,20 @@ A loop qualifies when:
 - the trip count (found by simulating the induction variable) is at most
   :data:`MAX_TRIPS` and body-size * trips is at most :data:`MAX_GROWTH`.
 
+The first three conditions and the trip count do not depend on the
+limits, so the choice is split in two: :func:`plan_loop` checks legality
+and counts trips up to a cap, and :func:`first_fit` applies the limits.
+:func:`unroll` and the vendor JITs' unroll rounds
+(:meth:`repro.gpu.jit.VendorJIT.compile`) both choose loops through these
+two, so drivers with different limits that pick the same loops agree.
+
 The body blocks are cloned once per iteration (the "large basic blocks"
 artifact follows after the always-on cleanup folds the cloned control flow).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.ir.cfg import NaturalLoop, find_natural_loops, reverse_postorder
 from repro.ir.instructions import (
@@ -29,6 +36,21 @@ from repro.ir.values import Constant, Value
 
 MAX_TRIPS = 64
 MAX_GROWTH = 4096  # instructions
+#: Loops unrolled per call at most; loops are re-discovered after each.
+MAX_ROUNDS = 16
+
+
+class LoopPlan(NamedTuple):
+    """A loop :func:`plan_loop` found unrollable, with what unrolling it
+    needs.  ``trips`` and ``body_size`` come first, so a plan passes
+    wherever :func:`first_fit` takes a ``(trips, body size)`` pair."""
+
+    trips: int
+    body_size: int
+    preheader: BasicBlock
+    exit_block: BasicBlock
+    body_entry: BasicBlock
+    latch: BasicBlock
 
 
 def unroll(function: Function, max_trips: int = MAX_TRIPS,
@@ -40,25 +62,57 @@ def unroll(function: Function, max_trips: int = MAX_TRIPS,
     """
     unrolled = 0
     # Re-discover loops after each unroll (nested loops change shape).
-    for _ in range(16):
+    for _ in range(MAX_ROUNDS):
         loops = find_natural_loops(function)
-        target = None
-        plan = None
-        for loop in loops:
-            plan = _plan(function, loop, max_trips, max_growth)
-            if plan is not None:
-                target = loop
-                break
-        if target is None or plan is None:
+        chosen = first_fit((plan_loop(function, loop, max_trips)
+                            for loop in loops), max_trips, max_growth)
+        if chosen is None:
             break
-        _apply(function, target, *plan)
+        index, plan = chosen
+        _apply(function, loops[index], plan)
         unrolled += 1
     return unrolled
 
 
-def _plan(function: Function, loop: NaturalLoop,
-          max_trips: int = MAX_TRIPS, max_growth: int = MAX_GROWTH):
-    """Check legality and compute (phi, trips, preheader, exit)."""
+def first_fit(sizes: Iterable[Optional[Tuple[int, int]]], max_trips: int,
+              max_growth: int) -> Optional[Tuple[int, Tuple[int, int]]]:
+    """The loop an unroller with these limits takes: ``(index, size)`` of
+    the first ``(trips, body size)`` in *sizes* with at most *max_trips*
+    trips and at most *max_growth* unrolled instructions, or None.  A
+    ``None`` in *sizes* is a loop that cannot be unrolled."""
+    for index, size in enumerate(sizes):
+        if size is not None and size[0] <= max_trips and \
+                size[0] * size[1] <= max_growth:
+            return index, size
+    return None
+
+
+def loop_sizes(function: Function,
+               trip_cap: int) -> Tuple[Optional[Tuple[int, int]], ...]:
+    """``(trips, body size)`` of each loop of ``find_natural_loops`` that
+    :func:`plan_loop` can unroll in at most *trip_cap* trips, else None.
+    Reads *function* only."""
+    return tuple(None if plan is None else (plan.trips, plan.body_size)
+                 for plan in (plan_loop(function, loop, trip_cap)
+                              for loop in find_natural_loops(function)))
+
+
+def unroll_round(function: Function, index: int, trips: int) -> None:
+    """One round of :func:`unroll`: fully unroll the *index*-th loop of
+    ``find_natural_loops``, which :func:`loop_sizes` found to run *trips*
+    times."""
+    loop = find_natural_loops(function)[index]
+    plan = plan_loop(function, loop, trips)
+    if plan is None or plan.trips != trips:
+        raise AssertionError(f"loop {index} no longer unrolls in {trips} "
+                             "trips")
+    _apply(function, loop, plan)
+
+
+def plan_loop(function: Function, loop: NaturalLoop,
+              trip_cap: int) -> Optional[LoopPlan]:
+    """Check legality and count the trips of *loop*, whatever the limits;
+    None when it cannot be unrolled or runs more than *trip_cap* trips."""
     header = loop.header
     if len(loop.latches) != 1:
         return None
@@ -134,7 +188,7 @@ def _plan(function: Function, loop: NaturalLoop,
     # Simulate the induction variable to find the trip count.
     trips = 0
     i = init.value
-    while trips <= max_trips:
+    while trips <= trip_cap:
         taken = _cmp(cond.op, bound.value, i) if flipped else _cmp(
             cond.op, i, bound.value)
         stays = taken if exit_when_false else not taken
@@ -145,10 +199,6 @@ def _plan(function: Function, loop: NaturalLoop,
     else:
         return None
     if trips == 0:
-        return None
-
-    body_size = sum(len(b.instrs) for b in loop.blocks)
-    if body_size * trips > max_growth:
         return None
 
     # Values escaping the loop must be header phis (anything else would need
@@ -170,13 +220,14 @@ def _plan(function: Function, loop: NaturalLoop,
                 if id(value) in loop_values and value not in header_phi_set:
                     return None
 
-    return (phi, trips, preheader, exit_block, body_entry, latch, init, step)
+    body_size = sum(len(b.instrs) for b in loop.blocks)
+    return LoopPlan(trips, body_size, preheader, exit_block, body_entry,
+                    latch)
 
 
-def _apply(function: Function, loop: NaturalLoop, phi: Phi, trips: int,
-           preheader: BasicBlock, exit_block: BasicBlock,
-           body_entry: BasicBlock, latch: BasicBlock,
-           init: Constant, step) -> None:
+def _apply(function: Function, loop: NaturalLoop, plan: LoopPlan) -> None:
+    trips, preheader, exit_block = plan.trips, plan.preheader, plan.exit_block
+    body_entry, latch = plan.body_entry, plan.latch
     header = loop.header
     loop_blocks = [b for b in reverse_postorder(function) if b in loop.blocks]
     header_phis = header.phis()

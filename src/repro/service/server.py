@@ -235,12 +235,16 @@ class StudyService:
         after = self.runner.work_snapshot()
         job.work = {key: after[key] - before[key] for key in after}
         job.finished = time.time()
-        job.state = state
         self.journal.record_state(job.id, state, error=job.error)
         self.journal.flush()
         self.cache.save()
+        # Publish the final event before the state changes: a follower
+        # stops at the first tail that reports a terminal state, so that
+        # tail must already hold the event (``_op_tail`` reads the state
+        # first).
         self._publish(job, {"type": "state", "state": state,
                             "error": job.error, "work": job.work})
+        job.state = state
 
     # ------------------------------------------------------------------
     # Protocol dispatch
@@ -303,8 +307,9 @@ class StudyService:
         if failure is not None:
             return failure
         since = max(0, int(request.get("since") or 0))
+        state = job.state
         events = job.events[since:]
-        return ok_response(id=job.id, state=job.state, error=job.error,
+        return ok_response(id=job.id, state=state, error=job.error,
                            events=events, next=since + len(events))
 
     def _op_cancel(self, request: dict) -> dict:

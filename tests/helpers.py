@@ -37,7 +37,7 @@ from repro.passes.div_to_mul import div_to_mul
 from repro.passes.gvn import gvn
 from repro.passes.hoist import hoist
 from repro.passes.manager import run_cleanup, run_step
-from repro.passes.unroll import unroll
+from repro.passes.unroll import MAX_ROUNDS, unroll
 
 
 DEFAULT_ENV = {
@@ -106,6 +106,23 @@ def reference_jit_compile(jit: VendorJIT, source: str) -> Module:
     for name in jit.passes:
         run_step(function, _DRIVER_PASSES[name])
     return module
+
+
+def unroll_rounds(module: Module) -> int:
+    """The unroll rounds a driver compile took (``driver_steps``)."""
+    return sum(step[0] == "unroll" for step in module.driver_steps)
+
+
+def unshared_jit_steps(jit: VendorJIT, module: Module) -> int:
+    """``jit_pipeline_steps()`` of *jit*'s compile when it shares no step
+    with an earlier one, prefix cleanup aside: a loop scan per unroll round
+    plus the one that ends them, each round and the cleanup after the last,
+    and each safe pass.  *module* is that compile's result."""
+    rounds = unroll_rounds(module)
+    scans = 0
+    if jit.unroll_max_trips > 0:
+        scans = rounds + (rounds < MAX_ROUNDS)
+    return scans + rounds + (rounds > 0) + len(jit.passes)
 
 
 def reference_cost(function: Function, spec: GPUSpec,

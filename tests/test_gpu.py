@@ -285,11 +285,6 @@ def test_five_platforms_match_paper():
     assert sum(p.is_mobile for p in all_platforms()) == 2
 
 
-def test_mobile_draw_count():
-    assert ARM.draws_per_frame == 100
-    assert NVIDIA.draws_per_frame == 1000
-
-
 def test_timer_noise_seeded_and_unbiased():
     timer = TimerModel(sigma=0.02, overhead_ns=100.0, quantum_ns=10.0)
     rng1, rng2 = random.Random(7), random.Random(7)
@@ -374,12 +369,11 @@ def _blur_taps3():
                 if case.name == "blur.taps3")
 
 
-def _count_prefix_cleanups(monkeypatch):
-    """Record the cleanups that build a source's prefix.  A vendor step's
-    own cleanup (``run_step``) calls the pass manager's binding instead."""
+def _count_prefix_builds(monkeypatch):
+    """Record the builds of a source's cleaned prefix."""
     import repro.gpu.jit as jit_module
 
-    return count_calls(monkeypatch, jit_module, "run_cleanup")
+    return count_calls(monkeypatch, jit_module, "_build_prefix")
 
 
 def test_compiled_module_memo_keys_on_the_whole_jit_configuration():
@@ -451,16 +445,16 @@ def test_compiled_module_memo_separates_jits_differing_only_in(
 
 def test_compile_cached_serves_one_module_per_jit_and_source(monkeypatch):
     """Every compile returns a private module (``compile_cached`` is the
-    same method).  The five drivers share one prefix cleanup per source,
-    which ``clear_frontend_memo()`` drops."""
+    same method).  The five drivers share one prefix per source, which
+    ``clear_frontend_memo()`` drops."""
     from repro.corpus import MOTIVATING_SHADER
     from repro.gpu.jit import clear_frontend_memo
     from repro.ir.fingerprint import fingerprint_module
 
     clear_frontend_memo()
-    cleanups = _count_prefix_cleanups(monkeypatch)
+    builds = _count_prefix_builds(monkeypatch)
     first = INTEL.jit.compile(MOTIVATING_SHADER)
-    again = INTEL.jit.compile_cached(MOTIVATING_SHADER)
+    again = INTEL.jit.compile(MOTIVATING_SHADER)
     assert again is not first and again.function is not first.function
     digest = fingerprint_module(first)
     assert fingerprint_module(again) == digest
@@ -470,36 +464,36 @@ def test_compile_cached_serves_one_module_per_jit_and_source(monkeypatch):
 
     for platform in all_platforms():
         platform.jit.compile(MOTIVATING_SHADER)
-    assert len(cleanups) == 1
+    assert len(builds) == 1
     clear_frontend_memo()
     assert fingerprint_module(INTEL.jit.compile(MOTIVATING_SHADER)) == digest
-    assert len(cleanups) == 2
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("platform", all_platforms(),
                          ids=lambda platform: platform.name)
-def test_jit_pipeline_steps_count_each_vendor_step(platform):
-    """The step counter counts the unroller when the driver has one and
-    each safe pass, on every compile; the cleanup counts once per source,
-    on the first compile of it by any driver."""
+def test_jit_pipeline_steps_count_each_vendor_step(platform, monkeypatch):
+    """The step counter counts the steps a compile runs on IR: the prefix
+    cleanup once per source, on the first compile of it by any driver, and
+    each loop scan, unroll round, post-unroll cleanup and safe pass on a
+    step-memo miss.  A repeated compile hits the memo and counts nothing;
+    another driver counts at most its own steps, and no prefix."""
+    from helpers import unshared_jit_steps
     from repro.corpus import MOTIVATING_SHADER
     from repro.gpu.jit import clear_frontend_memo, jit_pipeline_steps
 
-    def vendor_steps(jit):
-        return (1 if jit.unroll_max_trips > 0 else 0) + len(jit.passes)
-
     clear_frontend_memo()
+    builds = _count_prefix_builds(monkeypatch)
     jit = platform.jit
-    steps = vendor_steps(jit)
     before = jit_pipeline_steps()
+    steps = unshared_jit_steps(jit, jit.compile(MOTIVATING_SHADER))
+    assert jit_pipeline_steps() - before == 1 + steps
     jit.compile(MOTIVATING_SHADER)
     assert jit_pipeline_steps() - before == 1 + steps
-    jit.compile_cached(MOTIVATING_SHADER)
-    assert jit_pipeline_steps() - before == 1 + 2 * steps
     other = next(p.jit for p in all_platforms() if p.jit != jit)
-    other.compile(MOTIVATING_SHADER)
-    assert (jit_pipeline_steps() - before
-            == 1 + 2 * steps + vendor_steps(other))
+    other_steps = unshared_jit_steps(other, other.compile(MOTIVATING_SHADER))
+    assert 0 <= jit_pipeline_steps() - before - 1 - steps <= other_steps
+    assert len(builds) == 1
 
 
 #: A 9-trip and a 20-trip loop: Intel (32 trips) unrolls both, Qualcomm
@@ -555,27 +549,31 @@ def test_drivers_with_equal_steps_share_one_summary_and_profile(monkeypatch):
 def test_five_platforms_clean_once_and_profile_each_distinct_output(
         monkeypatch):
     """Measuring a source on all five platforms builds its prefix with one
-    cleanup and runs one profile per distinct ``driver_steps``."""
+    cleanup and runs one profile per distinct ``driver_steps``: Intel and
+    Qualcomm unroll the same loop and share one, AMD, NVIDIA and ARM
+    change nothing and share the other."""
     from repro.corpus import MOTIVATING_SHADER
     from repro.gpu.jit import clear_frontend_memo
     from repro.harness.environment import ShaderExecutionEnvironment
     from repro.ir.interp_batch import BatchedInterpreter
 
     clear_frontend_memo()
-    cleanups = _count_prefix_cleanups(monkeypatch)
+    builds = _count_prefix_builds(monkeypatch)
     profiles = count_calls(monkeypatch, BatchedInterpreter, "run")
     for platform in all_platforms():
         ShaderExecutionEnvironment(platform).run(MOTIVATING_SHADER, seed=2)
-    assert len(cleanups) == 1
+    assert len(builds) == 1
     distinct = {platform.jit.compile(MOTIVATING_SHADER).driver_steps
                 for platform in all_platforms()}
-    assert len(profiles) == len(distinct) == 3
+    assert len(profiles) == len(distinct) == 2
 
 
 def test_measuring_leaves_the_shared_modules_unchanged():
     """The front-end module and the cleaned prefix are shared by every
-    compile of a source; measuring it on all five platforms must not
-    mutate either (each driver pipeline runs on a clone)."""
+    compile of a source; measuring it on all five platforms, building
+    every platform's driver output and running the ARM static analyser
+    must not mutate either (each driver pipeline runs on a clone)."""
+    from repro.analysis.cycle_analyzer import arm_static_cycles
     from repro.gpu.jit import _cleaned_prefix, clear_frontend_memo, \
         shared_frontend
     from repro.harness.environment import ShaderExecutionEnvironment
@@ -593,10 +591,80 @@ def test_measuring_leaves_the_shared_modules_unchanged():
 
     for platform in all_platforms():
         ShaderExecutionEnvironment(platform).run(TWO_LOOP_SRC, seed=3)
+    for platform in all_platforms():
+        assert platform.jit.compile(TWO_LOOP_SRC).function.blocks
+    assert arm_static_cycles(TWO_LOOP_SRC) > 0
     assert shared_frontend(TWO_LOOP_SRC) is frontend
     assert _cleaned_prefix(TWO_LOOP_SRC) is prefix
     assert digests == (fingerprint_module(frontend),
                        fingerprint_module(prefix))
+
+
+def test_compile_builds_its_ir_only_when_read(monkeypatch):
+    """A compile's ``driver_steps`` and ``interface`` are set at once, and
+    its IR is built on the first read of ``function``.  Once every driver
+    has compiled a source, compiling it again clones nothing and runs no
+    step until ``function`` is read; the IR then built is the compile's
+    own, so wrecking it leaves later compiles intact."""
+    import repro.gpu.jit as jit_module
+    from repro.gpu.jit import (
+        clear_frontend_memo, jit_pipeline_steps, shared_frontend,
+    )
+    from repro.ir.fingerprint import fingerprint_module
+
+    clear_frontend_memo()
+    digests = {platform.name: fingerprint_module(
+        platform.jit.compile(TWO_LOOP_SRC)) for platform in all_platforms()}
+    clones = count_calls(monkeypatch, jit_module, "clone_module")
+    before = jit_pipeline_steps()
+    modules = {platform.name: platform.jit.compile(TWO_LOOP_SRC)
+               for platform in all_platforms()}
+    interface = shared_frontend(TWO_LOOP_SRC).interface
+    assert all(module.interface is interface for module in modules.values())
+    assert len({module.driver_steps for module in modules.values()}) == 4
+    assert (len(clones), jit_pipeline_steps() - before) == (0, 0)
+
+    for name, module in modules.items():
+        function = module.function
+        assert module.function is function, "read twice, built twice"
+        assert fingerprint_module(module) == digests[name], name
+        function.blocks.clear()
+    assert len(clones) == len(modules)
+    for platform in all_platforms():
+        assert (fingerprint_module(platform.jit.compile(TWO_LOOP_SRC))
+                == digests[platform.name]), platform.name
+
+
+def test_drivers_unrolling_the_same_loops_share_steps_and_profile(
+        monkeypatch):
+    """Intel (at most 32 trips and 2,048 instructions) and Qualcomm (16 and
+    768) have different unroll limits, but both unroll the motivating
+    shader's one 9-trip loop.  They take the same unroll round, record
+    equal steps and run one profile between them."""
+    from helpers import assert_report_identical, reference_measurement
+    from repro.corpus import MOTIVATING_SHADER
+    from repro.gpu.jit import clear_frontend_memo
+    from repro.harness.environment import ShaderExecutionEnvironment
+    from repro.ir.interp_batch import BatchedInterpreter
+
+    assert ((INTEL.jit.unroll_max_trips, INTEL.jit.unroll_max_growth)
+            == (32, 2048))
+    assert ((QUALCOMM.jit.unroll_max_trips, QUALCOMM.jit.unroll_max_growth)
+            == (16, 768))
+    clear_frontend_memo()
+    profiles = count_calls(monkeypatch, BatchedInterpreter, "run")
+    reports = {platform.name: ShaderExecutionEnvironment(platform).run(
+        MOTIVATING_SHADER, seed=6) for platform in (INTEL, QUALCOMM)}
+    intel = INTEL.jit.compile(MOTIVATING_SHADER).driver_steps
+    qualcomm = QUALCOMM.jit.compile(MOTIVATING_SHADER).driver_steps
+    assert intel == qualcomm
+    assert intel[:2] == (("unroll", 0, 9), ("cleanup",))
+    assert len(profiles) == 1
+    for platform in (INTEL, QUALCOMM):
+        assert_report_identical(
+            reports[platform.name],
+            reference_measurement(platform, MOTIVATING_SHADER, 6),
+            platform.name)
 
 
 def test_threads_measuring_the_same_sources_match_the_oracle():

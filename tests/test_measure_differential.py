@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     assert_report_identical, count_calls, naive_variants,
     reference_measurement, reference_profile, reference_protocol,
+    unshared_jit_steps,
 )
 from repro.core.pipeline import ShaderCompiler, optimize_source
 from repro.corpus import MOTIVATING_SHADER, default_corpus
@@ -270,31 +271,31 @@ def test_threads_sharing_an_engine_measure_mixed_seeds_exactly():
 
 
 def test_prepare_compiles_once_per_platform_and_source(monkeypatch):
-    """A second preparation of a (source, platform) unit re-runs only the
-    vendor's own steps: the cleaned prefix and the kernel summary of the
-    first are reused, so it runs no prefix cleanup and no profile, for an
-    equal cost and draw time.  The summaries live in the source's
-    front-end memo entry, so ``clear_frontend_memo()`` drops them."""
+    """A second preparation of a (source, platform) unit runs no pipeline
+    step: its walk hits the step memo all the way, and the cleaned prefix
+    and the kernel summary of the first are reused, so it runs no prefix
+    cleanup and no profile, for an equal cost and draw time.  The step
+    memo and the summaries live in the source's front-end memo entry, so
+    ``clear_frontend_memo()`` drops them."""
     import repro.gpu.jit as jit_module
 
     clear_frontend_memo()
     platform = all_platforms()[0]
-    jit = platform.jit
-    vendor_steps = (1 if jit.unroll_max_trips > 0 else 0) + len(jit.passes)
-    cleanups = count_calls(monkeypatch, jit_module, "run_cleanup")
+    builds = count_calls(monkeypatch, jit_module, "_build_prefix")
     profiles = count_calls(monkeypatch, BatchedInterpreter, "run")
 
     before = jit_pipeline_steps()
     first = ShaderExecutionEnvironment(platform).prepare(MOTIVATING_SHADER)
-    assert jit_pipeline_steps() - before == 1 + vendor_steps
-    assert (len(cleanups), len(profiles)) == (1, 1)
+    assert jit_pipeline_steps() - before == 1 + unshared_jit_steps(
+        platform.jit, first.module)
+    assert (len(builds), len(profiles)) == (1, 1)
 
     env = ShaderExecutionEnvironment(platform)
     before = jit_pipeline_steps()
     second = env.prepare(MOTIVATING_SHADER)
-    assert jit_pipeline_steps() - before == vendor_steps
+    assert jit_pipeline_steps() - before == 0
     env.run_many(MOTIVATING_SHADER, [1, 2, 3])
-    assert (len(cleanups), len(profiles)) == (1, 1)
+    assert (len(builds), len(profiles)) == (1, 1)
     assert second.module is not first.module
     assert second.module.driver_steps == first.module.driver_steps
     assert second.cost == first.cost
@@ -306,10 +307,42 @@ def test_prepare_compiles_once_per_platform_and_source(monkeypatch):
     assert driver_output_memo(MOTIVATING_SHADER) == {}
 
 
+def test_remeasuring_on_fresh_environments_runs_no_compile_work(
+        monkeypatch):
+    """Measure two sources on all five platforms, then again on fresh
+    environments.  The second round finds every step, prefix and summary
+    in the front-end memo: it clones nothing and runs no cleanup, pass,
+    unroll or profile, and still equals the from-scratch oracle."""
+    import repro.gpu.jit as jit_module
+    from repro.passes import manager
+
+    clear_frontend_memo()
+    sources = (MOTIVATING_SHADER, optimize_source(
+        MOTIVATING_SHADER, OptimizationFlags.from_index(255)))
+    for source in sources:
+        for platform in all_platforms():
+            ShaderExecutionEnvironment(platform).run(source, seed=8)
+
+    work = [count_calls(monkeypatch, owner, name) for owner, name in (
+        (jit_module, "clone_module"), (jit_module, "run_cleanup"),
+        (manager, "run_cleanup"), (jit_module, "run_step"),
+        (jit_module, "unroll_round"), (jit_module, "loop_sizes"),
+        (BatchedInterpreter, "run"))]
+    before = jit_pipeline_steps()
+    reports = [(source, platform, ShaderExecutionEnvironment(platform).run(
+        source, seed=8)) for source in sources for platform in all_platforms()]
+    assert [len(calls) for calls in work] == [0] * len(work)
+    assert jit_pipeline_steps() == before
+    for source, platform, report in reports:
+        assert_report_identical(
+            report, reference_measurement(platform, source, 8), platform.name)
+
+
 def test_measure_mode_is_batched_whatever_the_environment(monkeypatch):
     """``REPRO_MEASURE`` is not read: a run profiles in one batched pass."""
     monkeypatch.setenv("REPRO_MEASURE", "scalar")
     assert measure_mode() == "batched"
+    clear_frontend_memo()
     passes = []
     real_run = BatchedInterpreter.run
 

@@ -262,6 +262,32 @@ def test_submit_tail_status_end_to_end(service):
     assert len(event_lines) == len(events)
 
 
+def test_a_terminal_tail_carries_the_final_event(service_root):
+    """A follower stops at the first tail that reports a terminal state,
+    so every such tail must already hold the job's final ``state`` event,
+    also one served while the worker is still saving the journal and the
+    cache."""
+    svc = StudyService(service_root, workers=1)
+    job_id = svc.handle({"op": "submit", "spec": JobSpec(
+        source=TINY_SHADER, platforms=("ARM",)).to_dict()})["id"]
+    job, _ = svc._job_or_error({"id": job_id})
+    tails = []
+    real_save = svc.cache.save
+
+    def tail_then_save():
+        tails.append(svc.handle({"op": "tail", "id": job_id}))
+        real_save()
+
+    svc.cache.save = tail_then_save
+    svc._execute(job)
+    tails.append(svc.handle({"op": "tail", "id": job_id}))
+    svc.journal.close()
+    assert tails[-1]["state"] == "done"
+    for tail in tails:
+        if tail["state"] in ("done", "failed", "cancelled"):
+            assert tail["events"][-1]["type"] == "state", tail
+
+
 def test_second_identical_submission_is_pure_cache_hits(service):
     """The tentpole guarantee: a second tenant's identical submission
     completes with zero compiles and zero measurements."""
