@@ -290,8 +290,7 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     if not cases:
         raise SystemExit("error: the selected corpus is empty")
     try:
-        faults = (FaultPlan.parse(args.inject) if args.inject
-                  else FaultPlan.from_env())
+        faults = FaultPlan.parse(args.inject)
         policy = BackoffPolicy(base=args.backoff_base, seed=args.seed,
                                max_attempts=args.retries)
     except ValueError as exc:
@@ -828,8 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "with deterministic seeded jitter (default: 0.5)")
     p.add_argument("--inject", default="",
                    help="fault-injection plan, e.g. "
-                        "'1:crash,2:hang@1,3:corrupt@*' (or $REPRO_FAULTS); "
-                        "see docs/dispatch.md")
+                        "'1:crash,2:hang@1,3:corrupt@*'; see docs/dispatch.md")
     p.add_argument("--fresh", action="store_true",
                    help="ignore existing checkpoints and re-run every shard")
     p.set_defaults(fn=_cmd_dispatch)

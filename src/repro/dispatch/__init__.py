@@ -21,7 +21,7 @@ closes that loop:
   shard exhausts its retries, emits a partial merge plus an explicit
   missing-shard manifest instead of pretending completeness.
 - :mod:`~repro.dispatch.faults` — the fault-injection layer
-  (``REPRO_FAULTS`` / ``--inject``) that makes workers crash before write,
+  (``repro dispatch --inject``) that makes workers crash before write,
   crash mid-write (torn tail), hang past their timeout, or corrupt their
   output, so every recovery path above is exercised deterministically in
   tests and CI rather than trusted.

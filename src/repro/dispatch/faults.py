@@ -3,9 +3,8 @@
 Every recovery path in the dispatcher — retry after a crash, torn-tail
 tolerance, heartbeat-based hang detection, corrupt-output rejection — is
 exercised by *injecting* the failure rather than trusting that the code
-would survive one.  A :class:`FaultPlan` (parsed from ``--inject`` or the
-``REPRO_FAULTS`` environment variable) maps ``(shard, attempt)`` pairs to
-one of four fault kinds:
+would survive one.  A :class:`FaultPlan` (parsed from ``repro dispatch
+--inject``) maps ``(shard, attempt)`` pairs to one of four fault kinds:
 
 ``crash``
     die before writing any output (a worker killed mid-shard);
@@ -35,9 +34,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Tuple, Union
-
-#: Environment variable the *dispatcher* reads: a full fault plan.
-PLAN_ENV_VAR = "REPRO_FAULTS"
 
 #: Environment variable a *worker* reads: one directive for one launch.
 WORKER_ENV_VAR = "REPRO_FAULT"
@@ -99,7 +95,7 @@ class FaultPlan:
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
-        """Parse the ``--inject`` / ``REPRO_FAULTS`` text form."""
+        """Parse the ``--inject`` text form."""
         specs = []
         for item in (text or "").split(","):
             item = item.strip()
@@ -125,11 +121,6 @@ class FaultPlan:
             specs.append(FaultSpec(shard=shard, kind=kind.strip(),
                                    attempt=attempt))
         return cls(specs)
-
-    @classmethod
-    def from_env(cls, environ=os.environ) -> "FaultPlan":
-        """The plan named by ``REPRO_FAULTS`` (empty plan when unset)."""
-        return cls.parse(environ.get(PLAN_ENV_VAR, ""))
 
     def fault_for(self, shard: int, attempt: int) -> Optional[str]:
         """The fault kind striking this launch, or ``None`` for a clean run."""

@@ -6,13 +6,15 @@ variant plus the unaltered original on every platform.
 
 The study now runs on the :mod:`repro.search` layers — the
 :class:`EvaluationEngine` (compile/measure with a content-addressed result
-cache) and the :class:`Scheduler`.  With ``max_workers > 1`` a process pool
-primes the engine first (the work is pure-Python and CPU-bound, so threads
-would serialize on the GIL): one task per unique shader source compiles the
-256-combination variant set (via the shared-prefix compilation trie,
-:mod:`repro.core.trie`), then the uncached (shader x variant x platform)
-units are measured in per-text :class:`MeasureBatch` groups so each emitted
-shader pickles across the process boundary once rather than once per unit.
+cache; it builds every cache key and value and counts all work, the
+pool's included) and the :class:`Scheduler`.  With ``max_workers > 1`` a
+process pool primes the engine first (the work is pure-Python and
+CPU-bound, so threads would serialize on the GIL): one task per unique
+shader source compiles the 256-combination variant set (via the
+shared-prefix compilation trie, :mod:`repro.core.trie`), then the
+unmeasured (shader x variant x platform) tasks are measured in per-text
+:class:`MeasureBatch` groups so each emitted shader pickles across the
+process boundary once rather than once per task.
 Assembly then reads everything back through the engine's cache.  Compiles
 and measurements are pure functions of their inputs, so serial runs,
 parallel runs, and the pre-refactor nested loop all produce byte-identical
@@ -34,8 +36,8 @@ Large corpora (see ``repro.corpus.synth``) add two scale-out levers:
   measurement seed derives from the *global* corpus index, which shard runs
   carry along.
 - **Streaming** (``checkpoint_every=N``): the result cache is flushed
-  every N cases, and each finished case's compiled variant texts are
-  released from the engine's in-process memos (its log already holds them).
+  every N cases, and each finished case's compiled variant set is
+  released from the cache's memory (its log already holds it).
   A serial streaming run holds one case's variants in memory; a parallel
   one primes in chunks of ``checkpoint_every x max_workers`` cases, so
   memory is bounded by the chunk, never the corpus.
@@ -55,9 +57,9 @@ from repro.harness.environment import ShaderExecutionEnvironment
 from repro.harness.results import (
     ShaderCase, ShaderResult, ShardInfo, StudyResult, VariantRecord,
 )
-from repro.search.cache import ResultCache, make_key, source_digest
-from repro.search.engine import EvaluationEngine
-from repro.search.scheduler import MeasureBatch, Scheduler, WorkUnit
+from repro.search.cache import ResultCache, source_digest
+from repro.search.engine import EvaluationEngine, Sample
+from repro.search.scheduler import MeasureBatch, Scheduler
 
 
 @dataclass(frozen=True)
@@ -121,9 +123,9 @@ class StudyConfig:
     #: ``merge_study_results`` can reassemble the full study.
     shard: Optional[ShardSpec] = None
     #: when > 0: persist the result cache after every N cases and release
-    #: each finished case's compiled variant texts from the engine's
-    #: in-process memos (streaming mode — memory stays bounded by one case
-    #: serially, or by one N x max_workers priming chunk in parallel runs).
+    #: each finished case's compiled variant set from the cache's memory
+    #: (streaming mode — memory stays bounded by one case serially, or by
+    #: one N x max_workers priming chunk in parallel runs).
     checkpoint_every: int = 0
     #: called as ``progress(position, total, shader_result)`` after each
     #: finished case — the incremental-streaming hook the study service
@@ -197,7 +199,7 @@ def run_study(corpus: Sequence[ShaderCase],
                 config.progress(position, len(cases), result.shaders[-1])
             _beat(config.heartbeat_path)
             if config.checkpoint_every > 0:
-                engine.release_case(case.source)
+                engine.cache.release_variants(source_digest(case.source))
                 if position % config.checkpoint_every == 0:
                     engine.cache.save()
     engine.cache.save()
@@ -269,7 +271,7 @@ def _ordered_variants(variant_set: VariantSet):
 
 # ---------------------------------------------------------------------------
 # Parallel priming: shard the CPU-bound work across a process pool, land
-# everything in the engine's memos/cache, and let assembly read it back.
+# everything in the engine's result cache, and let assembly read it back.
 # ---------------------------------------------------------------------------
 
 
@@ -282,13 +284,13 @@ def _prime_engine(corpus: Sequence[ShaderCase], case_indices: Sequence[int],
     seeds are derived from it, which is what keeps shard runs byte-
     compatible with the unsharded study.
     """
-    # Phase 1: one task per unique un-memoized source compiles all 256
+    # Phase 1: one task per unique uncached source compiles all 256
     # combinations (the dominant cost: ~256 pass-pipeline runs each).
     sources: List[str] = []
     seen = set()
     for case in corpus:
         digest = source_digest(case.source)
-        if digest not in seen and not engine.has_variants(case.source):
+        if digest not in seen and not engine.cache.has_variants(digest):
             seen.add(digest)
             sources.append(case.source)
     if verbose and sources:
@@ -297,51 +299,30 @@ def _prime_engine(corpus: Sequence[ShaderCase], case_indices: Sequence[int],
     for source, index_to_text in zip(
             sources, scheduler.map(_compile_case_variants, sources)):
         engine.prime_variants(source, index_to_text)
-        # Pool workers bypass the engine, so account their work here —
-        # otherwise a cold parallel run reports the same zero counters as
-        # a warm-cache replay.
-        engine.frontend_count += 1
-        engine.compile_count += 256
 
-    # Phase 2: uncached (shader x variant x platform) units, batched per
+    # Phase 2: the unmeasured (text, platform, seed) tasks, batched per
     # shader text so the pool pickles each text once (instead of once per
     # variant x platform) and the worker's shared JIT front-end memo parses
     # it once for all of the batch's platforms.
-    units: List[WorkUnit] = []
+    pending: Dict[str, List[Tuple[str, int]]] = {}
     for case, case_index in zip(corpus, case_indices):
-        variant_set = engine.variants_for(case)
-        units.extend(
-            WorkUnit(case_index=case_index, variant_id=-1,
-                     platform=platform.name, text=case.source,
-                     seed=_variant_seed(seed, case_index, -1))
-            for platform in platforms)
-        for variant_id, (text, _) in enumerate(_ordered_variants(variant_set)):
-            units.extend(
-                WorkUnit(case_index=case_index, variant_id=variant_id,
-                         platform=platform.name, text=text,
-                         seed=_variant_seed(seed, case_index, variant_id))
-                for platform in platforms)
-    pending = [unit for unit in units
-               if make_key(unit.text, -1, unit.platform, unit.seed)
-               not in engine.cache]
-    by_text: Dict[str, List[WorkUnit]] = {}
-    for unit in pending:
-        by_text.setdefault(unit.text, []).append(unit)
-    batches = [MeasureBatch(text=text,
-                            tasks=tuple((unit.platform, unit.seed)
-                                        for unit in text_units))
-               for text, text_units in by_text.items()]
-    if verbose and pending:
-        print(f"[study] measuring {len(pending)} units in {len(batches)} "
-              f"text batches on {scheduler.max_workers} workers")
-    for batch, measured in zip(batches, scheduler.map(_measure_batch, batches)):
-        for (platform_name, unit_seed), sample in zip(batch.tasks, measured):
-            mean_ns, static_ops, registers = sample
-            engine.measure_count += 1
-            engine.cache.put(
-                make_key(batch.text, -1, platform_name, unit_seed),
-                {"mean_ns": mean_ns, "static_ops": static_ops,
-                 "registers": registers})
+        texts = [case.source] + [
+            text for text, _ in _ordered_variants(engine.variants_for(case))]
+        for variant_id, text in enumerate(texts, start=-1):
+            unit_seed = _variant_seed(seed, case_index, variant_id)
+            for platform in platforms:
+                if not engine.has_sample(text, platform.name, unit_seed):
+                    pending.setdefault(text, []).append(
+                        (platform.name, unit_seed))
+    batches = [MeasureBatch(text=text, tasks=tuple(tasks))
+               for text, tasks in pending.items()]
+    if verbose and batches:
+        print(f"[study] measuring {sum(len(b.tasks) for b in batches)} "
+              f"units in {len(batches)} text batches on "
+              f"{scheduler.max_workers} workers")
+    for batch, samples in zip(batches, scheduler.map(_measure_batch, batches)):
+        for (platform_name, unit_seed), sample in zip(batch.tasks, samples):
+            engine.record_sample(batch.text, platform_name, unit_seed, sample)
 
 
 def _compile_case_variants(source: str) -> Dict[int, str]:
@@ -350,7 +331,7 @@ def _compile_case_variants(source: str) -> Dict[int, str]:
     return ShaderCompiler(source).all_variants().index_to_text
 
 
-def _measure_batch(batch: MeasureBatch) -> List[Tuple[float, int, int]]:
+def _measure_batch(batch: MeasureBatch) -> List[Sample]:
     """Pool worker: measure one shader text on every (platform, seed) task.
 
     The text crosses the process boundary once per batch; the vendor JITs'
@@ -363,14 +344,12 @@ def _measure_batch(batch: MeasureBatch) -> List[Tuple[float, int, int]]:
     by_platform: Dict[str, List[Tuple[int, int]]] = {}
     for position, (platform_name, seed) in enumerate(batch.tasks):
         by_platform.setdefault(platform_name, []).append((position, seed))
-    results: List[Optional[Tuple[float, int, int]]] = [None] * len(batch.tasks)
+    results: List[Optional[Sample]] = [None] * len(batch.tasks)
     for platform_name, tasks in by_platform.items():
         env = ShaderExecutionEnvironment(platform_by_name(platform_name))
         reports = env.run_many(batch.text, [seed for _, seed in tasks])
         for (position, _), report in zip(tasks, reports):
-            results[position] = (report.measurement.mean_ns,
-                                 report.cost.static_ops,
-                                 report.cost.registers)
+            results[position] = Sample.from_report(report)
     return results  # type: ignore[return-value]
 
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.ir.cfg import NaturalLoop, find_natural_loops, reverse_postorder
+from repro.ir.clone import _clone
 from repro.ir.instructions import (
-    BinOp, Br, Call, Cmp, CondBr, Construct, Convert, Discard, ExtractElem,
-    InsertElem, Instr, LoadElem, LoadGlobal, LoadVar, Phi, Ret, Sample, Select,
-    Shuffle, StoreElem, StoreOutput, StoreVar, Terminator, UnOp,
+    BinOp, Br, Cmp, CondBr, Discard, Phi, Ret, Terminator,
 )
-from repro.ir.interp import _binop, _cmp
+from repro.ir.interp import _cmp
 from repro.ir.module import BasicBlock, Function
 from repro.ir.values import Constant, Value
 
@@ -248,6 +247,10 @@ def _apply(function: Function, loop: NaturalLoop, plan: LoopPlan) -> None:
     insert_at = function.blocks.index(exit_block)
     prev_tail: BasicBlock = preheader
     prev_tail_target = header  # the branch in prev_tail currently aims here
+    # The cloner's maps are complete: slots and blocks outside the trip map
+    # to themselves.
+    slot_map = {slot: slot for slot in function.slots}
+    outside = {block: block for block in function.blocks}
 
     for _trip in range(trips):
         block_map: Dict[BasicBlock, BasicBlock] = {}
@@ -260,7 +263,7 @@ def _apply(function: Function, loop: NaturalLoop, plan: LoopPlan) -> None:
         # Branches cloned inside this trip must NOT remap the header: the
         # latch's backedge stays aimed at the original header as a
         # placeholder, redirected to the next trip (or the exit) later.
-        branch_map = {b: c for b, c in block_map.items() if b is not header}
+        branch_map = {**outside, **block_map, header: header}
 
         # Inner phis (if-merges, nested loop headers) may reference values
         # cloned later in the trip (back edges), so create shells first and
@@ -286,7 +289,7 @@ def _apply(function: Function, loop: NaturalLoop, plan: LoopPlan) -> None:
                 if old is header and isinstance(instr, Terminator):
                     clone.append(Br(block_map[body_entry]))
                     continue
-                new_instr = _clone_instr(instr, value_map, branch_map)
+                new_instr = _clone(instr, value_map, branch_map, slot_map)
                 clone.instrs.append(new_instr)
                 new_instr.block = clone
                 if not isinstance(new_instr, Terminator):
@@ -326,16 +329,10 @@ def _apply(function: Function, loop: NaturalLoop, plan: LoopPlan) -> None:
                 ephi.incoming[index] = (prev_tail, current.get(value, value))
         ephi._sync_operands()
 
-    # Uses of header phis (and other loop values) outside the loop now refer
-    # to the final iteration's values.
-    final_map: Dict[Value, Value] = dict(current)
-    for block in function.blocks:
-        if block in loop.blocks:
-            continue
-        for instr in block.instrs:
-            for old_val, new_val in final_map.items():
-                if old_val in instr.operands:
-                    instr.replace_operand(old_val, new_val)
+    # Uses of header phis outside the loop now refer to the final
+    # iteration's values.  No final value is a header phi, so one
+    # simultaneous rewrite is enough (and the loop's own blocks go next).
+    function.replace_uses({id(phi): value for phi, value in current.items()})
 
     # Remove the original loop blocks.
     for block in loop_blocks:
@@ -354,55 +351,3 @@ def _redirect(block: BasicBlock, old_target: BasicBlock,
             term.if_true = new_target
         if term.if_false is old_target:
             term.if_false = new_target
-
-
-def _clone_instr(instr: Instr, value_map: Dict[Value, Value],
-                 block_map: Dict[BasicBlock, BasicBlock]) -> Instr:
-    def m(value: Value) -> Value:
-        return value_map.get(value, value)
-
-    if isinstance(instr, BinOp):
-        return BinOp(instr.op, m(instr.lhs), m(instr.rhs))
-    if isinstance(instr, Cmp):
-        return Cmp(instr.op, m(instr.lhs), m(instr.rhs))
-    if isinstance(instr, UnOp):
-        return UnOp(instr.op, m(instr.operand))
-    if isinstance(instr, Convert):
-        return Convert(m(instr.value), instr.ty.kind)
-    if isinstance(instr, Select):
-        return Select(m(instr.cond), m(instr.if_true), m(instr.if_false))
-    if isinstance(instr, ExtractElem):
-        return ExtractElem(m(instr.vector), instr.index)
-    if isinstance(instr, InsertElem):
-        return InsertElem(m(instr.vector), m(instr.scalar), instr.index)
-    if isinstance(instr, Shuffle):
-        return Shuffle(m(instr.source), list(instr.mask))
-    if isinstance(instr, Construct):
-        return Construct(instr.ty, [m(op) for op in instr.operands])
-    if isinstance(instr, Call):
-        return Call(instr.callee, instr.ty, [m(op) for op in instr.operands])
-    if isinstance(instr, Sample):
-        lod = m(instr.lod) if instr.lod is not None else None
-        return Sample(instr.sampler, instr.sampler_kind, instr.ty,
-                      m(instr.coord), lod)
-    if isinstance(instr, LoadGlobal):
-        element = m(instr.element) if instr.element is not None else None
-        return LoadGlobal(instr.var, instr.ty, instr.kind,
-                          column=instr.column, element=element)
-    if isinstance(instr, StoreOutput):
-        return StoreOutput(instr.var, m(instr.value))
-    if isinstance(instr, LoadVar):
-        return LoadVar(instr.slot)
-    if isinstance(instr, StoreVar):
-        return StoreVar(instr.slot, m(instr.value))
-    if isinstance(instr, LoadElem):
-        return LoadElem(instr.slot, m(instr.index))
-    if isinstance(instr, StoreElem):
-        return StoreElem(instr.slot, m(instr.index), m(instr.value))
-    if isinstance(instr, Br):
-        return Br(block_map.get(instr.target, instr.target))
-    if isinstance(instr, CondBr):
-        return CondBr(m(instr.cond),
-                      block_map.get(instr.if_true, instr.if_true),
-                      block_map.get(instr.if_false, instr.if_false))
-    raise AssertionError(f"cannot clone {instr.opcode}")

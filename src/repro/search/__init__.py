@@ -11,13 +11,14 @@ platform.  This subsystem generalizes that study into a tunable search:
   result cache;
 - :mod:`repro.search.cache` — the cache itself, with an optional on-disk
   JSON store so repeated runs skip recompilation and re-measurement;
-- :mod:`repro.search.scheduler` — shards (shader x variant x platform)
-  work units across a ``concurrent.futures`` pool, with a serial fallback.
+- :mod:`repro.search.scheduler` — shards the study's per-source compiles
+  and per-text measurement batches across a ``concurrent.futures`` pool,
+  with a serial fallback.
 """
 
 from repro.search.cache import ResultCache, make_key, source_digest
 from repro.search.engine import Evaluation, EvaluationEngine, Sample
-from repro.search.scheduler import Scheduler, WorkUnit, default_workers
+from repro.search.scheduler import Scheduler, default_workers
 from repro.search.strategies import (
     STRATEGIES, Exhaustive, Genetic, GreedyHillClimb, RandomSampling,
     SearchOutcome, SearchStrategy, make_strategy,
@@ -26,7 +27,7 @@ from repro.search.strategies import (
 __all__ = [
     "ResultCache", "make_key", "source_digest",
     "Evaluation", "EvaluationEngine", "Sample",
-    "Scheduler", "WorkUnit", "default_workers",
+    "Scheduler", "default_workers",
     "STRATEGIES", "SearchStrategy", "SearchOutcome", "make_strategy",
     "Exhaustive", "RandomSampling", "GreedyHillClimb", "Genetic",
 ]

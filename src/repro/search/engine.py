@@ -1,21 +1,24 @@
 """Evaluation engine: one flag combination of one shader on one platform.
 
-The engine wraps :class:`ShaderCompiler` (front-end work shared across
-combinations) and :class:`ShaderExecutionEnvironment` (per-platform timing)
-behind a single ``evaluate(case, flags, platform)`` call, backed by the
-content-addressed :class:`ResultCache`.  Three memo layers keep repeated
-work off the hot path:
+The engine wraps :class:`ShaderCompiler` and
+:class:`ShaderExecutionEnvironment` (per-platform timing) behind a single
+``evaluate(case, flags, platform)`` call.  The content-addressed
+:class:`ResultCache` is the one store of what it produces:
 
-1. front-end lowering — one :class:`ShaderCompiler` per distinct source;
-2. pass pipeline — emitted text per (source, flag index);
-3. measurement — cached per (text, platform, seed), so flag combinations
-   that collapse to the same emitted text (most of them — Fig. 4c) are
-   timed once.
+1. compiled variant sets — the 256-combination emitted texts per source
+   (the front-end module itself lives in the vendor JITs' shared LRU,
+   :func:`repro.gpu.jit.shared_frontend`, and no engine pins it);
+2. measurements — per (text, platform, seed), so flag combinations that
+   collapse to the same emitted text (most of them — Fig. 4c) are timed
+   once.
 
-Every layer is keyed on content hashes, so a disk-backed cache survives
-process restarts: repeated ``tune`` runs, repeated studies, and the
-benchmark suite all skip work they have already paid for.  (Study and
-``tune`` entries don't cross-hit each other: the study keeps the paper's
+The engine keeps only the flag points it compiled alone (``tune`` reads
+each once per platform), and it is the one place that builds cache keys
+and values and counts work.  Every entry is keyed on content hashes, so a
+disk-backed cache survives process restarts and is shared by engines of
+every seed: repeated ``tune`` runs, repeated studies, and the benchmark
+suite all skip work they have already paid for.  (Study and ``tune``
+measurements don't cross-hit each other: the study keeps the paper's
 per-variant measurement seeds for protocol fidelity, while ``tune`` keys
 every measurement on the engine's single seed.)
 """
@@ -25,11 +28,13 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.pipeline import ShaderCompiler, VariantSet
 from repro.gpu.platform import Platform, all_platforms
-from repro.harness.environment import ShaderExecutionEnvironment
+from repro.harness.environment import (
+    ExecutionReport, ShaderExecutionEnvironment,
+)
 from repro.harness.results import ShaderCase
 from repro.passes import OptimizationFlags
 from repro.search.cache import ResultCache, make_key, source_digest
@@ -45,6 +50,13 @@ class Sample:
     mean_ns: float
     static_ops: int
     registers: int
+
+    @classmethod
+    def from_report(cls, report: ExecutionReport) -> "Sample":
+        """The sample one environment run reports."""
+        return cls(mean_ns=report.measurement.mean_ns,
+                   static_ops=report.cost.static_ops,
+                   registers=report.cost.registers)
 
 
 @dataclass(frozen=True)
@@ -77,12 +89,12 @@ class EvaluationEngine:
         self.cache = cache if cache is not None else ResultCache()
         self._environments: Dict[str, ShaderExecutionEnvironment] = {
             p.name: ShaderExecutionEnvironment(p) for p in self.platforms}
-        self._compilers: Dict[str, ShaderCompiler] = {}
-        self._variant_sets: Dict[str, VariantSet] = {}
+        #: (source digest, flag index) -> text of a point compiled alone.
         self._texts: Dict[Tuple[str, int], str] = {}
+        #: digests of the sources this engine compiled (holds no IR).
+        self._compiled: Set[str] = set()
         # Work counters, exposed so tests can assert cache semantics.
-        self.frontend_count = 0     # ShaderCompiler constructions
-        self.compile_count = 0      # pass-pipeline runs (per flag combo)
+        self.compile_count = 0      # 256 per variant set, 1 per lone point
         self.measure_count = 0      # actual environment executions
         # Per-thread cooperative-cancellation hook (see set_cancel_check):
         # thread-local so service workers sharing one engine each cancel
@@ -122,82 +134,54 @@ class EvaluationEngine:
             raise KeyError(f"platform {name!r} not configured on this engine; "
                            f"have {sorted(self._environments)}") from None
 
-    def compiler_for(self, source: str) -> ShaderCompiler:
-        digest = source_digest(source)
-        compiler = self._compilers.get(digest)
-        if compiler is None:
-            self.frontend_count += 1
-            compiler = ShaderCompiler(source)
-            self._compilers[digest] = compiler
-        return compiler
+    @property
+    def frontend_count(self) -> int:
+        """Distinct sources this engine compiled: one front end each."""
+        return len(self._compiled)
+
+    def _count_compiles(self, digest: str, combinations: int) -> None:
+        self._compiled.add(digest)
+        self.compile_count += combinations
 
     def variants_for(self, case: ShaderCase) -> VariantSet:
         """The full deduplicated 256-combination variant set.
 
-        Memoized in-process and persisted in the result cache, so a warm
-        disk cache replays the whole study without a single pass-pipeline
-        run (the report pipeline's zero-compile re-render guarantee).
+        Read from the result cache when it holds the set; otherwise
+        compiled and stored there, so a warm disk cache replays the whole
+        study without a single pass-pipeline run (the report pipeline's
+        zero-compile re-render guarantee).
         """
         self.check_cancelled()
         digest = source_digest(case.source)
-        variant_set = self._variant_sets.get(digest)
-        if variant_set is None:
-            cached = self.cache.get_variants(digest)
-            if cached is not None:
-                variant_set = self.prime_variants(case.source, cached)
-            else:
-                self.compile_count += 256
-                variant_set = self.compiler_for(case.source).all_variants()
-                self._variant_sets[digest] = variant_set
-                self._texts.update({(digest, index): text for index, text
-                                    in variant_set.index_to_text.items()})
-                self.cache.put_variants(digest, variant_set.index_to_text)
+        cached = self.cache.get_variants(digest)
+        if cached is not None:
+            return VariantSet.from_index_to_text(cached)
+        self._count_compiles(digest, 256)
+        variant_set = ShaderCompiler(case.source).all_variants()
+        self.cache.put_variants(digest, variant_set.index_to_text)
         return variant_set
-
-    def has_variants(self, source: str) -> bool:
-        digest = source_digest(source)
-        return digest in self._variant_sets or self.cache.has_variants(digest)
 
     def prime_variants(self, source: str,
-                       index_to_text: Dict[int, str]) -> VariantSet:
-        """Install a variant set compiled elsewhere (e.g. a pool worker),
-        grouped exactly as ``all_variants`` groups it in-process."""
-        variant_set = VariantSet.from_index_to_text(index_to_text)
+                       index_to_text: Dict[int, str]) -> None:
+        """Store a variant set compiled elsewhere (e.g. a pool worker),
+        counting its front end and 256 compiles as this engine's work."""
         digest = source_digest(source)
-        self._variant_sets[digest] = variant_set
-        self._texts.update({(digest, index): text
-                            for index, text in index_to_text.items()})
-        if not self.cache.has_variants(digest):
-            self.cache.put_variants(digest, variant_set.index_to_text)
-        return variant_set
-
-    def release_case(self, source: str) -> None:
-        """Drop the in-process compiled memos for *source* (streaming mode).
-
-        The result cache keeps the compiled variant set (its log already
-        holds it on disk), so a later request for the same
-        source falls back to the cache and, failing that, recompiles —
-        correctness is unaffected, only memory residency.  The study's
-        streaming path calls this per finished case so a huge synth corpus
-        holds one case's 256 variant texts in memory, not all of them.
-        """
-        digest = source_digest(source)
-        self._compilers.pop(digest, None)
-        variant_set = self._variant_sets.pop(digest, None)
-        if variant_set is not None:
-            for index in variant_set.index_to_text:
-                self._texts.pop((digest, index), None)
-        self.cache.release_variants(digest)
+        self._count_compiles(digest, 256)
+        self.cache.put_variants(digest, index_to_text)
 
     def text_for(self, source: str, flags: FlagsLike) -> str:
-        """Emitted text of *source* under *flags* (memoized per flag index)."""
+        """Emitted text of *source* under *flags*: from the cached variant
+        set when there is one, else compiled alone (memoized per flag
+        index, since ``tune`` reads each point once per platform)."""
         flags = self._coerce_flags(flags)
         digest = source_digest(source)
         key = (digest, flags.index)
         text = self._texts.get(key)
         if text is None:
-            self.compile_count += 1
-            text = self.compiler_for(source).compile(flags).output
+            text = (self.cache.get_variants(digest) or {}).get(flags.index)
+        if text is None:
+            self._count_compiles(digest, 1)
+            text = ShaderCompiler(source).compile(flags).output
             self._texts[key] = text
         return text
 
@@ -210,6 +194,21 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
+
+    def has_sample(self, text: str, platform: str, seed: int) -> bool:
+        """Whether the cache holds this measurement.  Unmetered: it moves
+        neither the cache's hit nor its miss counter."""
+        return make_key(text, -1, platform, seed) in self.cache
+
+    def record_sample(self, text: str, platform: str, seed: int,
+                      sample: Sample) -> None:
+        """Store one measured sample (here or in a pool worker) and count
+        it as this engine's work."""
+        self.measure_count += 1
+        self.cache.put(make_key(text, -1, platform, seed),
+                       {"mean_ns": sample.mean_ns,
+                        "static_ops": sample.static_ops,
+                        "registers": sample.registers})
 
     def measure(self, text: str, platform: PlatformLike,
                 seed: Optional[int] = None) -> Sample:
@@ -244,15 +243,8 @@ class EvaluationEngine:
             reports = self.environment(name).run_many(
                 text, [seed for _, seed in pending])
             for (position, seed), report in zip(pending, reports):
-                self.measure_count += 1
-                sample = Sample(mean_ns=report.measurement.mean_ns,
-                                static_ops=report.cost.static_ops,
-                                registers=report.cost.registers)
-                self.cache.put(make_key(text, -1, name, seed),
-                               {"mean_ns": sample.mean_ns,
-                                "static_ops": sample.static_ops,
-                                "registers": sample.registers})
-                samples[position] = sample
+                samples[position] = Sample.from_report(report)
+                self.record_sample(text, name, seed, samples[position])
         return samples  # type: ignore[return-value]
 
     def original(self, case: ShaderCase, platform: PlatformLike) -> Sample:

@@ -1,13 +1,13 @@
-"""Parallel work scheduler for (shader x variant x platform) units.
+"""Parallel work scheduler for the study's compile and measurement tasks.
 
-Measurements are pure functions of (text, platform, seed) — the execution
-environments are stateless and every RNG is derived from the unit's own
-seed — so units can run in any order on any worker and the scheduler's
-outputs are order-preserving and identical to a serial run.  A process
-pool shards the units (the work is pure-Python and CPU-bound, so threads
-would serialize on the GIL), which needs a picklable function and items;
-``max_workers <= 1`` (the default) or a pool that fails to start falls
-back to a plain serial loop.
+Compiles are pure functions of the source, and measurements of (text,
+platform, seed) — the execution environments are stateless and every RNG
+is derived from the task's own seed — so tasks can run in any order on any
+worker and the scheduler's outputs are order-preserving and identical to a
+serial run.  A process pool shards the tasks (the work is pure-Python
+and CPU-bound, so threads would serialize on the GIL), which needs a
+picklable function and items; ``max_workers <= 1`` (the default) or a pool
+that fails to start falls back to a plain serial loop.
 """
 
 from __future__ import annotations
@@ -23,17 +23,6 @@ R = TypeVar("R")
 
 #: Environment override for the default worker count (0/1 = serial).
 JOBS_ENV_VAR = "REPRO_JOBS"
-
-
-@dataclass(frozen=True)
-class WorkUnit:
-    """One measurement task: a shader text on one platform with one seed."""
-
-    case_index: int
-    variant_id: int        # -1 for the unaltered original
-    platform: str
-    text: str
-    seed: int
 
 
 @dataclass(frozen=True)

@@ -68,13 +68,6 @@ def test_fault_plan_rejects_malformed(bad):
         FaultPlan.parse(bad)
 
 
-def test_fault_plan_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "2:crash")
-    assert FaultPlan.from_env().fault_for(2, 1) == "crash"
-    monkeypatch.delenv("REPRO_FAULTS")
-    assert not FaultPlan.from_env()
-
-
 def test_worker_fault_from_env(monkeypatch):
     assert fault_from_env({}) is None
     assert fault_from_env({"REPRO_FAULT": "torn"}) == "torn"

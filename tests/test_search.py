@@ -208,6 +208,39 @@ def test_measurements_identical_across_processes(tmp_path):
     assert len(outputs) == 1, f"measurement varies across processes: {outputs}"
 
 
+def test_engine_keeps_no_front_end_module_alive(small_corpus):
+    """The engine compiles through the shared front-end LRU and holds no
+    module of its own, so dropping the LRU frees the module."""
+    import gc
+    import weakref
+
+    from repro.gpu.jit import clear_frontend_memo, shared_frontend
+
+    source = small_corpus[0].source
+    engine = EvaluationEngine(platforms=all_platforms()[:1], seed=5)
+    engine.text_for(source, 37)
+    module = weakref.ref(shared_frontend(source))
+    clear_frontend_memo()
+    gc.collect()
+    assert module() is None
+    assert engine.frontend_count == 1
+
+
+def test_engine_of_another_seed_reads_the_studys_variant_sets(small_corpus,
+                                                              two_platforms):
+    """The result cache is the one store of variant sets: an engine of
+    another seed on the same cache compiles none of the study's points."""
+    cache = ResultCache()
+    run_study(small_corpus, StudyConfig(platforms=two_platforms),
+              engine=EvaluationEngine(platforms=two_platforms, cache=cache))
+    engine = EvaluationEngine(platforms=two_platforms, seed=7, cache=cache)
+    for case in small_corpus:
+        for index in (0, 37, 255):
+            engine.evaluate(case, index, two_platforms[0])
+    assert engine.frontend_count == 0
+    assert engine.compile_count == 0
+
+
 def test_corrupt_disk_cache_is_ignored(tmp_path):
     store = tmp_path / "cache.json"
     store.write_text("{not json")
@@ -269,6 +302,21 @@ def test_study_serial_and_parallel_runs_are_identical(small_corpus,
     parallel = run_study(small_corpus,
                          StudyConfig(platforms=two_platforms, max_workers=4))
     assert serial.to_json() == parallel.to_json()
+
+
+def test_parallel_study_counts_the_work_a_serial_one_does(small_corpus,
+                                                          two_platforms):
+    """Pool workers compile and measure for the engine, which counts their
+    work exactly as it counts its own."""
+    engines = [EvaluationEngine(platforms=two_platforms) for _ in range(2)]
+    for engine, workers in zip(engines, (1, 2)):
+        run_study(small_corpus, StudyConfig(platforms=two_platforms,
+                                            max_workers=workers),
+                  engine=engine)
+    serial, parallel = engines
+    assert serial.frontend_count == parallel.frontend_count == 2
+    assert serial.compile_count == parallel.compile_count == 2 * SPACE_SIZE
+    assert serial.measure_count == parallel.measure_count > 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.harness.results import (
     ShardInfo, StudyResult, merge_study_results,
 )
 from repro.harness.study import ShardSpec, StudyConfig, run_study
-from repro.search.cache import CACHE_VERSION, ResultCache
+from repro.search.cache import CACHE_VERSION, ResultCache, source_digest
 
 
 def _corpus():
@@ -356,8 +356,10 @@ def test_streaming_study_checkpoints_and_replays(tmp_path):
     cold = run_study(corpus, StudyConfig(platforms=[INTEL], seed=9,
                                          checkpoint_every=2),
                      engine=engine)
-    # Per-case release keeps the engine's compiled memos empty.
-    assert engine._variant_sets == {}
+    # Per-case release leaves no compiled variant set in the cache's memory
+    # (its log holds them), and the engine keeps no copy of its own.
+    assert not any(engine.cache.has_variants(source_digest(case.source))
+                   for case in corpus)
     assert engine._texts == {}
     assert engine.compile_count == 256 * len(corpus)
 
@@ -395,7 +397,9 @@ def test_parallel_streaming_primes_in_chunks(tmp_path, monkeypatch):
         engine=engine)
     assert parallel.to_json() == serial.to_json()
     assert prime_sizes and max(prime_sizes) <= 2   # checkpoint_every x workers
-    assert engine._variant_sets == {}              # released as cases finish
+    # Released from the cache's memory as cases finish.
+    assert not any(engine.cache.has_variants(source_digest(case.source))
+                   for case in corpus)
 
 
 def test_sharded_streaming_caches_merge_warm(tmp_path):
