@@ -1,8 +1,15 @@
-"""Hand-written lexer for the GLSL subset used throughout the library.
+"""Regular-expression lexer for the GLSL subset used throughout the library.
 
-The lexer assumes its input has already been preprocessed (no ``#`` directives
-remain); :func:`tokenize` raises :class:`~repro.errors.LexerError` if it meets
-one, which usually indicates a caller skipped :func:`repro.glsl.preprocess`.
+One compiled pattern matches a token together with the blanks and comments
+in front of it, so the scan costs one regex match per token instead of one
+loop iteration per character.  A token's ``col`` is its offset from the
+last newline before it: a tab, a ``\\r`` and each character of a block
+comment count one column, and a line comment counts none.
+
+The lexer assumes its input has already been preprocessed (no ``#``
+directives remain); :func:`tokenize` raises :class:`~repro.errors.LexerError`
+if it meets one, which usually indicates a caller skipped
+:func:`repro.glsl.preprocess`.
 """
 
 from __future__ import annotations
@@ -20,136 +27,95 @@ from repro.glsl.tokens import (
     TokenKind,
 )
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_DIGITS = frozenset("0123456789")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-#: The multi-character operators by length.  Matching every 3-character
-#: operator before any 2-character one is the longest-first greedy match.
-_OPS_3 = frozenset(op for op in MULTI_CHAR_OPS if len(op) == 3)
-_OPS_2 = frozenset(op for op in MULTI_CHAR_OPS if len(op) == 2)
+_IDENT = TokenKind.IDENT
+_INT = TokenKind.INT
+_FLOAT = TokenKind.FLOAT
+_OP = TokenKind.OP
+
+#: Token kind of every reserved word; any other word is an identifier.
+_WORD_KINDS = {
+    **{word: TokenKind.KEYWORD for word in KEYWORDS},
+    **{word: TokenKind.TYPE for word in TYPE_NAMES},
+    "true": TokenKind.BOOL,
+    "false": TokenKind.BOOL,
+}
+
+#: Operators, longest first, so the first alternative that matches is the
+#: greedy match.  A ``/`` that opens a block comment is not an operator:
+#: a closed comment was skipped as a blank, so this one never closes.
+_OPERATOR = "|".join(
+    [re.escape(op) for op in MULTI_CHAR_OPS]
+    + [r"/(?!\*)",
+       "[" + re.escape("".join(sorted(SINGLE_CHAR_OPS - {"/"}))) + "]"])
+
+#: Blanks and comments, then one token: a word, a float, an int or an
+#: operator, each in its own group.  The last group matches a character no
+#: token starts with (an error) or the end of the input, so a match never
+#: backtracks into the blanks.
+_TOKEN_RE = re.compile(
+    r"([ \t\r\n]*(?:(?://[^\n]*|/\*.*?\*/)[ \t\r\n]*)*)"
+    r"(?:([A-Za-z_][A-Za-z0-9_]*)"
+    r"|((?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fF]?"
+    r"|[0-9]+[eE][+-]?[0-9]+[fF]?)"
+    r"|(0[xX][0-9a-fA-F]+[uU]?|(?!0[xX])[0-9]+[uU]?)"
+    rf"|({_OPERATOR})"
+    r"|(.|\Z))",
+    re.S)
+
+#: Blanks and comments up to a line comment the input ends in.
+_BEFORE_LAST_LINE_COMMENT_RE = re.compile(
+    r"(?:[ \t\r\n]+|/\*.*?\*/|//[^\n]*\n)*", re.S)
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize preprocessed GLSL source into a token list ending with EOF."""
     tokens: List[Token] = []
-    i = 0
+    append = tokens.append
+    new = tuple.__new__
+    word_kind = _WORD_KINDS.get
+    pos = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def error(message: str) -> LexerError:
-        return LexerError(message, line, col)
-
-    while i < n:
-        ch = source[i]
-
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-
-        # Comments (tolerated even post-preprocess).
-        follower = source[i + 1 : i + 2] if ch == "/" else ""
-        if follower == "/":
-            end = source.find("\n", i)
-            i = n if end < 0 else end
-            continue
-        if follower == "*":
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise error("unterminated block comment")
-            skipped = source[i : end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-
-        if ch == "#":
-            raise error("preprocessor directive in lexer input; run preprocess() first")
-
-        if ch in _IDENT_START:
-            start = i
-            i = _IDENT_RE.match(source, i).end()
-            text = source[start:i]
-            if text in ("true", "false"):
-                kind = TokenKind.BOOL
-            elif text in TYPE_NAMES:
-                kind = TokenKind.TYPE
-            elif text in KEYWORDS:
-                kind = TokenKind.KEYWORD
-            else:
-                kind = TokenKind.IDENT
-            tokens.append(Token(kind, text, line, col))
-            col += i - start
-            continue
-
-        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
-            start = i
-            is_float = False
-            if ch == "0" and i + 1 < n and source[i + 1] in "xX":
-                i += 2
-                while i < n and source[i] in _HEX_DIGITS:
-                    i += 1
-                if i == start + 2:
-                    raise error("hexadecimal literal needs at least one digit")
-                if i < n and source[i] in "uU":
-                    i += 1
-                tokens.append(Token(TokenKind.INT, source[start:i], line, col))
-                col += i - start
-                continue
-            while i < n and source[i] in _DIGITS:
-                i += 1
-            if i < n and source[i] == ".":
-                is_float = True
-                i += 1
-                while i < n and source[i] in _DIGITS:
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j] in _DIGITS:
-                    is_float = True
-                    i = j
-                    while i < n and source[i] in _DIGITS:
-                        i += 1
-            if i < n and source[i] in "fF" and is_float:
-                i += 1
-            elif i < n and source[i] in "uU" and not is_float:
-                i += 1
-            text = source[start:i]
-            kind = TokenKind.FLOAT if is_float else TokenKind.INT
-            tokens.append(Token(kind, text, line, col))
-            col += i - start
-            continue
-
-        op = source[i:i + 3]
-        if op not in _OPS_3:
-            op = op[:2]
-            if op not in _OPS_2:
-                op = ""
+    line_start = -1  # offset of the newline before *pos*
+    for blanks, word, real, integer, op, other in _TOKEN_RE.findall(source):
+        if blanks:
+            if "\n" in blanks:
+                line += blanks.count("\n")
+                line_start = pos + blanks.rfind("\n")
+            pos += len(blanks)
         if op:
-            tokens.append(Token(TokenKind.OP, op, line, col))
-            i += len(op)
-            col += len(op)
-            continue
-
-        if ch in SINGLE_CHAR_OPS:
-            tokens.append(Token(TokenKind.OP, ch, line, col))
-            i += 1
-            col += 1
-            continue
-
-        raise error(f"unexpected character {ch!r}")
-
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+            append(new(Token, (_OP, op, line, pos - line_start)))
+            pos += len(op)
+        elif word:
+            append(new(Token, (word_kind(word, _IDENT), word, line,
+                               pos - line_start)))
+            pos += len(word)
+        elif integer:
+            append(new(Token, (_INT, integer, line, pos - line_start)))
+            pos += len(integer)
+        elif real:
+            append(new(Token, (_FLOAT, real, line, pos - line_start)))
+            pos += len(real)
+        elif other:
+            raise _error(source, pos, line, pos - line_start)
+        else:
+            if "//" in blanks:
+                # A line comment counts no columns, so EOF after one that
+                # ends the input sits where the comment starts.
+                pos -= len(blanks) - _BEFORE_LAST_LINE_COMMENT_RE.match(
+                    blanks).end()
+            break
+    append(new(Token, (TokenKind.EOF, "", line, pos - line_start)))
     return tokens
+
+
+def _error(source: str, pos: int, line: int, col: int) -> LexerError:
+    """The error for the text at *pos*, which starts no token."""
+    if source.startswith("/*", pos):
+        message = "unterminated block comment"
+    elif source.startswith("#", pos):
+        message = "preprocessor directive in lexer input; run preprocess() first"
+    elif source.startswith(("0x", "0X"), pos):
+        message = "hexadecimal literal needs at least one digit"
+    else:
+        message = f"unexpected character {source[pos]!r}"
+    return LexerError(message, line, col)

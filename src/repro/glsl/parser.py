@@ -1,4 +1,11 @@
-"""Recursive-descent parser for the GLSL subset, with type inference.
+"""Parser for the GLSL subset, with type inference.
+
+Statements and declarations are parsed by recursive descent, dispatched on
+the leading token; expressions by one precedence-climbing (Pratt) loop:
+prefix operators and a primary, then postfix ``[]``, ``.`` and ``++``/``--``,
+then binary operators by precedence, left-associative, and lowest of all
+the right-associative ``?:``.  The token list ends in enough EOF copies for
+the deepest lookahead, so no token access checks bounds.
 
 The parser produces a :class:`repro.glsl.ast.Shader` whose expression nodes
 all carry a resolved ``ty``.  Doing inference here keeps the IR lowering free
@@ -48,6 +55,22 @@ _BIN_PREC = {
     "%": 7,
 }
 
+#: Prefix operators; unary ``+`` yields its operand unchanged.
+_PREFIX_OPS = frozenset(("-", "+", "!", "++", "--"))
+_POSTFIX_OPS = frozenset(("[", ".", "++", "--"))
+_PRECISIONS = frozenset(("highp", "mediump", "lowp"))
+
+#: EOF copies after the token list's own EOF: the deepest lookahead is four
+#: tokens past the current one (``vec2[4] name`` in ``_starts_declaration``).
+_LOOKAHEAD = 4
+
+_EOF = TokenKind.EOF
+_IDENT = TokenKind.IDENT
+_TYPE = TokenKind.TYPE
+_INT = TokenKind.INT
+_FLOAT = TokenKind.FLOAT
+_BOOL = TokenKind.BOOL
+
 _SWIZZLE_SETS = ("xyzw", "rgba", "stpq")
 
 
@@ -91,7 +114,9 @@ class _Scope:
 
 class _Parser:
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
+        tokens = tokenize(source)
+        tokens.extend([tokens[-1]] * _LOOKAHEAD)
+        self.tokens = tokens
         self.pos = 0
         self.globals_scope = _Scope()
         self.scope = self.globals_scope
@@ -104,34 +129,38 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
+        # Callers advance past a token they have matched, never past EOF.
         tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
-            self.pos += 1
+        self.pos += 1
         return tok
 
+    # *text* is never empty, so none of these matches EOF (text "").
+
     def check(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind is not TokenKind.EOF
+        return self.tokens[self.pos].text == text
 
     def accept(self, text: str) -> bool:
-        if self.check(text):
-            self.advance()
+        if self.tokens[self.pos].text == text:
+            self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind is TokenKind.EOF:
+        tok = self.tokens[self.pos]
+        if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind is not TokenKind.IDENT:
+        tok = self.tokens[self.pos]
+        if tok.kind is not _IDENT:
             raise ParseError(f"expected identifier, found {tok.text!r}", tok.line, tok.col)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     # ------------------------------------------------------------------
     # Top level
@@ -139,7 +168,7 @@ class _Parser:
 
     def parse(self) -> ast.Shader:
         shader = ast.Shader(version=None)
-        while self.peek().kind is not TokenKind.EOF:
+        while self.peek().kind is not _EOF:
             tok = self.peek()
             if tok.text == "precision":
                 self._skip_until(";")
@@ -156,7 +185,7 @@ class _Parser:
             if tok.text == "const":
                 shader.globals.extend(self._global_decl())
                 continue
-            if tok.kind is TokenKind.TYPE or tok.text == "void" or self._is_struct_name(tok):
+            if tok.kind is _TYPE or tok.text == "void" or self._is_struct_name(tok):
                 if self._looks_like_function():
                     shader.functions.append(self._function_def())
                 else:
@@ -166,7 +195,7 @@ class _Parser:
         return shader
 
     def _is_struct_name(self, tok: Token) -> bool:
-        return tok.kind is TokenKind.IDENT and tok.text in self.structs
+        return tok.kind is _IDENT and tok.text in self.structs
 
     def _struct_decl(self) -> ast.StructDecl:
         """Parse ``struct Name { type field, ...; ... };``."""
@@ -180,9 +209,9 @@ class _Parser:
         fields: List[Tuple[str, T.GLSLType]] = []
         seen: set = set()
         while not self.check("}"):
-            if self.peek().kind is TokenKind.EOF:
+            if self.peek().kind is _EOF:
                 raise ParseError("unterminated struct declaration", line)
-            while self.peek().text in ("highp", "mediump", "lowp"):
+            while self.peek().text in _PRECISIONS:
                 self.advance()
             field_base = self._parse_type()
             while True:
@@ -215,7 +244,7 @@ class _Parser:
         return ast.StructDecl(ty=struct_ty, line=line)
 
     def _skip_until(self, text: str) -> None:
-        while not self.check(text) and self.peek().kind is not TokenKind.EOF:
+        while not self.check(text) and self.peek().kind is not _EOF:
             self.advance()
         self.accept(text)
 
@@ -223,7 +252,7 @@ class _Parser:
         self.expect("layout")
         self.expect("(")
         depth = 1
-        while depth and self.peek().kind is not TokenKind.EOF:
+        while depth and self.peek().kind is not _EOF:
             tok = self.advance()
             if tok.text == "(":
                 depth += 1
@@ -233,21 +262,22 @@ class _Parser:
     def _looks_like_function(self) -> bool:
         """TYPE IDENT ( ...  at top level means a function definition."""
         return (
-            self.peek(1).kind is TokenKind.IDENT
+            self.peek(1).kind is _IDENT
             and self.peek(2).text == "("
         )
 
     def _parse_type(self) -> T.GLSLType:
-        tok = self.peek()
-        if tok.text == "void":
-            self.advance()
-            return T.VOID
-        if self._is_struct_name(tok):
-            self.advance()
-            base: T.GLSLType = self.structs[tok.text]
-        elif tok.kind is TokenKind.TYPE:
-            self.advance()
+        tok = self.tokens[self.pos]
+        base: T.GLSLType
+        if tok.kind is _TYPE:
+            self.pos += 1
             base = T.type_from_name(tok.text)
+        elif tok.text == "void":
+            self.pos += 1
+            return T.VOID
+        elif self._is_struct_name(tok):
+            self.pos += 1
+            base = self.structs[tok.text]
         else:
             raise ParseError(f"expected type name, found {tok.text!r}", tok.line, tok.col)
         if self.accept("["):
@@ -269,7 +299,7 @@ class _Parser:
         accepted and folded here.
         """
         tok = self.peek()
-        expr = self._ternary()
+        expr = self._expression()
         return self._fold_int(expr, tok)
 
     def _fold_int(self, expr: ast.Expr, tok: Token) -> int:
@@ -325,7 +355,7 @@ class _Parser:
                 qualifier = "in"
             elif qualifier == "varying":
                 qualifier = "in"
-        while self.peek().text in ("highp", "mediump", "lowp"):
+        while self.peek().text in _PRECISIONS:
             self.advance()
         ty = self._parse_type()
         decls: List[ast.GlobalDecl] = []
@@ -410,7 +440,7 @@ class _Parser:
         self.scope = _Scope(outer)
         body: List[ast.Stmt] = []
         while not self.check("}"):
-            if self.peek().kind is TokenKind.EOF:
+            if self.peek().kind is _EOF:
                 raise ParseError("unterminated block", line)
             body.append(self._statement())
         self.expect("}")
@@ -418,36 +448,9 @@ class _Parser:
         return ast.BlockStmt(line=line, body=body)
 
     def _statement(self) -> ast.Stmt:
-        tok = self.peek()
-        if tok.text == "{":
-            return self._block()
-        if tok.text == "if":
-            return self._if_stmt()
-        if tok.text == "for":
-            return self._for_stmt()
-        if tok.text == "while":
-            return self._while_stmt()
-        if tok.text == "do":
-            return self._do_while_stmt()
-        if tok.text == "switch":
-            return self._switch_stmt()
-        if tok.text == "return":
-            self.advance()
-            value = None if self.check(";") else self._expression()
-            self.expect(";")
-            return ast.ReturnStmt(line=tok.line, value=value)
-        if tok.text == "discard":
-            self.advance()
-            self.expect(";")
-            return ast.DiscardStmt(line=tok.line)
-        if tok.text == "break":
-            self.advance()
-            self.expect(";")
-            return ast.BreakStmt(line=tok.line)
-        if tok.text == "continue":
-            self.advance()
-            self.expect(";")
-            return ast.ContinueStmt(line=tok.line)
+        parse = _STATEMENTS.get(self.tokens[self.pos].text)
+        if parse is not None:
+            return parse(self)
         if self._starts_declaration():
             stmt = self._decl_stmt()
             self.expect(";")
@@ -456,35 +459,47 @@ class _Parser:
         self.expect(";")
         return stmt
 
+    def _return_stmt(self) -> ast.ReturnStmt:
+        tok = self.advance()
+        value = None if self.check(";") else self._expression()
+        self.expect(";")
+        return ast.ReturnStmt(line=tok.line, value=value)
+
+    def _jump_stmt(self) -> ast.Stmt:
+        """``discard;``, ``break;`` or ``continue;``."""
+        tok = self.advance()
+        self.expect(";")
+        return _JUMPS[tok.text](line=tok.line)
+
     def _starts_declaration(self) -> bool:
-        tok = self.peek()
-        if tok.text == "const":
-            return True
-        if tok.text in ("highp", "mediump", "lowp"):
-            return self.peek(1).kind is TokenKind.TYPE
-        if self._is_struct_name(tok):
-            return self.peek(1).kind is TokenKind.IDENT
-        if tok.kind is TokenKind.TYPE:
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        if tok.kind is _TYPE:
             # Distinguish `vec3 v = ...;` from constructor `vec3(...)` and
             # array literal `vec3[](...)`.
-            nxt = self.peek(1)
-            if nxt.kind is TokenKind.IDENT:
+            nxt = tokens[pos + 1]
+            if nxt.kind is _IDENT:
                 return True
             if nxt.text == "[":
                 # `vec2[] name` (declaration) vs `vec2[](…)` (array literal)
-                j = 2
-                if self.peek(2).kind is TokenKind.INT:
-                    j = 3
-                if self.peek(j).text == "]":
-                    return self.peek(j + 1).kind is TokenKind.IDENT
+                j = pos + 3 if tokens[pos + 2].kind is _INT else pos + 2
+                if tokens[j].text == "]":
+                    return tokens[j + 1].kind is _IDENT
             return False
+        if tok.text == "const":
+            return True
+        if tok.text in _PRECISIONS:
+            return tokens[pos + 1].kind is _TYPE
+        if self._is_struct_name(tok):
+            return tokens[pos + 1].kind is _IDENT
         return False
 
     def _decl_stmt(self) -> ast.DeclStmt:
         line = self.peek().line
         is_const = self.accept("const")
-        while self.peek().text in ("highp", "mediump", "lowp"):
-            self.advance()
+        while self.tokens[self.pos].text in _PRECISIONS:
+            self.pos += 1
         base_ty = self._parse_type()
         declarators: List[ast.Declarator] = []
         while True:
@@ -606,7 +621,7 @@ class _Parser:
         seen_default = False
         while not self.check("}"):
             tok = self.peek()
-            if tok.kind is TokenKind.EOF:
+            if tok.kind is _EOF:
                 raise ParseError("unterminated switch statement", line)
             if tok.text == "case":
                 self.advance()
@@ -644,101 +659,95 @@ class _Parser:
     # Expressions
     # ------------------------------------------------------------------
 
-    def _expression(self) -> ast.Expr:
-        return self._ternary()
+    def _expression(self, min_prec: int = 0) -> ast.Expr:
+        """An expression whose binary operators bind at least *min_prec*.
 
-    def _ternary(self) -> ast.Expr:
-        cond = self._binary(1)
-        if not self.accept("?"):
-            return cond
+        An operand, then each binary operator of precedence *min_prec* or
+        higher with a right operand that binds tighter than it, so equal
+        precedences associate left.  At precedence 0 a ``?`` then makes the
+        whole the condition of a right-associative ``?:``.
+        """
+        left = self._unary()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            prec = _BIN_PREC.get(tok.text)
+            if prec is None or prec < min_prec:
+                break
+            self.pos += 1
+            right = self._expression(prec + 1)
+            ty, left, right = self._binary_type(tok.text, left, right, tok.line)
+            left = ast.Binary(line=tok.line, ty=ty, op=tok.text, left=left, right=right)
+        if min_prec or tok.text != "?":
+            return left
+        self.pos += 1
         then = self._expression()
         self.expect(":")
-        otherwise = self._ternary()
+        otherwise = self._expression()
         then, otherwise = self._unify(then, otherwise)
-        return ast.Ternary(line=cond.line, ty=then.ty, cond=cond, then=then,
+        return ast.Ternary(line=left.line, ty=then.ty, cond=left, then=then,
                            otherwise=otherwise)
 
-    def _binary(self, min_prec: int) -> ast.Expr:
-        left = self._unary()
-        while True:
-            op = self.peek().text
-            prec = _BIN_PREC.get(op)
-            if prec is None or prec < min_prec:
-                return left
-            line = self.peek().line
-            self.advance()
-            right = self._binary(prec + 1)
-            ty, left, right = self._binary_type(op, left, right, line)
-            left = ast.Binary(line=line, ty=ty, op=op, left=left, right=right)
-
     def _unary(self) -> ast.Expr:
-        tok = self.peek()
-        if tok.text in ("-", "+", "!"):
-            self.advance()
+        """Prefix operators, then a primary and its postfix operators."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        text = tok.text
+        if text in _PREFIX_OPS:
+            self.pos += 1
             operand = self._unary()
-            if tok.text == "+":
+            if text == "+":
                 return operand
             ty = operand.ty
-            if tok.text == "!" and ty != T.BOOL:
+            if text == "!" and ty != T.BOOL:
                 raise ParseError("operator ! requires a bool operand", tok.line, tok.col)
-            return ast.Unary(line=tok.line, ty=ty, op=tok.text, operand=operand)
-        if tok.text in ("++", "--"):
-            self.advance()
-            operand = self._unary()
-            return ast.Unary(line=tok.line, ty=operand.ty, op=tok.text, operand=operand)
-        return self._postfix()
-
-    def _postfix(self) -> ast.Expr:
-        expr = self._primary()
+            return ast.Unary(line=tok.line, ty=ty, op=text, operand=operand)
+        kind = tok.kind
+        expr: ast.Expr
+        if kind is _IDENT:
+            if tokens[self.pos + 1].text == "(":
+                expr = self._call()
+            else:
+                self.pos += 1
+                ty = self.scope.lookup(text)
+                if ty is None:
+                    raise ParseError(f"undeclared identifier {text!r}", tok.line, tok.col)
+                expr = ast.Ident(line=tok.line, ty=ty, name=text)
+        elif kind is _FLOAT:
+            self.pos += 1
+            expr = ast.FloatLit(line=tok.line, ty=T.FLOAT, value=float(text.rstrip("fF")))
+        elif kind is _INT:
+            self.pos += 1
+            expr = ast.IntLit(line=tok.line, ty=T.INT, value=parse_int_literal(text))
+        elif kind is _BOOL:
+            self.pos += 1
+            expr = ast.BoolLit(line=tok.line, ty=T.BOOL, value=text == "true")
+        elif text == "(":
+            self.pos += 1
+            expr = self._expression()
+            self.expect(")")
+        elif kind is _TYPE:
+            expr = self._constructor_or_array_literal()
+        else:
+            raise ParseError(f"unexpected token {text!r} in expression", tok.line, tok.col)
         while True:
-            tok = self.peek()
-            if tok.text == "[":
-                self.advance()
+            tok = tokens[self.pos]
+            text = tok.text
+            if text not in _POSTFIX_OPS:
+                return expr
+            self.pos += 1
+            if text == "[":
                 index = self._expression()
                 self.expect("]")
                 expr = ast.Index(line=tok.line, ty=self._index_type(expr, tok),
                                  base=expr, index=index)
-            elif tok.text == ".":
-                self.advance()
+            elif text == ".":
                 name = self.expect_ident().text
                 expr = ast.Member(line=tok.line, ty=self._member_type(expr, name, tok),
                                   base=expr, name=name)
-            elif tok.text in ("++", "--"):
-                self.advance()
-                expr = ast.Unary(line=tok.line, ty=expr.ty, op=tok.text,
-                                 operand=expr, postfix=True)
             else:
-                return expr
-
-    def _primary(self) -> ast.Expr:
-        tok = self.peek()
-        if tok.kind is TokenKind.FLOAT:
-            self.advance()
-            return ast.FloatLit(line=tok.line, ty=T.FLOAT,
-                                value=float(tok.text.rstrip("fF")))
-        if tok.kind is TokenKind.INT:
-            self.advance()
-            return ast.IntLit(line=tok.line, ty=T.INT,
-                              value=parse_int_literal(tok.text))
-        if tok.kind is TokenKind.BOOL:
-            self.advance()
-            return ast.BoolLit(line=tok.line, ty=T.BOOL, value=tok.text == "true")
-        if tok.text == "(":
-            self.advance()
-            expr = self._expression()
-            self.expect(")")
-            return expr
-        if tok.kind is TokenKind.TYPE:
-            return self._constructor_or_array_literal()
-        if tok.kind is TokenKind.IDENT:
-            if self.peek(1).text == "(":
-                return self._call()
-            self.advance()
-            ty = self.scope.lookup(tok.text)
-            if ty is None:
-                raise ParseError(f"undeclared identifier {tok.text!r}", tok.line, tok.col)
-            return ast.Ident(line=tok.line, ty=ty, name=tok.text)
-        raise ParseError(f"unexpected token {tok.text!r} in expression", tok.line, tok.col)
+                expr = ast.Unary(line=tok.line, ty=expr.ty, op=text,
+                                 operand=expr, postfix=True)
 
     def _constructor_or_array_literal(self) -> ast.Expr:
         tok = self.advance()
@@ -992,6 +1001,25 @@ class _Parser:
                         f"swizzle {name!r} out of range for {ty}", tok.line, tok.col)
                 return T.vector_of(ty.kind, len(name))
         raise ParseError(f"invalid swizzle {name!r}", tok.line, tok.col)
+
+
+#: Statement parsers by leading token; any other statement is a declaration
+#: or an expression.
+_STATEMENTS = {
+    "{": _Parser._block,
+    "if": _Parser._if_stmt,
+    "for": _Parser._for_stmt,
+    "while": _Parser._while_stmt,
+    "do": _Parser._do_while_stmt,
+    "switch": _Parser._switch_stmt,
+    "return": _Parser._return_stmt,
+    "discard": _Parser._jump_stmt,
+    "break": _Parser._jump_stmt,
+    "continue": _Parser._jump_stmt,
+}
+
+_JUMPS = {"discard": ast.DiscardStmt, "break": ast.BreakStmt,
+          "continue": ast.ContinueStmt}
 
 
 def swizzle_indices(name: str) -> List[int]:

@@ -79,7 +79,7 @@ def preprocess(source: str, defines: Optional[Dict[str, str]] = None) -> Preproc
             out_lines.extend([""] * span)
             continue
         if _active(cond_stack):
-            out_lines.append(_expand_macros(raw, macros, lineno))
+            out_lines.append(_expand_macros(raw, macros, lineno) if macros else raw)
             out_lines.extend([""] * (span - 1))
         else:
             out_lines.extend([""] * span)

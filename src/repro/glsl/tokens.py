@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -68,9 +68,12 @@ def parse_int_literal(text: str) -> int:
     return int(body, 10)
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token with its source position."""
+class Token(NamedTuple):
+    """A single lexical token with its source position.
+
+    A tuple, so tokens are immutable and compare by value; the lexer builds
+    them with ``tuple.__new__`` to skip the Python-level constructor.
+    """
 
     kind: TokenKind
     text: str

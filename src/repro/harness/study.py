@@ -37,7 +37,8 @@ Large corpora (see ``repro.corpus.synth``) add two scale-out levers:
   carry along.
 - **Streaming** (``checkpoint_every=N``): the result cache is flushed
   every N cases, and each finished case's compiled variant set is
-  released from the cache's memory (its log already holds it).
+  released from the cache's memory, with or without a cache file (a
+  file's log keeps it; without one, a repeated source compiles again).
   A serial streaming run holds one case's variants in memory; a parallel
   one primes in chunks of ``checkpoint_every x max_workers`` cases, so
   memory is bounded by the chunk, never the corpus.

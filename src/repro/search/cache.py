@@ -173,13 +173,13 @@ class ResultCache:
         self.put(self.variants_key(digest), {"texts": texts, "combos": combos})
 
     def release_variants(self, digest: str) -> None:
-        """Evict a variants entry from memory once it is safely on disk.
+        """Evict a variants entry from memory (a streaming study's bound).
 
-        A memory-only cache keeps it: evicting would lose it outright.
+        A file-backed cache still holds it in its log; a memory-only one
+        loses it, and a later request for the same source compiles again.
         """
-        if self._log is not None:
-            with self._lock:
-                self._entries.pop(self.variants_key(digest), None)
+        with self._lock:
+            self._entries.pop(self.variants_key(digest), None)
 
     # ------------------------------------------------------------------
     # Disk store

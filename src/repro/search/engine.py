@@ -13,14 +13,16 @@ The engine wraps :class:`ShaderCompiler` and
    once.
 
 The engine keeps only the flag points it compiled alone (``tune`` reads
-each once per platform), and it is the one place that builds cache keys
-and values and counts work.  Every entry is keyed on content hashes, so a
-disk-backed cache survives process restarts and is shared by engines of
-every seed: repeated ``tune`` runs, repeated studies, and the benchmark
-suite all skip work they have already paid for.  (Study and ``tune``
-measurements don't cross-hit each other: the study keeps the paper's
-per-variant measurement seeds for protocol fidelity, while ``tune`` keys
-every measurement on the engine's single seed.)
+each once per platform; a long-lived engine drops a finished search's
+with :meth:`EvaluationEngine.release_texts`), and it is the one place
+that builds cache keys and values and counts work.  Every entry is keyed
+on content hashes, so a disk-backed cache survives process restarts and
+is shared by engines of every seed: repeated ``tune`` runs, repeated
+studies, and the benchmark suite all skip work they have already paid
+for.  (Study and ``tune`` measurements don't cross-hit each other: the
+study keeps the paper's per-variant measurement seeds for protocol
+fidelity, while ``tune`` keys every measurement on the engine's single
+seed.)
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.core.pipeline import ShaderCompiler, VariantSet
 from repro.gpu.platform import Platform, all_platforms
@@ -184,6 +188,14 @@ class EvaluationEngine:
             text = ShaderCompiler(source).compile(flags).output
             self._texts[key] = text
         return text
+
+    def release_texts(self, sources: Iterable[str]) -> None:
+        """Drop the points of *sources* compiled alone (a finished search
+        job's); a later request for one compiles it again."""
+        digests = {source_digest(source) for source in sources}
+        for key in list(self._texts):
+            if key[0] in digests:
+                self._texts.pop(key, None)
 
     @staticmethod
     def _coerce_flags(flags: FlagsLike) -> OptimizationFlags:

@@ -207,23 +207,30 @@ class JobRunner:
 
     def _run_search(self, job: Job, engine: EvaluationEngine,
                     publish: Publish) -> dict:
-        """A budgeted flag-space search (the ``repro tune`` path) as a job."""
+        """A budgeted flag-space search (the ``repro tune`` path) as a job.
+
+        The seed engine outlives the job, so the points it compiled alone
+        are dropped when the job ends; their measurements stay cached.
+        """
         spec = job.spec
         cases = spec.cases()
         strategy = make_strategy(spec.strategy, seed=spec.seed)
         rows: List[dict] = []
-        for platform in spec.resolve_platforms():
-            objective = engine.corpus_objective(cases, platform.name)
-            outcome = strategy.search(objective, budget=spec.budget)
-            row = {
-                "platform": platform.name,
-                "best_flags": str(
-                    OptimizationFlags.from_index(outcome.best_index)),
-                "best_pct": round(outcome.best_score, 4),
-                "evaluated": outcome.points_evaluated,
-            }
-            rows.append(row)
-            publish(dict(row, type="platform"))
+        try:
+            for platform in spec.resolve_platforms():
+                objective = engine.corpus_objective(cases, platform.name)
+                outcome = strategy.search(objective, budget=spec.budget)
+                row = {
+                    "platform": platform.name,
+                    "best_flags": str(
+                        OptimizationFlags.from_index(outcome.best_index)),
+                    "best_pct": round(outcome.best_score, 4),
+                    "evaluated": outcome.points_evaluated,
+                }
+                rows.append(row)
+                publish(dict(row, type="platform"))
+        finally:
+            engine.release_texts(case.source for case in cases)
         return {"kind": "search", "strategy": strategy.name,
                 "budget": spec.budget, "shaders": len(cases),
                 "platforms": [row["platform"] for row in rows],

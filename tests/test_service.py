@@ -328,6 +328,25 @@ def test_search_strategy_job(service):
     assert status["summary"]["search"][0]["evaluated"] <= 9
 
 
+def test_search_jobs_leave_no_lone_point_texts():
+    """The seed engine outlives its search jobs: the points a job compiled
+    alone go when it ends, and a warm resubmit still does no engine work."""
+    from repro.service.jobs import Job
+    from repro.service.runner import JobRunner
+
+    runner = JobRunner()
+    for count in (3, 6):
+        spec = JobSpec(corpus=CorpusSpec(max_shaders=count),
+                       strategy="random", budget=4, platforms=("ARM",))
+        runner.run(Job(id=f"search-{count}", spec=spec), lambda event: None)
+        assert runner.engine_for(spec.seed)._texts == {}
+    before = runner.work_snapshot()
+    runner.run(Job(id="again", spec=spec), lambda event: None)
+    after = runner.work_snapshot()
+    assert after["compiles"] == before["compiles"]
+    assert after["measures"] == before["measures"]
+
+
 def test_dispatch_strategy_job_matches_unsharded_study(service):
     """A dispatch job through the daemon: shards fan out on the warm-cache
     thread transport, merge, and byte-match the unsharded study."""

@@ -372,6 +372,21 @@ def test_streaming_study_checkpoints_and_replays(tmp_path):
     assert warm_engine.measure_count == 0
 
 
+def test_memory_only_streaming_study_releases_variants():
+    """Without a cache file, streaming still drops each finished case's
+    variant set: memory holds one case, and the result is unchanged."""
+    from repro.search.engine import EvaluationEngine
+    corpus = _corpus()[:3]
+    engine = EvaluationEngine(platforms=[INTEL], seed=9, cache=ResultCache())
+    streamed = run_study(corpus, StudyConfig(platforms=[INTEL], seed=9,
+                                             checkpoint_every=1),
+                         engine=engine)
+    assert not any(engine.cache.has_variants(source_digest(case.source))
+                   for case in corpus)
+    plain = run_study(corpus, StudyConfig(platforms=[INTEL], seed=9))
+    assert streamed.to_json() == plain.to_json()
+
+
 def test_parallel_streaming_primes_in_chunks(tmp_path, monkeypatch):
     """Parallel + checkpoint_every primes bounded chunks (byte-identical
     results, memos released), instead of installing the whole corpus's
