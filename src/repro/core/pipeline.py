@@ -4,13 +4,13 @@
 transformed GLSL out, with compilation artifacts included.
 ``unique_variants(source)`` runs all 256 flag combinations and deduplicates
 the emitted text — Fig. 4c's "unique shader variants" statistic.  A
-:class:`ShaderCompiler` takes its front-end module from the same memo the
-vendor JITs use (:func:`repro.gpu.jit.shared_frontend`), so a source text is
-preprocessed, parsed, lowered and SSA-promoted once, however many flag
-combinations and platforms compile it; every consumer clones that shared
-module before mutating it.  ``all_variants`` walks the shared-prefix
-compilation trie (:mod:`repro.core.trie`), so each pass runs once per
-distinct reachable IR state rather than once per combination.
+:class:`ShaderCompiler` takes its module from the same memo the vendor
+JITs use (:func:`repro.gpu.jit.shared_frontend`), so a source text is
+parsed, lowered and cleaned once, however many flag combinations and
+platforms compile it; every consumer clones that shared module before
+mutating it.  ``all_variants`` walks the shared-prefix compilation trie
+(:mod:`repro.core.trie`), so each pass runs once per distinct reachable IR
+state rather than once per combination.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class CompiledShader:
 
 
 class ShaderCompiler:
-    """One shader's front-end module, compiled under any flag combination.
+    """One shader's cleaned module, compiled under any flag combination.
 
     The module comes from :func:`repro.gpu.jit.shared_frontend` and is
     shared with every other compiler and vendor JIT of the same source
@@ -56,8 +56,8 @@ class ShaderCompiler:
         self._module = shared_frontend(source)
 
     def compile(self, flags: OptimizationFlags, es: bool = False) -> CompiledShader:
-        """Run the pipeline under *flags* on a clone of the front-end module."""
-        module = clone_module(self._module)
+        """Run the flag passes under *flags* on a clone of the module."""
+        module = clone_module(self._module, preserve_names=True)
         stats = run_passes(module, flags)
         output = emit_glsl(module, es=es)
         return CompiledShader(source=self.source, flags=flags, module=module,

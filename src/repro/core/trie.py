@@ -1,7 +1,7 @@
 """Shared-prefix compilation trie over the 256-combination flag space.
 
 The naive variant explosion pays for every combination independently: 256
-``clone_module`` -> full ``run_passes`` -> ``emit_glsl`` runs per shader,
+``clone_module`` -> ``run_passes`` -> ``emit_glsl`` runs per shader,
 even though ``PASS_ORDER`` is fixed and a disabled flag is a literal no-op
 in the pipeline loop — most combinations share long identical pass
 prefixes.  This module walks the flag space as an 8-level binary decision
@@ -71,8 +71,8 @@ class TrieStats:
 
 
 class VariantTrie:
-    """Compile all 256 flag combinations of one front-end module by walking
-    the shared-prefix decision tree."""
+    """Compile all 256 flag combinations of one module by walking the
+    shared-prefix decision tree from a cleaned name-preserving clone."""
 
     def __init__(self, base_module: Module, es: bool = False):
         self._base = base_module
@@ -82,7 +82,7 @@ class VariantTrie:
     def compile(self) -> Dict[int, str]:
         """Emitted text for every flag index 0..255 (deduplicated work,
         byte-identical results to the naive per-combination path)."""
-        root = clone_module(self._base)
+        root = clone_module(self._base, preserve_names=True)
         run_cleanup(root.function)
         root_fp = fingerprint_module(root)
 

@@ -64,6 +64,13 @@ _PRECISIONS = frozenset(("highp", "mediump", "lowp"))
 #: tokens past the current one (``vec2[4] name`` in ``_starts_declaration``).
 _LOOKAHEAD = 4
 
+#: The deepest nesting parsed, in open statements, expressions (operands,
+#: arguments, indices, parentheses) and operators (``a + b + c`` nests
+#: ``a + b`` in the outer ``+``).  The parser and every later stage recurse
+#: over the AST; none overflows Python's stack this deep, from a pool
+#: worker or under pytest, with a wide margin.
+MAX_NESTING = 128
+
 _EOF = TokenKind.EOF
 _IDENT = TokenKind.IDENT
 _TYPE = TokenKind.TYPE
@@ -118,6 +125,7 @@ class _Parser:
         tokens.extend([tokens[-1]] * _LOOKAHEAD)
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.globals_scope = _Scope()
         self.scope = self.globals_scope
         self.functions: Dict[str, Tuple[T.GLSLType, List[ast.Param]]] = {}
@@ -136,6 +144,16 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def _nest(self) -> int:
+        """Open one more nesting level; returns the depth to restore."""
+        depth = self.depth
+        if depth == MAX_NESTING:
+            tok = self.tokens[self.pos]
+            raise ParseError(f"nesting deeper than {MAX_NESTING} expressions"
+                             " and statements", tok.line, tok.col)
+        self.depth = depth + 1
+        return depth
 
     # *text* is never empty, so none of these matches EOF (text "").
 
@@ -448,15 +466,15 @@ class _Parser:
         return ast.BlockStmt(line=line, body=body)
 
     def _statement(self) -> ast.Stmt:
+        outer = self._nest()
         parse = _STATEMENTS.get(self.tokens[self.pos].text)
         if parse is not None:
-            return parse(self)
-        if self._starts_declaration():
-            stmt = self._decl_stmt()
+            stmt = parse(self)
+        else:
+            stmt = (self._decl_stmt() if self._starts_declaration()
+                    else self._expr_or_assign_stmt())
             self.expect(";")
-            return stmt
-        stmt = self._expr_or_assign_stmt()
-        self.expect(";")
+        self.depth = outer
         return stmt
 
     def _return_stmt(self) -> ast.ReturnStmt:
@@ -667,6 +685,7 @@ class _Parser:
         precedences associate left.  At precedence 0 a ``?`` then makes the
         whole the condition of a right-associative ``?:``.
         """
+        outer = self._nest()
         left = self._unary()
         tokens = self.tokens
         while True:
@@ -674,16 +693,19 @@ class _Parser:
             prec = _BIN_PREC.get(tok.text)
             if prec is None or prec < min_prec:
                 break
+            self._nest()
             self.pos += 1
             right = self._expression(prec + 1)
             ty, left, right = self._binary_type(tok.text, left, right, tok.line)
             left = ast.Binary(line=tok.line, ty=ty, op=tok.text, left=left, right=right)
         if min_prec or tok.text != "?":
+            self.depth = outer
             return left
         self.pos += 1
         then = self._expression()
         self.expect(":")
         otherwise = self._expression()
+        self.depth = outer
         then, otherwise = self._unify(then, otherwise)
         return ast.Ternary(line=left.line, ty=then.ty, cond=left, then=then,
                            otherwise=otherwise)
@@ -694,8 +716,10 @@ class _Parser:
         tok = tokens[self.pos]
         text = tok.text
         if text in _PREFIX_OPS:
+            outer = self._nest()
             self.pos += 1
             operand = self._unary()
+            self.depth = outer
             if text == "+":
                 return operand
             ty = operand.ty
@@ -718,7 +742,10 @@ class _Parser:
             expr = ast.FloatLit(line=tok.line, ty=T.FLOAT, value=float(text.rstrip("fF")))
         elif kind is _INT:
             self.pos += 1
-            expr = ast.IntLit(line=tok.line, ty=T.INT, value=parse_int_literal(text))
+            try:
+                expr = ast.IntLit(line=tok.line, ty=T.INT, value=parse_int_literal(text))
+            except ValueError:  # a leading 0 makes it octal: 08, 09, 019
+                raise ParseError(f"invalid octal literal {text!r}", tok.line, tok.col) from None
         elif kind is _BOOL:
             self.pos += 1
             expr = ast.BoolLit(line=tok.line, ty=T.BOOL, value=text == "true")

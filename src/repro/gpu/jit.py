@@ -14,38 +14,38 @@ changing a pipeline changes every measured time.
 The redundancy (or absence) of each offline flag in a vendor's JIT is one of
 the two mechanisms behind the paper's cross-platform variance.
 
-The front end (preprocess -> parse -> lower -> SSA) is identical for every
-vendor and for the offline compiler (:class:`repro.core.ShaderCompiler`),
-so :func:`shared_frontend` memoizes it per source text for both: a study
-that walks a shader's 256 flag combinations and measures its variants on 5
-platforms parses each text once.  Every vendor pipeline then starts with
-the same step, the cleanup, so the source's memo entry also keeps that
-step's result: a cleaned name-preserving clone of the front-end module
-(the *prefix*), built the first time any driver compiles the text.
+The front end is identical for every vendor and for the offline compiler
+(:class:`repro.core.ShaderCompiler`), and so is the always-on cleanup that
+follows it whatever the flags, as in LunarGlass.  :func:`shared_frontend`
+runs preprocess -> parse -> lower -> SSA -> one fresh-name clone (values
+renumbered in reverse postorder, the order the reassociation passes sort
+leaves by) -> ``run_cleanup`` once per source text, and keeps only the
+cleaned module: a study that walks a shader's 256 flag combinations and
+measures its variants on 5 platforms parses and cleans each text once.
 
 The drivers' pipelines differ only in their unroll limits and safe passes,
-so they share most steps too.  A compile is a walk from the prefix, state
-``()``, where a state is the tuple of steps that changed the IR so far
-(``Module.driver_steps``).  The driver unroller runs as rounds, as in
-:func:`~repro.passes.unroll.unroll`: each round unrolls the first loop
-within the driver's limits and is the step ``("unroll", loop index,
+so they share most steps too.  A compile is a walk from the cleaned
+module, state ``()``, where a state is the tuple of steps that changed the
+IR so far (``Module.driver_steps``).  The driver unroller runs as rounds,
+as in :func:`~repro.passes.unroll.unroll`: each round unrolls the first
+loop within the driver's limits and is the step ``("unroll", loop index,
 trips)``; ``("cleanup",)`` follows the last round; each safe pass that
 changes the IR is the step ``(name,)``.  The entry's step memo maps
 ``(state, step)`` to the state after it, and ``(state, ("loops", trip
 cap))`` to the state's limit-free loop sizes
 (:func:`~repro.passes.unroll.loop_sizes`), from which every driver picks
 its round.  :meth:`VendorJIT.compile` follows the memo while it hits, and
-runs a missed step on its one private module, cloned from the prefix the
-first time the walk needs IR and brought to the walk's state by replaying
-the steps it skipped.  Drivers that unroll the same loops share
-the rounds and everything after them.  Two compiles with equal steps
-produce identical IR, because every step is a deterministic function of
-the IR it runs on and a step that reports no change leaves the IR alone
+runs a missed step on its one private module, cloned from the cleaned
+module the first time the walk needs IR and brought to the walk's state
+by replaying the steps it skipped.  Drivers that unroll the same loops
+share the rounds and everything after them.  Two compiles with equal
+steps produce identical IR, because every step is a deterministic function
+of the IR it runs on and a step that reports no change leaves the IR alone
 (``tests/test_cleanup_properties.py``), so the measurement path analyses
 each distinct driver output once and keeps the analysis in the same entry
-(:func:`driver_output_memo`).  The step memo holds no IR, nothing stored
-in an entry is ever mutated, and an entry goes as a whole: by LRU eviction
-or :func:`clear_frontend_memo`.
+(:func:`driver_output_memo`).  The step memo holds no IR, the entry's one
+module is never mutated, and an entry goes as a whole: by LRU eviction or
+:func:`clear_frontend_memo`.
 """
 
 from __future__ import annotations
@@ -77,19 +77,15 @@ _SAFE_PASSES = {
 
 
 class _FrontEnd:
-    """One source text's memo entry.  Its modules are never mutated: the
-    vendor JITs, the offline compiler and its variant walk all clone
-    ``module`` or ``prefix`` before optimizing.  ``prefix``, ``steps`` and
-    ``driver_outputs`` fill in as the text is compiled and measured."""
+    """One source text's memo entry: the cleaned ``module``, which the
+    vendor JITs, the offline compiler and its variant walk all clone and
+    never mutate, and the ``steps`` and ``driver_outputs`` that fill in as
+    the text is compiled and measured."""
 
-    __slots__ = ("module", "prefix", "steps", "driver_outputs")
+    __slots__ = ("module", "steps", "driver_outputs")
 
     def __init__(self, module: Module):
-        #: The pristine lowered, SSA-promoted module.
         self.module = module
-        #: The cleaned clone every vendor pipeline starts from (built by
-        #: the first :meth:`VendorJIT.compile` of the text).
-        self.prefix: Optional[Module] = None
         #: The driver pipelines' step memo: ``(state, step) -> state
         #: after`` and ``(state, ("loops", trip cap)) -> loop sizes``,
         #: where a state is a ``driver_steps`` tuple.  It holds no IR.
@@ -103,31 +99,32 @@ _FRONTEND_MEMO_SIZE = 256
 _FRONTEND_LOCK = threading.Lock()
 
 
-def _memo_entry(source: str) -> Optional[_FrontEnd]:
-    with _FRONTEND_LOCK:
-        return _FRONTEND_MEMO.get(source)
-
-
-def shared_frontend(source: str) -> Module:
-    """Parse + lower + SSA-promote *source* once per distinct text."""
+def _entry(source: str) -> _FrontEnd:
+    """*source*'s memo entry, built on a miss (a race may build it twice)."""
     with _FRONTEND_LOCK:
         entry = _FRONTEND_MEMO.get(source)
         if entry is not None:
             _FRONTEND_MEMO.move_to_end(source)
-            return entry.module
+            return entry
     pp = preprocess(source)
-    shader = parse_shader(pp.text)
-    module = lower_shader(shader, version=pp.version)
-    promote_to_ssa(module.function)
+    lowered = lower_shader(parse_shader(pp.text), version=pp.version)
+    promote_to_ssa(lowered.function)
+    entry = _FrontEnd(clone_module(lowered))
+    run_cleanup(entry.module.function)
     with _FRONTEND_LOCK:
-        _FRONTEND_MEMO[source] = _FrontEnd(module)
+        _FRONTEND_MEMO[source] = entry
         while len(_FRONTEND_MEMO) > _FRONTEND_MEMO_SIZE:
             _FRONTEND_MEMO.popitem(last=False)
-    return module
+    return entry
+
+
+def shared_frontend(source: str) -> Module:
+    """The cleaned module of *source*, built once per distinct text."""
+    return _entry(source).module
 
 
 def clear_frontend_memo() -> None:
-    """Drop the shared front-end memo, with every prefix, step memo and
+    """Drop the shared front-end memo, with every step memo and
     driver-output analysis it holds (tests and memory-sensitive callers)."""
     with _FRONTEND_LOCK:
         _FRONTEND_MEMO.clear()
@@ -140,39 +137,15 @@ def driver_output_memo(source: str) -> Dict[Tuple, object]:
     It lives in the source's front-end memo entry and goes with it.  With
     no entry (evicted since the compile) it is a fresh, unshared dict.
     """
-    entry = _memo_entry(source)
+    with _FRONTEND_LOCK:
+        entry = _FRONTEND_MEMO.get(source)
     return {} if entry is None else entry.driver_outputs
 
 
-def _prefixed_entry(source: str) -> _FrontEnd:
-    """*source*'s memo entry with its prefix, built once per entry (a race
-    may build it twice; both are equal).  The lookup goes through
-    :func:`shared_frontend`, which keeps the entry's place in the LRU
-    current; an entry evicted since is replaced by an unshared one."""
-    frontend = shared_frontend(source)
-    entry = _memo_entry(source) or _FrontEnd(frontend)
-    if entry.prefix is None:
-        entry.prefix = _build_prefix(frontend)
-    return entry
-
-
-def _build_prefix(frontend: Module) -> Module:
-    """``run_cleanup`` on a name-preserving clone of *frontend*."""
-    prefix = clone_module(frontend, preserve_names=True)
-    run_cleanup(prefix.function)
-    _count_jit_steps(1)
-    return prefix
-
-
-def _cleaned_prefix(source: str) -> Module:
-    """The cleaned prefix every vendor pipeline of *source* starts from."""
-    return _prefixed_entry(source).prefix
-
-
-#: Pipeline steps that ``VendorJIT.compile`` ran on IR so far: the prefix
-#: cleanup, once per source; each loop scan, unroll round, post-unroll
-#: cleanup and safe pass run on a step-memo miss; and each step replayed to
-#: bring a walk's module to its state.  A memo hit counts nothing.
+#: Pipeline steps that ``VendorJIT.compile`` ran on IR so far: each loop
+#: scan, unroll round, post-unroll cleanup and safe pass run on a step-memo
+#: miss, and each step replayed to bring a walk's module to its state.  A
+#: memo hit counts nothing, nor does the front end's cleanup.
 _JIT_STEPS = 0
 _JIT_STEPS_LOCK = threading.Lock()
 
@@ -205,15 +178,15 @@ class _Walk:
     """One compile's way through its source's step memo.
 
     ``module`` is the walk's one private module, at state ``at``: cloned
-    from the prefix the first time the walk needs IR, it falls behind
-    while the walk follows memo hits, and catches up by replaying the
-    steps it skipped when the walk next needs IR.
+    from the source's cleaned module the first time the walk needs IR, it
+    falls behind while the walk follows memo hits, and catches up by
+    replaying the steps it skipped when the walk next needs IR.
     """
 
-    __slots__ = ("prefix", "memo", "module", "at")
+    __slots__ = ("cleaned", "memo", "module", "at")
 
     def __init__(self, entry: _FrontEnd):
-        self.prefix: Module = entry.prefix
+        self.cleaned: Module = entry.module
         self.memo = entry.steps
         self.module: Optional[Module] = None
         self.at: Tuple = ()
@@ -221,7 +194,7 @@ class _Walk:
     def ir(self, state: Tuple) -> Function:
         """The IR at *state*, on the walk's module."""
         if self.module is None:
-            self.module = clone_module(self.prefix, preserve_names=True)
+            self.module = clone_module(self.cleaned, preserve_names=True)
         function = self.module.function
         for step in state[len(self.at):]:
             if not _run(function, step):
@@ -253,12 +226,12 @@ class _Walk:
 class _DriverModule(Module):
     """A driver's compile of a source: ``driver_steps`` and ``interface``
     are set at once, ``function`` is built on first read, from the walk's
-    module or by replaying the steps on a clone of the prefix.  The IR is
-    private to this object."""
+    module or by replaying the steps on a clone of the cleaned module.  The
+    IR is private to this object."""
 
     def __init__(self, walk: _Walk, steps: Tuple):
         self._walk: Optional[_Walk] = walk
-        super().__init__(None, walk.prefix.interface, walk.prefix.version)
+        super().__init__(None, walk.cleaned.interface, walk.cleaned.version)
         self.driver_steps = steps
 
     @property
@@ -289,11 +262,11 @@ class VendorJIT:
 
         Walks this driver's pipeline through the source's step memo (see
         the module docstring) and returns a module whose ``driver_steps``
-        are the steps that changed the prefix, e.g.
+        are the steps that changed the source's cleaned module, e.g.
         ``(("unroll", 0, 9), ("cleanup",), ("gvn",))``.  Its IR is built
         on the first read of ``function`` and is private to it.
         """
-        walk = _Walk(_prefixed_entry(source))
+        walk = _Walk(_entry(source))
         state: Tuple = ()
         if self.unroll_max_trips > 0:
             # One scan of a state serves every driver with at most

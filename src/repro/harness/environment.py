@@ -15,10 +15,10 @@ and timed the execution of each draw-call":
 Steps 1–4 are pure functions of (source, platform) — only step 5 consumes
 the measurement seed — so :meth:`ShaderExecutionEnvironment.prepare` does
 them once per unit.  Most of that work does not depend on the platform
-either.  The driver JITs share every pipeline step they have in common
-through the source's step memo, and drivers whose pipelines changed a text
-by the same steps (``Module.driver_steps``) compile it to identical IR.  So
-the profile, which runs every sample fragment as a lane of one
+either.  The driver JITs walk from the source's cleaned module through its
+step memo, sharing every step they have in common, and drivers that changed
+a text by the same steps (``Module.driver_steps``) compile it to identical
+IR.  So the profile, which runs every sample fragment as a lane of one
 :class:`~repro.ir.interp_batch.BatchedInterpreter` pass, and the
 spec-independent half of the cost model
 (:func:`~repro.gpu.cost.kernel_summary`) run once per distinct driver

@@ -164,7 +164,7 @@ class Module:
         self.function = function
         self.interface = interface
         self.version = version
-        #: The vendor-JIT steps that changed the source's cleaned prefix
+        #: The vendor-JIT steps that changed the source's cleaned module
         #: into this module, in order: unroll rounds ``("unroll", loop
         #: index, trips)``, the ``("cleanup",)`` after the last round, and
         #: each safe pass ``(name,)`` that changed the IR (set by

@@ -2,9 +2,9 @@
 
 The eight command-line flags from the paper (Section III) map to
 :class:`repro.passes.flags.OptimizationFlags`;
-:func:`repro.passes.manager.run_passes` applies them plus the always-on
-canonical passes (constant folding, local CSE, trivial DCE) in a fixed,
-deterministic order.
+:func:`repro.passes.manager.run_passes` applies them in a fixed,
+deterministic order after the always-on canonical passes (constant
+folding, local CSE, trivial DCE), which the shared front end runs.
 """
 
 from repro.passes.flags import (

@@ -1,20 +1,18 @@
 """Pass pipeline driver, mirroring the LunarGlass stack's fixed order.
 
-``run_passes(module, flags)`` applies:
-
-1. the always-on canonical passes (constant folding / simplification, local
-   CSE, trivial DCE) — these run regardless of flags, as in LunarGlass;
-2. each enabled flag pass in a fixed order (unroll first so constant-index
-   array loads fold; hoist next so flattened code feeds the scalar passes;
-   then the arithmetic passes; GVN and coalesce late; ADCE last), with the
-   canonical cleanup re-run after each one that changed the IR.
+The always-on canonical cleanup (:func:`run_cleanup`) runs whatever the
+flags, as in LunarGlass: once per source text, in
+:func:`repro.gpu.jit.shared_frontend`.  ``run_passes(module, flags)`` then
+applies each enabled flag pass to a cleaned module in a fixed order (unroll
+first so constant-index array loads fold; hoist next so flattened code
+feeds the scalar passes; then the arithmetic passes; GVN and coalesce
+late; ADCE last), re-running the cleanup after each one that changed the IR.
 
 Skipping the cleanup after a pass that changed nothing gives the same IR:
 the pass ran on cleaned IR and left it as it was, and the cleanup is
 idempotent.  ``tests/test_cleanup_properties.py`` fuzzes both facts.
 
-The same entry point drives both the offline optimizer and the simulated
-vendor JIT pipelines (with vendor-specific flag sets).
+The vendor JIT pipelines run their own steps through :func:`run_step`.
 """
 
 from __future__ import annotations
@@ -56,8 +54,8 @@ _PASS_FN = {
 def run_cleanup(function) -> None:
     """The always-on canonical cleanup (LunarGlass's "necessary passes").
 
-    Runs on every fresh front-end module, and again after every pipeline
-    step that changed the IR (see :func:`run_step`).  ``canonicalize``
+    Runs once per front-end module, and again after every pipeline step
+    that changed the IR (see :func:`run_step`).  ``canonicalize``
     stops at its own fixpoint, so its second run (and the DCE before it)
     has work only when block merging (trivial-phi pruning included) or
     local CSE changed something, or when its round cap cut it short.
@@ -86,18 +84,18 @@ def run_step(function, step: Callable[..., int], **options) -> int:
 def apply_flag_pass(module: Module, name: str) -> int:
     """One incremental pipeline step: a single flag pass plus the canonical
     cleanup (skipped when the pass changed nothing).  ``run_passes`` is
-    exactly ``run_cleanup`` followed by one such step per enabled flag in
-    ``PASS_ORDER`` — the compilation trie (:mod:`repro.core.trie`) walks
-    edges of precisely this granularity."""
+    exactly one such step per enabled flag in ``PASS_ORDER`` — the
+    compilation trie (:mod:`repro.core.trie`) walks edges of precisely this
+    granularity."""
     if name not in _PASS_FN:
         raise KeyError(f"unknown flag pass {name!r}; have {PASS_ORDER}")
     return run_step(module.function, _PASS_FN[name])
 
 
 def run_passes(module: Module, flags: OptimizationFlags) -> Dict[str, int]:
-    """Run the configured pipeline in place; returns per-pass change counts."""
+    """Run the enabled flag passes in place on a cleaned *module* (a clone
+    of a ``shared_frontend`` module is one); returns per-pass change counts."""
     stats: Dict[str, int] = {}
-    run_cleanup(module.function)
     for name in PASS_ORDER:
         if not getattr(flags, name):
             continue

@@ -14,8 +14,9 @@ import random
 import re
 from typing import Dict, List, Optional
 
-from repro.core import ShaderCompiler, VariantSet, compile_shader
+from repro.core import VariantSet, compile_shader
 from repro.errors import LexerError
+from repro.glsl import parse_shader, preprocess
 from repro.glsl.tokens import (
     KEYWORDS, MULTI_CHAR_OPS, SINGLE_CHAR_OPS, TYPE_NAMES, Token, TokenKind,
 )
@@ -23,7 +24,7 @@ from repro.gpu.cost import (
     CostBreakdown, GPUSpec, _op_cost, _varying_values, draw_time_ns,
 )
 from repro.gpu.isa import OpClass, classify
-from repro.gpu.jit import VendorJIT, shared_frontend
+from repro.gpu.jit import VendorJIT
 from repro.gpu.platform import Platform
 from repro.gpu.registers import max_live_scalars
 from repro.gpu.timing import TimerModel
@@ -32,11 +33,13 @@ from repro.harness.protocol import FRAMES_PER_RUN, REPEATS, Measurement
 from repro.harness.uniforms import (
     default_textures, default_uniform_values, fragment_inputs,
 )
-from repro.ir import Interpreter, verify_function
+from repro.ir import (
+    Interpreter, emit_glsl, lower_shader, promote_to_ssa, verify_function,
+)
 from repro.ir.clone import clone_module
 from repro.ir.instructions import CondBr
 from repro.ir.module import Function, Module
-from repro.passes import OptimizationFlags
+from repro.passes import OptimizationFlags, run_passes
 from repro.passes.coalesce import coalesce
 from repro.passes.div_to_mul import div_to_mul
 from repro.passes.gvn import gvn
@@ -79,15 +82,29 @@ def assert_outputs_close(a: Dict, b: Dict, tol: float = 1e-6) -> None:
 # ---------------------------------------------------------------------------
 
 
+def fresh_frontend(source: str) -> Module:
+    """The front end with no memo: preprocess, parse, lower and promote to
+    SSA.  The module is new and uncleaned, and shares nothing with
+    ``shared_frontend``'s."""
+    pp = preprocess(source)
+    module = lower_shader(parse_shader(pp.text), version=pp.version)
+    promote_to_ssa(module.function)
+    return module
+
+
 def naive_variants(source: str, es: bool = False) -> VariantSet:
-    """The variant oracle: every flag combination compiled alone through
-    ``ShaderCompiler.compile`` (a full pipeline run each), grouped by
-    emitted text in flag-index order."""
-    compiler = ShaderCompiler(source)
+    """The variant oracle: every flag combination compiled alone from one
+    ``fresh_frontend`` module, each on its own fresh-name clone: cleanup,
+    the enabled flag passes, emission.  Grouped by emitted text in
+    flag-index order."""
+    frontend = fresh_frontend(source)
     by_text: Dict[str, List[OptimizationFlags]] = {}
     index_to_text: Dict[int, str] = {}
     for flags in OptimizationFlags.all_combinations():
-        output = compiler.compile(flags, es=es).output
+        module = clone_module(frontend)
+        run_cleanup(module.function)
+        run_passes(module, flags)
+        output = emit_glsl(module, es=es)
         by_text.setdefault(output, []).append(flags)
         index_to_text[flags.index] = output
     return VariantSet(by_text, index_to_text)
@@ -100,9 +117,10 @@ _DRIVER_PASSES = {"gvn": gvn, "coalesce": coalesce, "div_to_mul": div_to_mul,
 
 def reference_jit_compile(jit: VendorJIT, source: str) -> Module:
     """The driver-JIT oracle: the whole vendor pipeline (cleanup, the
-    driver unroll, then each safe pass) on one fresh name-preserving clone
-    of the front-end module, with no shared prefix."""
-    module = clone_module(shared_frontend(source), preserve_names=True)
+    driver unroll, then each safe pass) on a fresh-name clone of a
+    ``fresh_frontend`` module, as the shared front end starts, with no
+    memo, cleaned module or step shared."""
+    module = clone_module(fresh_frontend(source))
     function = module.function
     run_cleanup(function)
     if jit.unroll_max_trips > 0:
@@ -120,9 +138,9 @@ def unroll_rounds(module: Module) -> int:
 
 def unshared_jit_steps(jit: VendorJIT, module: Module) -> int:
     """``jit_pipeline_steps()`` of *jit*'s compile when it shares no step
-    with an earlier one, prefix cleanup aside: a loop scan per unroll round
-    plus the one that ends them, each round and the cleanup after the last,
-    and each safe pass.  *module* is that compile's result."""
+    with an earlier one: a loop scan per unroll round plus the one that
+    ends them, each round and the cleanup after the last, and each safe
+    pass.  *module* is that compile's result."""
     rounds = unroll_rounds(module)
     scans = 0
     if jit.unroll_max_trips > 0:

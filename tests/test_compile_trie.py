@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import naive_variants
+from helpers import fresh_frontend, naive_variants
 from repro.core.pipeline import ShaderCompiler, compile_mode
 from repro.core.trie import VariantTrie
 from repro.corpus import MOTIVATING_SHADER, default_corpus
@@ -180,8 +180,7 @@ def test_compile_mode_is_the_trie_whatever_the_environment(monkeypatch):
 
 
 def test_fingerprint_is_clone_invariant_and_change_sensitive():
-    compiler = ShaderCompiler(MOTIVATING_SHADER)
-    base = compiler._module
+    base = fresh_frontend(MOTIVATING_SHADER)
     fp = fingerprint_module(base)
     assert fp == fingerprint_module(base), "fingerprint must be a pure function"
     clone = clone_module(base, preserve_names=True)

@@ -2,16 +2,16 @@
 steps, and the measurement path profile and summarize each distinct driver
 output once.
 
-Every vendor pipeline starts from one cleaned prefix per source text and
-walks the source's step memo (``VendorJIT.compile``), recording the steps
-that changed the prefix (``Module.driver_steps``): unroll rounds keyed by
-the loop each unrolled, the cleanup after the last round, and each safe
-pass that changed the IR.  A compile reuses every step an earlier compile
+Every vendor pipeline starts from the source text's one cleaned module
+(``shared_frontend``) and walks the source's step memo
+(``VendorJIT.compile``), recording the steps that changed it
+(``Module.driver_steps``): unroll rounds keyed by the loop each unrolled,
+the cleanup after the last round, and each safe pass that changed the IR.  A compile reuses every step an earlier compile
 of the text ran, and the measurement path
 (``ShaderExecutionEnvironment.prepare``) shares a kernel summary between
 any two drivers with equal steps.  Both are exact when
 
-(a) **the shared prefix and step memo are invisible** — ``VendorJIT.compile``
+(a) **the shared module and step memo are invisible** — ``VendorJIT.compile``
     is fingerprint-equal to the from-scratch vendor pipeline
     (``helpers.reference_jit_compile``, which runs the whole ``unroll()``
     through ``run_step``), whatever drivers compiled the text before it and
@@ -20,12 +20,12 @@ any two drivers with equal steps.  Both are exact when
     text report the same ``driver_steps`` produce fingerprint-equal IR; and
 (c) **the rounds are ``unroll()``'s** — a driver's walk takes as many
     unroll rounds as ``unroll()`` under its limits unrolls loops on a clone
-    of the prefix.
+    of the cleaned module.
 
 (b) follows from the honest change counts that
 ``tests/test_cleanup_properties.py`` fuzzes: a step that reports zero
-changes leaves the IR alone, so a driver's output is its prefix with only
-the reported steps applied, in order.  All three are drawn over the texts
+changes leaves the IR alone, so a driver's output is its cleaned module
+with only the reported steps applied, in order.  All three are drawn over the texts
 of the offline variant walk on the default, synth and imported wild
 shaders, for the five stock drivers and for drawn driver configurations:
 unroll limits over the whole range, and the order in which several drivers
@@ -39,7 +39,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import reference_jit_compile, unroll_rounds
 from repro.core import ShaderCompiler
 from repro.corpus import default_corpus
-from repro.gpu.jit import VendorJIT, _cleaned_prefix, clear_frontend_memo
+from repro.gpu.jit import VendorJIT, clear_frontend_memo, shared_frontend
 from repro.gpu.platform import all_platforms
 from repro.ir.clone import clone_module
 from repro.ir.fingerprint import fingerprint_module
@@ -100,14 +100,14 @@ def _assert_equal_steps_mean_equal_outputs(jits, text):
         digest = fingerprint_module(module)
         reference = reference_jit_compile(jit, text)
         assert digest == fingerprint_module(reference), (
-            f"{jit} compiled from the shared prefix differs from scratch")
+            f"{jit} compiled from the shared module differs from scratch")
         assert by_steps.setdefault(module.driver_steps, digest) == digest, (
             f"{jit}: driver_steps {module.driver_steps} shared by a "
             "different output")
         rounds = 0
         if jit.unroll_max_trips > 0:
-            prefix = clone_module(_cleaned_prefix(text), preserve_names=True)
-            rounds = unroll(prefix.function, jit.unroll_max_trips,
+            cleaned = clone_module(shared_frontend(text), preserve_names=True)
+            rounds = unroll(cleaned.function, jit.unroll_max_trips,
                             jit.unroll_max_growth)
         assert unroll_rounds(module) == rounds, (
             f"{jit}: {module.driver_steps} against {rounds} unroll() rounds")

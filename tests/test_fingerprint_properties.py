@@ -22,6 +22,8 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
+from helpers import fresh_frontend
+
 from repro.core import ShaderCompiler
 from repro.corpus import MOTIVATING_SHADER, default_corpus
 from repro.harness.environment import SAMPLE_FRAGMENTS
@@ -206,7 +208,7 @@ def test_direct_rename_changes_the_digest_without_notification():
 
 
 def test_mutating_a_clone_leaves_its_twin_digest_alone():
-    module = clone_module(_compiler("motivating")._module,
+    module = clone_module(fresh_frontend(MOTIVATING_SHADER),
                           preserve_names=True)
     twin = clone_module(module, preserve_names=True)
     before_twin = fingerprint_module(twin)

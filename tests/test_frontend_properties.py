@@ -187,6 +187,10 @@ _ERRORS = [
      "line 4, col 12: swizzle 'z' out of range for vec2"),
     (_STRUCT, "S s = S(1.0);\nfloat f = s.b;", False,
      "line 4, col 12: struct S has no field 'b'"),
+    ("", "int i = 09;", False,
+     "line 3, col 9: invalid octal literal '09'"),
+    ("", "float f = " + "(" * 200 + "1.0" + ")" * 200 + ";", False,
+     "line 3, col 138: nesting deeper than 128 expressions and statements"),
 ]
 
 

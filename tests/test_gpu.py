@@ -369,11 +369,11 @@ def _blur_taps3():
                 if case.name == "blur.taps3")
 
 
-def _count_prefix_builds(monkeypatch):
-    """Record the builds of a source's cleaned prefix."""
+def _count_frontend_builds(monkeypatch):
+    """Record the builds of a source's cleaned front-end module."""
     import repro.gpu.jit as jit_module
 
-    return count_calls(monkeypatch, jit_module, "_build_prefix")
+    return count_calls(monkeypatch, jit_module, "lower_shader")
 
 
 def test_compiled_module_memo_keys_on_the_whole_jit_configuration():
@@ -445,14 +445,14 @@ def test_compiled_module_memo_separates_jits_differing_only_in(
 
 def test_compile_cached_serves_one_module_per_jit_and_source(monkeypatch):
     """Every compile returns a private module (``compile_cached`` is the
-    same method).  The five drivers share one prefix per source, which
-    ``clear_frontend_memo()`` drops."""
+    same method).  The five drivers share one cleaned module per source,
+    which ``clear_frontend_memo()`` drops."""
     from repro.corpus import MOTIVATING_SHADER
     from repro.gpu.jit import clear_frontend_memo
     from repro.ir.fingerprint import fingerprint_module
 
     clear_frontend_memo()
-    builds = _count_prefix_builds(monkeypatch)
+    builds = _count_frontend_builds(monkeypatch)
     first = INTEL.jit.compile(MOTIVATING_SHADER)
     again = INTEL.jit.compile(MOTIVATING_SHADER)
     assert again is not first and again.function is not first.function
@@ -473,26 +473,27 @@ def test_compile_cached_serves_one_module_per_jit_and_source(monkeypatch):
 @pytest.mark.parametrize("platform", all_platforms(),
                          ids=lambda platform: platform.name)
 def test_jit_pipeline_steps_count_each_vendor_step(platform, monkeypatch):
-    """The step counter counts the steps a compile runs on IR: the prefix
-    cleanup once per source, on the first compile of it by any driver, and
-    each loop scan, unroll round, post-unroll cleanup and safe pass on a
-    step-memo miss.  A repeated compile hits the memo and counts nothing;
-    another driver counts at most its own steps, and no prefix."""
+    """The step counter counts the steps a compile runs on IR: each loop
+    scan, unroll round, post-unroll cleanup and safe pass on a step-memo
+    miss.  The cleanup every walk starts from is the front end's, built
+    once per source by the first compile of it.  A repeated compile hits
+    the memo and counts nothing; another driver counts at most its own
+    steps, and builds no front end."""
     from helpers import unshared_jit_steps
     from repro.corpus import MOTIVATING_SHADER
     from repro.gpu.jit import clear_frontend_memo, jit_pipeline_steps
 
     clear_frontend_memo()
-    builds = _count_prefix_builds(monkeypatch)
+    builds = _count_frontend_builds(monkeypatch)
     jit = platform.jit
     before = jit_pipeline_steps()
     steps = unshared_jit_steps(jit, jit.compile(MOTIVATING_SHADER))
-    assert jit_pipeline_steps() - before == 1 + steps
+    assert jit_pipeline_steps() - before == steps
     jit.compile(MOTIVATING_SHADER)
-    assert jit_pipeline_steps() - before == 1 + steps
+    assert jit_pipeline_steps() - before == steps
     other = next(p.jit for p in all_platforms() if p.jit != jit)
     other_steps = unshared_jit_steps(other, other.compile(MOTIVATING_SHADER))
-    assert 0 <= jit_pipeline_steps() - before - 1 - steps <= other_steps
+    assert 0 <= jit_pipeline_steps() - before - steps <= other_steps
     assert len(builds) == 1
 
 
@@ -548,8 +549,8 @@ def test_drivers_with_equal_steps_share_one_summary_and_profile(monkeypatch):
 
 def test_five_platforms_clean_once_and_profile_each_distinct_output(
         monkeypatch):
-    """Measuring a source on all five platforms builds its prefix with one
-    cleanup and runs one profile per distinct ``driver_steps``: Intel and
+    """Measuring a source on all five platforms builds its cleaned module
+    once and runs one profile per distinct ``driver_steps``: Intel and
     Qualcomm unroll the same loop and share one, AMD, NVIDIA and ARM
     change nothing and share the other."""
     from repro.corpus import MOTIVATING_SHADER
@@ -558,7 +559,7 @@ def test_five_platforms_clean_once_and_profile_each_distinct_output(
     from repro.ir.interp_batch import BatchedInterpreter
 
     clear_frontend_memo()
-    builds = _count_prefix_builds(monkeypatch)
+    builds = _count_frontend_builds(monkeypatch)
     profiles = count_calls(monkeypatch, BatchedInterpreter, "run")
     for platform in all_platforms():
         ShaderExecutionEnvironment(platform).run(MOTIVATING_SHADER, seed=2)
@@ -569,35 +570,85 @@ def test_five_platforms_clean_once_and_profile_each_distinct_output(
 
 
 def test_measuring_leaves_the_shared_modules_unchanged():
-    """The front-end module and the cleaned prefix are shared by every
-    compile of a source; measuring it on all five platforms, building
-    every platform's driver output and running the ARM static analyser
-    must not mutate either (each driver pipeline runs on a clone)."""
+    """The cleaned module is shared by every compile of a source: the
+    offline walk, each flag-point compile and each driver pipeline start
+    from clones of it.  Walking all 256 combinations, compiling a spread of
+    them, measuring on all five platforms, building every platform's
+    driver output and running the ARM static analyser must leave it as it
+    was, and the memo must hand out that same object throughout."""
+    from helpers import fresh_frontend
     from repro.analysis.cycle_analyzer import arm_static_cycles
-    from repro.gpu.jit import _cleaned_prefix, clear_frontend_memo, \
-        shared_frontend
+    from repro.core import ShaderCompiler
+    from repro.gpu.jit import clear_frontend_memo, shared_frontend
     from repro.harness.environment import ShaderExecutionEnvironment
     from repro.ir.clone import clone_module
     from repro.ir.fingerprint import fingerprint_module
+    from repro.passes import DEFAULT_LUNARGLASS, OptimizationFlags
     from repro.passes.manager import run_cleanup
 
     clear_frontend_memo()
-    frontend = shared_frontend(TWO_LOOP_SRC)
-    prefix = _cleaned_prefix(TWO_LOOP_SRC)
-    cleaned = clone_module(frontend, preserve_names=True)
+    shared = shared_frontend(TWO_LOOP_SRC)
+    cleaned = clone_module(fresh_frontend(TWO_LOOP_SRC))
     run_cleanup(cleaned.function)
-    assert fingerprint_module(prefix) == fingerprint_module(cleaned)
-    digests = fingerprint_module(frontend), fingerprint_module(prefix)
+    digest = fingerprint_module(shared)
+    assert digest == fingerprint_module(cleaned)
 
+    def assert_unchanged(after):
+        assert shared_frontend(TWO_LOOP_SRC) is shared, after
+        assert fingerprint_module(shared) == digest, after
+
+    compiler = ShaderCompiler(TWO_LOOP_SRC)
+    compiler.all_variants()
+    assert_unchanged("all_variants")
+    spread = [OptimizationFlags.none(), DEFAULT_LUNARGLASS,
+              OptimizationFlags.from_index(255)]
+    spread += [OptimizationFlags.from_index(1 << bit) for bit in range(8)]
+    for flags in spread:
+        compiler.compile(flags)
+        assert_unchanged(f"compile({flags})")
     for platform in all_platforms():
         ShaderExecutionEnvironment(platform).run(TWO_LOOP_SRC, seed=3)
+    assert_unchanged("measuring")
     for platform in all_platforms():
         assert platform.jit.compile(TWO_LOOP_SRC).function.blocks
+    assert_unchanged("the driver outputs")
     assert arm_static_cycles(TWO_LOOP_SRC) > 0
-    assert shared_frontend(TWO_LOOP_SRC) is frontend
-    assert _cleaned_prefix(TWO_LOOP_SRC) is prefix
-    assert digests == (fingerprint_module(frontend),
-                       fingerprint_module(prefix))
+    assert_unchanged("arm_static_cycles")
+
+
+def test_offline_compile_after_the_jits_parses_and_cleans_nothing(
+        monkeypatch):
+    """Once the five JITs have compiled a source, its cleaned module is in
+    the memo: a flag-point compile of the source parses nothing and runs
+    no cleanup before its first flag pass."""
+    import repro.gpu.jit as jit_module
+    from repro.core import ShaderCompiler
+    from repro.corpus import MOTIVATING_SHADER
+    from repro.gpu.jit import clear_frontend_memo
+    from repro.passes import DEFAULT_LUNARGLASS, OptimizationFlags, manager
+
+    clear_frontend_memo()
+    for platform in all_platforms():
+        platform.jit.compile(MOTIVATING_SHADER)
+    events = []
+
+    def record(owner, name, event):
+        real = getattr(owner, name)
+
+        def recording(*args, **kwargs):
+            events.append(event)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+
+    record(jit_module, "parse_shader", "parse")
+    record(jit_module, "run_cleanup", "cleanup")
+    record(manager, "run_cleanup", "cleanup")
+    record(manager, "apply_flag_pass", "pass")
+    ShaderCompiler(MOTIVATING_SHADER).compile(OptimizationFlags.none())
+    assert events == []
+    ShaderCompiler(MOTIVATING_SHADER).compile(DEFAULT_LUNARGLASS)
+    assert events[0] == "pass" and "parse" not in events, events
 
 
 def test_compile_builds_its_ir_only_when_read(monkeypatch):
@@ -668,8 +719,8 @@ def test_drivers_unrolling_the_same_loops_share_steps_and_profile(
 
 
 def test_threads_measuring_the_same_sources_match_the_oracle():
-    """Service workers are threads.  Racing to build the same sources'
-    prefixes and kernel summaries, they may build one twice, but every
+    """Service workers are threads.  Racing to fill the same sources' step
+    memos and kernel summaries, they may build one twice, but every
     prepared module, cost and draw time still equals the from-scratch
     oracle's."""
     import sys
@@ -702,8 +753,8 @@ def test_threads_measuring_the_same_sources_match_the_oracle():
     interval = sys.getswitchinterval()
     try:
         # Each round races the first compiles of every source again.  The
-        # front ends are parsed first, so the oracle compiles the same
-        # modules: only the prefixes and the summaries are raced for.
+        # front ends are built first, so only the step memos and the
+        # summaries are raced for.
         for _ in range(6):
             clear_frontend_memo()
             for source in sources:

@@ -77,6 +77,26 @@ def test_long_if_chain_imports_and_compiles_through_gvn():
     verify_function(module.function)
 
 
+@pytest.mark.parametrize("name", ["octal_literal", "deep_parentheses"])
+def test_import_of_malformed_input_reports_fail_without_a_traceback(
+        name, tmp_path, capsys):
+    """``repro import`` reports a front-end rejection as a FAIL line and
+    exits 1: the committed octal-literal example, and a constructor around
+    600 nested parentheses."""
+    from repro.cli import main
+
+    if name == "octal_literal":
+        path = "examples/broken/octal_literal.frag"
+        error = "ParseError: line 2, col 23: invalid octal literal '09'"
+    else:
+        path = tmp_path / "deep_parentheses.frag"
+        path.write_text("out vec4 f;\nvoid main() {\n    f = vec4("
+                        + "(" * 600 + "1.0" + ")" * 600 + ");\n}\n")
+        error = "ParseError: line 3, col 140: nesting deeper than 128"
+    assert main(["import", str(path)]) == 1
+    assert f"FAIL {path}: {error}" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # corpus integration
 # ---------------------------------------------------------------------------

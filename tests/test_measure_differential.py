@@ -1,7 +1,7 @@
 """Differential testing: the measurement path against its references.
 
 The measurement path (a driver-JIT compile from the source's shared
-cleaned prefix, one lane-batched interpreter profile and kernel summary
+cleaned module, one lane-batched interpreter profile and kernel summary
 per distinct driver output, the summary folded per platform, one stream of
 timer factors per seed applied to every text measured under it) must
 reproduce the measurement oracle
@@ -272,21 +272,21 @@ def test_threads_sharing_an_engine_measure_mixed_seeds_exactly():
 
 def test_prepare_compiles_once_per_platform_and_source(monkeypatch):
     """A second preparation of a (source, platform) unit runs no pipeline
-    step: its walk hits the step memo all the way, and the cleaned prefix
-    and the kernel summary of the first are reused, so it runs no prefix
-    cleanup and no profile, for an equal cost and draw time.  The step
+    step: its walk hits the step memo all the way, and the cleaned module
+    and the kernel summary of the first are reused, so it builds no front
+    end and runs no profile, for an equal cost and draw time.  The step
     memo and the summaries live in the source's front-end memo entry, so
     ``clear_frontend_memo()`` drops them."""
     import repro.gpu.jit as jit_module
 
     clear_frontend_memo()
     platform = all_platforms()[0]
-    builds = count_calls(monkeypatch, jit_module, "_build_prefix")
+    builds = count_calls(monkeypatch, jit_module, "lower_shader")
     profiles = count_calls(monkeypatch, BatchedInterpreter, "run")
 
     before = jit_pipeline_steps()
     first = ShaderExecutionEnvironment(platform).prepare(MOTIVATING_SHADER)
-    assert jit_pipeline_steps() - before == 1 + unshared_jit_steps(
+    assert jit_pipeline_steps() - before == unshared_jit_steps(
         platform.jit, first.module)
     assert (len(builds), len(profiles)) == (1, 1)
 
@@ -310,8 +310,8 @@ def test_prepare_compiles_once_per_platform_and_source(monkeypatch):
 def test_remeasuring_on_fresh_environments_runs_no_compile_work(
         monkeypatch):
     """Measure two sources on all five platforms, then again on fresh
-    environments.  The second round finds every step, prefix and summary
-    in the front-end memo: it clones nothing and runs no cleanup, pass,
+    environments.  The second round finds every step, cleaned module and
+    summary in the front-end memo: it clones nothing and runs no cleanup, pass,
     unroll or profile, and still equals the from-scratch oracle."""
     import repro.gpu.jit as jit_module
     from repro.passes import manager

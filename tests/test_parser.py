@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core import ShaderCompiler
 from repro.errors import ParseError
 from repro.glsl import ast
 from repro.glsl import types as T
-from repro.glsl.parser import parse_shader, swizzle_indices
+from repro.glsl.parser import MAX_NESTING, parse_shader, swizzle_indices
+from repro.passes import DEFAULT_LUNARGLASS
 
 
 def parse_main(body: str, prelude: str = "") -> ast.FunctionDef:
@@ -56,6 +58,14 @@ def test_local_declaration_type():
 def test_int_literal_types():
     stmt = first_stmt("int i = 3;")
     assert stmt.declarators[0].init.ty == T.INT
+
+
+def test_octal_literal_with_an_8_or_9_is_a_parse_error():
+    """A leading 0 makes an integer literal octal, so ``09`` is no number."""
+    assert first_stmt("int i = 017;").declarators[0].init.value == 15
+    with pytest.raises(ParseError) as info:
+        parse_shader("void main() {\n    int i = 09;\n}")
+    assert str(info.value) == "line 2, col 13: invalid octal literal '09'"
 
 
 def test_implicit_int_to_float_coercion():
@@ -409,3 +419,66 @@ def test_switch_statement_before_first_label_rejected():
     with pytest.raises(ParseError):
         parse_main("int x; switch (m) { x = 1; case 1: break; }",
                    prelude="uniform int m;")
+
+
+# ---------------------------------------------------------------------------
+# The nesting limit
+# ---------------------------------------------------------------------------
+
+
+def _main(body: str) -> str:
+    return ("uniform float u;\nout vec4 f;\nvoid main() {\n"
+            f"    float x = u;\n{body}\n    f = vec4(x);\n}}\n")
+
+
+#: name -> (shader nesting *n* levels deep, the deepest *n* the limit
+#: allows, the text on the line of the token one level past it).
+_NESTED = {
+    # The statement and the constructor's argument, then a level per
+    # parenthesis.
+    "parentheses": (lambda n: _main(f"    x = float({'(' * n}u{')' * n});"),
+                    MAX_NESTING - 3, "x = float("),
+    # A level per call, as for parentheses.
+    "calls": (lambda n: _main(f"    x = {'sin(' * n}u{')' * n};"),
+              MAX_NESTING - 2, "x = sin("),
+    # The statement and the right-hand side, then a level per ``+``; the
+    # last operand takes one more.
+    "sum": (lambda n: _main("    x = " + " + ".join(["u"] * (n + 1)) + ";"),
+            MAX_NESTING - 3, "x = u + u"),
+    # A level per ``if``; the innermost statement, its right-hand side, the
+    # ``*`` and its right operand take four more.
+    "if": (lambda n: _main("    if (u > 0.5) {\n" * n + "x = x * 2.0;\n"
+                           + "    }\n" * n),
+           MAX_NESTING - 4, "x = x * 2.0;"),
+}
+
+
+def _from_deeper_stack(frames: int, fn):
+    """Call *fn* from *frames* more stack frames than the caller's."""
+    return fn() if frames == 0 else _from_deeper_stack(frames - 1, fn)
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_nesting_at_the_limit_compiles_and_one_level_more_is_a_parse_error(
+        shape):
+    """At the limit, a shader goes through the whole offline pipeline
+    under the default flags, even from 100 frames deeper than a test, so
+    no later stage overflows first.  One level deeper, the parser rejects
+    it with a ``ParseError`` at the line that goes too deep."""
+    make, limit, marker = _NESTED[shape]
+    compiled = _from_deeper_stack(100, lambda: ShaderCompiler(
+        make(limit)).compile(DEFAULT_LUNARGLASS))
+    assert "f = " in compiled.output
+    deeper = make(limit + 1)
+    with pytest.raises(ParseError, match="nesting deeper than") as info:
+        parse_shader(deeper)
+    assert deeper.splitlines()[info.value.line - 1].lstrip().startswith(
+        marker)
+
+
+def test_nesting_far_past_the_limit_is_a_parse_error_not_an_overflow():
+    for source in (_main(f"    x = float({'(' * 5000}u{')' * 5000});"),
+                   _main("    x = " + " - " * 5000 + "u;"),
+                   _main("    if (u > 0.5)\n" * 5000 + "x = 1.0;")):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_shader(source)
