@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PreprocessorError
+from repro.glsl.parser import MAX_NESTING
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _MAX_EXPANSION_DEPTH = 64
@@ -380,11 +381,15 @@ class _CondParser:
 
     Builds a small tuple tree so evaluation can short-circuit ``&&`` / ``||``
     and ``?:`` the way C requires (a division in a dead branch must not
-    fault).
+    fault).  Each parenthesis, prefix operator, ``?:`` and binary operator
+    of a chain opens one nesting level, as in the GLSL parser; one level
+    past :data:`repro.glsl.parser.MAX_NESTING` is a ``PreprocessorError``,
+    so neither this parser nor the evaluation of its tree recurses deeper.
     """
 
     def __init__(self, expr: str, lineno: int):
         self.lineno = lineno
+        self.depth = 0
         self.tokens: List[str] = []
         self.values: Dict[int, int] = {}
         pos = 0
@@ -412,6 +417,16 @@ class _CondParser:
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def _nest(self) -> int:
+        """Open one more nesting level; returns the depth to restore."""
+        depth = self.depth
+        if depth == MAX_NESTING:
+            raise PreprocessorError(
+                f"#if condition nests deeper than {MAX_NESTING} levels",
+                self.lineno)
+        self.depth = depth + 1
+        return depth
+
     def parse(self):
         """Parse the whole condition; raises on trailing tokens."""
         tree = self._ternary()
@@ -424,35 +439,46 @@ class _CondParser:
         cond = self._binary(1)
         if self.peek() != "?":
             return cond
+        outer = self._nest()
         self.pos += 1
         then = self._ternary()
         if self.peek() != ":":
             raise PreprocessorError("expected ':' in #if condition", self.lineno)
         self.pos += 1
-        return ("cond", cond, then, self._ternary())
+        tree = ("cond", cond, then, self._ternary())
+        self.depth = outer
+        return tree
 
     def _binary(self, min_prec: int):
+        outer = self.depth
         left = self._unary()
         while True:
             op = self.peek()
             prec = _COND_PREC.get(op or "")
             if prec is None or prec < min_prec:
+                self.depth = outer
                 return left
+            self._nest()
             self.pos += 1
             left = ("bin", op, left, self._binary(prec + 1))
 
     def _unary(self):
         op = self.peek()
         if op in ("-", "+", "!", "~"):
+            outer = self._nest()
             self.pos += 1
-            return ("un", op, self._unary())
+            tree = ("un", op, self._unary())
+            self.depth = outer
+            return tree
         if op == "(":
+            outer = self._nest()
             self.pos += 1
             inner = self._ternary()
             if self.peek() != ")":
                 raise PreprocessorError(
                     "unbalanced parentheses in #if condition", self.lineno)
             self.pos += 1
+            self.depth = outer
             return inner
         if op == "<num>":
             value = self.values[self.pos]

@@ -182,7 +182,13 @@ def print_expr(expr: Optional[ast.Expr], parent_prec: int = 0) -> str:
         return f"({text})" if prec < parent_prec else text
     if isinstance(expr, ast.Unary):
         inner = print_expr(expr.operand, _UNARY_PREC)
-        text = f"{inner}{expr.op}" if expr.postfix else f"{expr.op}{inner}"
+        if expr.postfix:
+            text = f"{inner}{expr.op}"
+        else:
+            # `-(-u)` must not print as `--u`, a pre-decrement.
+            if expr.op[-1] in "+-" and inner.startswith(expr.op[-1]):
+                inner = f"({inner})"
+            text = f"{expr.op}{inner}"
         return f"({text})" if _UNARY_PREC < parent_prec else text
     if isinstance(expr, ast.Ternary):
         text = (f"{print_expr(expr.cond, 1)} ? {print_expr(expr.then)}"

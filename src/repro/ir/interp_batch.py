@@ -24,6 +24,12 @@ without charging — or being subsidised by — its terminating siblings.
 
 Groups are scheduled lowest-lane-first, so errors surface with the same
 precedence as a scalar loop over the lanes in order.
+
+Each instruction after a block's phis is dispatched on its class: a
+value-producing class through ``_VALUE_OPS``, a store or terminator
+through ``_STATEMENT_OPS``.  The scalar interpreter keeps its
+``isinstance`` chain; it is the oracle ``tests/test_interp_batch.py``
+holds this one to.
 """
 
 from __future__ import annotations
@@ -156,13 +162,15 @@ class BatchedInterpreter:
                    results: List[Dict[str, RtVal]]) -> Tuple[_Group, ...]:
         """Execute *group* until it terminates or splits at a divergent
         branch; returns the child groups (empty when it terminated)."""
+        env = group.env
         while True:
             block = group.block
             group.visits[block.name] = group.visits.get(block.name, 0) + 1
 
             # Phase 1: evaluate all phis against the incoming edge at once.
+            phis = block.phis()
             phi_values: List[Tuple[Phi, List[RtVal]]] = []
-            for phi in block.phis():
+            for phi in phis:
                 incoming = None
                 for pred, value in phi.incoming:
                     if pred is group.prev:
@@ -174,65 +182,70 @@ class BatchedInterpreter:
                         f"{group.prev.name if group.prev else '?'}")
                 phi_values.append((phi, self._values(incoming, group)))
             for phi, vals in phi_values:
-                group.env[phi] = vals
+                env[phi] = vals
 
+            # Phase 2: the rest of the block, each instruction dispatched on
+            # its class.  A statement returns None, the block to branch to,
+            # or the groups that continue (empty when this one finished).
             next_block: Optional[BasicBlock] = None
-            for instr in block.non_phi_instrs():
+            for instr in block.instrs[len(phis):]:
                 group.steps += 1
                 if group.steps > self.max_steps:
                     raise InterpError("step limit exceeded (infinite loop?)")
-
-                if isinstance(instr, Br):
-                    next_block = instr.target
-                elif isinstance(instr, CondBr):
-                    conds = self._values(instr.cond, group)
-                    if all(conds):
-                        next_block = instr.if_true
-                    elif not any(conds):
-                        next_block = instr.if_false
-                    else:
-                        return self._split(group, block, conds, instr)
-                elif isinstance(instr, Ret):
-                    self._finish(group, results, discard=False)
-                    return ()
-                elif isinstance(instr, Discard):
-                    self._finish(group, results, discard=True)
-                    return ()
-                elif isinstance(instr, StoreOutput):
-                    group.outputs[instr.var] = self._values(instr.value, group)
-                elif isinstance(instr, StoreVar):
-                    group.scalars[instr.slot] = self._values(instr.value, group)
-                elif isinstance(instr, LoadVar):
-                    vals = group.scalars.get(instr.slot)
-                    if vals is None:
-                        fill: RtVal = ((0.0,) * instr.ty.width
-                                       if instr.ty.is_vector else 0.0)
-                        vals = [fill] * len(group.lanes)
-                    group.env[instr] = vals
-                elif isinstance(instr, StoreElem):
-                    indices = self._values(instr.index, group)
-                    vals = self._values(instr.value, group)
-                    lane_arrays = group.arrays[instr.slot]
-                    for pos, array in enumerate(lane_arrays):
-                        index = int(indices[pos])  # type: ignore[arg-type]
-                        if 0 <= index < len(array):
-                            array[index] = vals[pos]
-                elif isinstance(instr, LoadElem):
-                    indices = self._values(instr.index, group)
-                    lane_arrays = group.arrays[instr.slot]
-                    out: List[RtVal] = []
-                    for pos, array in enumerate(lane_arrays):
-                        index = int(indices[pos])  # type: ignore[arg-type]
-                        index = (min(max(index, 0), len(array) - 1)
-                                 if array else 0)
-                        out.append(array[index] if array else 0.0)
-                    group.env[instr] = out
-                else:
-                    group.env[instr] = self._eval(instr, group)
+                evaluate = _VALUE_OPS.get(type(instr))
+                if evaluate is not None:
+                    env[instr] = evaluate(self, instr, group)
+                    continue
+                execute = _STATEMENT_OPS.get(type(instr))
+                if execute is None:
+                    raise InterpError(f"cannot interpret {instr.opcode}")
+                outcome = execute(self, instr, group, results)
+                if outcome is None:
+                    continue
+                if type(outcome) is tuple:
+                    return outcome
+                next_block = outcome
 
             if next_block is None:
                 raise InterpError("fell off the CFG without a terminator")
             group.prev, group.block = block, next_block
+
+    # -- statements: stores and terminators -----------------------------
+
+    def _br(self, instr: Br, group: _Group, results) -> BasicBlock:
+        return instr.target
+
+    def _cond_br(self, instr: CondBr, group: _Group, results):
+        conds = self._values(instr.cond, group)
+        if all(conds):
+            return instr.if_true
+        if not any(conds):
+            return instr.if_false
+        return self._split(group, group.block, conds, instr)
+
+    def _ret(self, instr: Ret, group: _Group, results) -> Tuple[()]:
+        self._finish(group, results, discard=False)
+        return ()
+
+    def _discard(self, instr: Discard, group: _Group, results) -> Tuple[()]:
+        self._finish(group, results, discard=True)
+        return ()
+
+    def _store_output(self, instr: StoreOutput, group: _Group,
+                      results) -> None:
+        group.outputs[instr.var] = self._values(instr.value, group)
+
+    def _store_var(self, instr: StoreVar, group: _Group, results) -> None:
+        group.scalars[instr.slot] = self._values(instr.value, group)
+
+    def _store_elem(self, instr: StoreElem, group: _Group, results) -> None:
+        indices = self._values(instr.index, group)
+        vals = self._values(instr.value, group)
+        lane_arrays = group.arrays[instr.slot]
+        for pos, array in enumerate(lane_arrays):
+            index = int(indices[pos])  # type: ignore[arg-type]
+            if 0 <= index < len(array):
+                array[index] = vals[pos]
 
     def _split(self, group: _Group, block: BasicBlock, conds: List[RtVal],
                instr: CondBr) -> Tuple[_Group, ...]:
@@ -286,88 +299,115 @@ class BatchedInterpreter:
             raise InterpError(
                 f"use of unevaluated value {getattr(value, 'name', value)}")
 
-    def _eval(self, instr, group: _Group) -> List[RtVal]:
-        if isinstance(instr, BinOp):
-            op = instr.op
-            lhs = self._values(instr.lhs, group)
-            rhs = self._values(instr.rhs, group)
-            return [_binop(op, x, y) for x, y in zip(lhs, rhs)]
-        if isinstance(instr, Cmp):
-            op = instr.op
-            lhs = self._values(instr.lhs, group)
-            rhs = self._values(instr.rhs, group)
-            return [_cmp(op, x, y) for x, y in zip(lhs, rhs)]
-        if isinstance(instr, UnOp):
-            operands = self._values(instr.operand, group)
-            if instr.op == "neg":
-                return [_map_unary(v, lambda x: -x) for v in operands]
-            return [_map_unary(v, lambda x: not x) for v in operands]
-        if isinstance(instr, Convert):
-            target = instr.ty.kind
-            return [_map_unary(v, lambda x: _convert_scalar(x, target))
-                    for v in self._values(instr.value, group)]
-        if isinstance(instr, Select):
-            conds = self._values(instr.cond, group)
-            trues = self._values(instr.if_true, group)
-            falses = self._values(instr.if_false, group)
-            return [t if c else f for c, t, f in zip(conds, trues, falses)]
-        if isinstance(instr, ExtractElem):
-            index = instr.index
-            return [vec[index] if isinstance(vec, tuple) else vec
-                    for vec in self._values(instr.vector, group)]
-        if isinstance(instr, InsertElem):
-            width = instr.ty.width
-            index = instr.index
-            vecs = self._values(instr.vector, group)
-            scalars = self._values(instr.scalar, group)
-            out = []
-            for vec, scalar in zip(vecs, scalars):
-                lane = list(_as_tuple(vec, width))
-                lane[index] = scalar  # type: ignore[call-overload]
-                out.append(tuple(lane))
-            return out
-        if isinstance(instr, Shuffle):
-            width = instr.source.ty.width
-            mask = instr.mask
-            out = []
-            for vec in self._values(instr.source, group):
-                src = _as_tuple(vec, width)
-                picked = tuple(src[i] for i in mask)
-                out.append(picked if len(picked) > 1 else picked[0])
-            return out
-        if isinstance(instr, Construct):
-            columns = [self._values(op, group) for op in instr.operands]
-            return [tuple(col[pos] for col in columns)  # type: ignore[misc]
-                    for pos in range(len(group.lanes))]
-        if isinstance(instr, Call):
-            callee = instr.callee
-            width = instr.ty.width
-            columns = [self._values(op, group) for op in instr.operands]
-            return [_apply_builtin(callee, [col[pos] for col in columns], width)
-                    for pos in range(len(group.lanes))]
-        if isinstance(instr, Sample):
-            group.tex_samples += 1
-            coord_width = instr.coord.ty.width
-            coords = self._values(instr.coord, group)
-            texture = self.textures.get(instr.sampler) or ProceduralTexture(
-                seed=_stable_seed(instr.sampler))
-            lods: Optional[List[RtVal]] = None
-            if instr.lod is not None:
-                lods = self._values(instr.lod, group)
-            out = []
-            for pos in range(len(group.lanes)):
-                coord = _as_tuple(coords[pos], coord_width)
-                if instr.sampler_kind == "sampler2DShadow":
-                    out.append(texture.sample_shadow(
-                        [float(c) for c in coord]))
-                else:
-                    lod = 0.0 if lods is None else float(lods[pos])  # type: ignore[arg-type]
-                    out.append(texture.sample([float(c) for c in coord],
-                                              kind=instr.sampler_kind, lod=lod))
-            return out
-        if isinstance(instr, LoadGlobal):
-            return self._load_global(instr, group)
-        raise InterpError(f"cannot interpret {instr.opcode}")
+    # -- values: one lane list per instruction -------------------------
+
+    def _load_var(self, instr: LoadVar, group: _Group) -> List[RtVal]:
+        vals = group.scalars.get(instr.slot)
+        if vals is None:
+            fill: RtVal = ((0.0,) * instr.ty.width
+                           if instr.ty.is_vector else 0.0)
+            vals = [fill] * len(group.lanes)
+        return vals
+
+    def _load_elem(self, instr: LoadElem, group: _Group) -> List[RtVal]:
+        indices = self._values(instr.index, group)
+        lane_arrays = group.arrays[instr.slot]
+        out: List[RtVal] = []
+        for pos, array in enumerate(lane_arrays):
+            index = int(indices[pos])  # type: ignore[arg-type]
+            index = (min(max(index, 0), len(array) - 1)
+                     if array else 0)
+            out.append(array[index] if array else 0.0)
+        return out
+
+    def _eval_binop(self, instr: BinOp, group: _Group) -> List[RtVal]:
+        op = instr.op
+        lhs = self._values(instr.lhs, group)
+        rhs = self._values(instr.rhs, group)
+        return [_binop(op, x, y) for x, y in zip(lhs, rhs)]
+
+    def _eval_cmp(self, instr: Cmp, group: _Group) -> List[RtVal]:
+        op = instr.op
+        lhs = self._values(instr.lhs, group)
+        rhs = self._values(instr.rhs, group)
+        return [_cmp(op, x, y) for x, y in zip(lhs, rhs)]
+
+    def _eval_unop(self, instr: UnOp, group: _Group) -> List[RtVal]:
+        operands = self._values(instr.operand, group)
+        if instr.op == "neg":
+            return [_map_unary(v, lambda x: -x) for v in operands]
+        return [_map_unary(v, lambda x: not x) for v in operands]
+
+    def _eval_convert(self, instr: Convert, group: _Group) -> List[RtVal]:
+        target = instr.ty.kind
+        return [_map_unary(v, lambda x: _convert_scalar(x, target))
+                for v in self._values(instr.value, group)]
+
+    def _eval_select(self, instr: Select, group: _Group) -> List[RtVal]:
+        conds = self._values(instr.cond, group)
+        trues = self._values(instr.if_true, group)
+        falses = self._values(instr.if_false, group)
+        return [t if c else f for c, t, f in zip(conds, trues, falses)]
+
+    def _eval_extract(self, instr: ExtractElem, group: _Group) -> List[RtVal]:
+        index = instr.index
+        return [vec[index] if isinstance(vec, tuple) else vec
+                for vec in self._values(instr.vector, group)]
+
+    def _eval_insert(self, instr: InsertElem, group: _Group) -> List[RtVal]:
+        width = instr.ty.width
+        index = instr.index
+        vecs = self._values(instr.vector, group)
+        scalars = self._values(instr.scalar, group)
+        out: List[RtVal] = []
+        for vec, scalar in zip(vecs, scalars):
+            lane = list(_as_tuple(vec, width))
+            lane[index] = scalar  # type: ignore[call-overload]
+            out.append(tuple(lane))
+        return out
+
+    def _eval_shuffle(self, instr: Shuffle, group: _Group) -> List[RtVal]:
+        width = instr.source.ty.width
+        mask = instr.mask
+        out: List[RtVal] = []
+        for vec in self._values(instr.source, group):
+            src = _as_tuple(vec, width)
+            picked = tuple(src[i] for i in mask)
+            out.append(picked if len(picked) > 1 else picked[0])
+        return out
+
+    def _eval_construct(self, instr: Construct, group: _Group) -> List[RtVal]:
+        columns = [self._values(op, group) for op in instr.operands]
+        return [tuple(col[pos] for col in columns)  # type: ignore[misc]
+                for pos in range(len(group.lanes))]
+
+    def _eval_call(self, instr: Call, group: _Group) -> List[RtVal]:
+        callee = instr.callee
+        width = instr.ty.width
+        columns = [self._values(op, group) for op in instr.operands]
+        return [_apply_builtin(callee, [col[pos] for col in columns], width)
+                for pos in range(len(group.lanes))]
+
+    def _eval_sample(self, instr: Sample, group: _Group) -> List[RtVal]:
+        group.tex_samples += 1
+        coord_width = instr.coord.ty.width
+        coords = self._values(instr.coord, group)
+        texture = self.textures.get(instr.sampler) or ProceduralTexture(
+            seed=_stable_seed(instr.sampler))
+        lods: Optional[List[RtVal]] = None
+        if instr.lod is not None:
+            lods = self._values(instr.lod, group)
+        out: List[RtVal] = []
+        for pos in range(len(group.lanes)):
+            coord = _as_tuple(coords[pos], coord_width)
+            if instr.sampler_kind == "sampler2DShadow":
+                out.append(texture.sample_shadow(
+                    [float(c) for c in coord]))
+            else:
+                lod = 0.0 if lods is None else float(lods[pos])  # type: ignore[arg-type]
+                out.append(texture.sample([float(c) for c in coord],
+                                          kind=instr.sampler_kind, lod=lod))
+        return out
 
     def _load_global(self, instr: LoadGlobal, group: _Group) -> List[RtVal]:
         lane_dicts = (self._lane_inputs if instr.kind == "input"
@@ -394,3 +434,35 @@ class BatchedInterpreter:
                 value = seq[index]  # type: ignore[index]
             out.append(value)  # type: ignore[arg-type]
         return out
+
+
+#: The handler of each value-producing instruction class, called as
+#: ``handler(interpreter, instr, group)``; returns the instruction's lanes.
+_VALUE_OPS = {
+    BinOp: BatchedInterpreter._eval_binop,
+    Cmp: BatchedInterpreter._eval_cmp,
+    UnOp: BatchedInterpreter._eval_unop,
+    Convert: BatchedInterpreter._eval_convert,
+    Select: BatchedInterpreter._eval_select,
+    ExtractElem: BatchedInterpreter._eval_extract,
+    InsertElem: BatchedInterpreter._eval_insert,
+    Shuffle: BatchedInterpreter._eval_shuffle,
+    Construct: BatchedInterpreter._eval_construct,
+    Call: BatchedInterpreter._eval_call,
+    Sample: BatchedInterpreter._eval_sample,
+    LoadGlobal: BatchedInterpreter._load_global,
+    LoadVar: BatchedInterpreter._load_var,
+    LoadElem: BatchedInterpreter._load_elem,
+}
+
+#: The handler of each store and terminator class, called as
+#: ``handler(interpreter, instr, group, results)`` (see ``_run_group``).
+_STATEMENT_OPS = {
+    Br: BatchedInterpreter._br,
+    CondBr: BatchedInterpreter._cond_br,
+    Ret: BatchedInterpreter._ret,
+    Discard: BatchedInterpreter._discard,
+    StoreOutput: BatchedInterpreter._store_output,
+    StoreVar: BatchedInterpreter._store_var,
+    StoreElem: BatchedInterpreter._store_elem,
+}

@@ -206,12 +206,16 @@ class _Lowerer:
     # ------------------------------------------------------------------
 
     def _lower_block(self, block: ast.BlockStmt) -> None:
+        # A declaration is visible to the end of its block: the bindings it
+        # shadowed come back when the block ends.
+        saved_env = dict(self.env)
         for stmt in block.body:
             if self.builder.terminated:
                 # Code after return/discard/break is unreachable; skip it the
                 # way LLVM's reader drops trailing dead statements.
-                return
+                break
             self._lower_stmt(stmt)
+        self.env = saved_env
 
     def _lower_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.BlockStmt):
@@ -387,6 +391,7 @@ class _Lowerer:
         self.builder.set_block(merge_block)
 
     def _lower_for(self, stmt: ast.ForStmt) -> None:
+        saved_env = dict(self.env)  # the init's declaration ends with the loop
         if stmt.init is not None:
             self._lower_stmt(stmt.init)
         header = self.builder.new_block("for.header")
@@ -416,6 +421,7 @@ class _Lowerer:
         self.builder.br(header)
 
         self.builder.set_block(exit_block)
+        self.env = saved_env
 
     def _lower_while(self, stmt: ast.WhileStmt) -> None:
         header = self.builder.new_block("while.header")
@@ -872,9 +878,10 @@ class _Lowerer:
         """Lower a callee body where ``return`` jumps to *after*."""
 
         def walk(block: ast.BlockStmt) -> None:
+            saved_env = dict(self.env)  # scoped as in _lower_block
             for stmt in block.body:
                 if self.builder.terminated:
-                    return
+                    break
                 if isinstance(stmt, ast.ReturnStmt):
                     if stmt.value is not None:
                         if ret_slot is None:
@@ -882,13 +889,14 @@ class _Lowerer:
                         value = self._as_value(self._lower_expr(stmt.value))
                         self.builder.store_var(ret_slot, value)
                     self.builder.br(after)
-                    return
+                    break
                 if isinstance(stmt, ast.IfStmt):
                     self._lower_if_inlined(stmt, ret_slot, after, walk)
                 elif isinstance(stmt, ast.BlockStmt):
                     walk(stmt)
                 else:
                     self._lower_stmt(stmt)
+            self.env = saved_env
 
         walk(body)
 

@@ -33,7 +33,14 @@ class BasicBlock:
         return term.successors() if term else []
 
     def phis(self) -> List[Phi]:
-        return [i for i in self.instrs if isinstance(i, Phi)]
+        """The phis, which sit at the top of the block (``insert_at_front``
+        keeps them there, and the verifier checks it)."""
+        phis: List[Phi] = []
+        for instr in self.instrs:
+            if type(instr) is not Phi:
+                break
+            phis.append(instr)  # type: ignore[arg-type]
+        return phis
 
     def non_phi_instrs(self) -> List[Instr]:
         return [i for i in self.instrs if not isinstance(i, Phi)]
@@ -105,7 +112,15 @@ class Function:
             yield from block.instrs
 
     def replace_all_uses(self, old: Value, new: Value) -> int:
-        """Rewrite every operand edge old -> new; returns edges rewritten."""
+        """Rewrite every operand edge old -> new; returns edges rewritten.
+
+        Each call scans the whole function.  The always-on cleanup does not
+        call it per value (canonicalization keeps a users index per round,
+        local CSE batches through :meth:`replace_uses`); the callers are
+        the flag passes (hoist, reassociate, fp_reassociate, div_to_mul,
+        coalesce) and the trivial-phi pruning of
+        :func:`repro.ir.mem2reg._prune_trivial_phis`.
+        """
         count = 0
         for instr in self.instructions():
             if old in instr.operands:

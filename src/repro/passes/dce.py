@@ -7,6 +7,10 @@ the GLSL extensions already catch everything.  We reproduce that situation:
 stores to never-read array slots), so the liveness-based ``adce`` finds
 nothing extra on real shaders — while remaining a genuinely different,
 stronger algorithm.
+
+The mark phase tests an instruction's class, not ``isinstance``: every
+class with side effects is a root, and ``StoreElem`` / ``LoadElem`` are
+told apart by identity (no concrete instruction class has subclasses).
 """
 
 from __future__ import annotations
@@ -62,12 +66,13 @@ def _mark_and_sweep(function: Function,
     for block in function.blocks:
         for instr in block.instrs:
             index[id(instr)] = instr
-            if instr.has_side_effects:
-                if store_needs_load and isinstance(instr, StoreElem):
+            cls = type(instr)
+            if cls.has_side_effects:
+                if cls is StoreElem and store_needs_load:
                     stores.append(instr)
                 else:
                     worklist.append(instr)
-            elif isinstance(instr, LoadElem):
+            elif cls is LoadElem:
                 loaded.add(id(instr.slot))
     worklist.extend(store for store in stores if id(store.slot) in loaded)
     live = {id(instr) for instr in worklist}
@@ -90,7 +95,7 @@ def _mark_and_sweep(function: Function,
             else:
                 instr.block = None
                 removed += 1
-                dropped_load = dropped_load or isinstance(instr, LoadElem)
+                dropped_load = dropped_load or type(instr) is LoadElem
         if len(kept) != len(block.instrs):
             block.instrs = kept
     return removed, dropped_load

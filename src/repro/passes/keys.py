@@ -1,23 +1,25 @@
-"""Hashable structural keys for instructions, shared by CSE and GVN."""
+"""Hashable structural keys for instructions, shared by CSE and GVN.
+
+Each instruction class that may be merged has one key builder in
+``_KEYS``, found by ``type(instr)`` (no concrete instruction class has
+subclasses); a class without one gets no key.
+"""
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.ir.instructions import (
-    BinOp, Call, Cmp, Construct, Convert, ExtractElem, InsertElem, LoadElem,
-    LoadGlobal, LoadVar, Sample, Select, Shuffle, UnOp,
+    COMMUTATIVE, BinOp, Call, Cmp, Construct, Convert, ExtractElem,
+    InsertElem, LoadElem, LoadGlobal, LoadVar, Sample, Select, Shuffle, UnOp,
 )
 from repro.ir.values import Constant, Undef, Value
 
 
 def value_key(value: Value):
     """Identity for SSA values; structural equality for constants."""
-    if isinstance(value, Constant):
-        return ("c", value.ty, value.value)
-    if isinstance(value, Undef):
-        return ("undef", value.ty)
-    return ("v", id(value))
+    build = _VALUE_KEYS.get(type(value))
+    return ("v", id(value)) if build is None else build(value)
 
 
 def instr_key(instr) -> Optional[Tuple]:
@@ -26,38 +28,8 @@ def instr_key(instr) -> Optional[Tuple]:
     ``LoadVar``/``LoadElem`` are memory reads: they get keys *only* when the
     caller supplies a memory version (CSE does; GVN skips mutable slots).
     """
-    if isinstance(instr, BinOp):
-        lhs, rhs = value_key(instr.lhs), value_key(instr.rhs)
-        if instr.commutative and rhs < lhs:
-            lhs, rhs = rhs, lhs
-        return ("bin", instr.op, instr.ty, lhs, rhs)
-    if isinstance(instr, Cmp):
-        return ("cmp", instr.op, value_key(instr.lhs), value_key(instr.rhs))
-    if isinstance(instr, UnOp):
-        return ("un", instr.op, value_key(instr.operand))
-    if isinstance(instr, Convert):
-        return ("conv", instr.ty.kind, value_key(instr.value))
-    if isinstance(instr, Select):
-        return ("select", tuple(value_key(op) for op in instr.operands))
-    if isinstance(instr, ExtractElem):
-        return ("extract", instr.index, value_key(instr.vector))
-    if isinstance(instr, InsertElem):
-        return ("insert", instr.index, value_key(instr.vector),
-                value_key(instr.scalar))
-    if isinstance(instr, Shuffle):
-        return ("shuffle", tuple(instr.mask), value_key(instr.source))
-    if isinstance(instr, Construct):
-        return ("construct", instr.ty, tuple(value_key(op) for op in instr.operands))
-    if isinstance(instr, Call):
-        return ("call", instr.callee, instr.ty,
-                tuple(value_key(op) for op in instr.operands))
-    if isinstance(instr, Sample):
-        return ("sample", instr.sampler, instr.sampler_kind,
-                tuple(value_key(op) for op in instr.operands))
-    if isinstance(instr, LoadGlobal):
-        element = value_key(instr.element) if instr.element is not None else None
-        return ("loadglobal", instr.var, instr.column, element)
-    return None
+    build = _KEYS.get(type(instr))
+    return None if build is None else build(instr)
 
 
 def load_key(instr, version: int) -> Optional[Tuple]:
@@ -67,3 +39,53 @@ def load_key(instr, version: int) -> Optional[Tuple]:
     if isinstance(instr, LoadElem):
         return ("loadelem", id(instr.slot), value_key(instr.index), version)
     return None
+
+
+def _operand_keys(instr) -> Tuple:
+    return tuple([value_key(op) for op in instr.operands])
+
+
+def _bin_key(instr: BinOp) -> Tuple:
+    lhs, rhs = instr.operands
+    lhs, rhs = value_key(lhs), value_key(rhs)
+    if instr.op in COMMUTATIVE and rhs < lhs:
+        lhs, rhs = rhs, lhs
+    return ("bin", instr.op, instr.ty, lhs, rhs)
+
+
+def _cmp_key(instr: Cmp) -> Tuple:
+    lhs, rhs = instr.operands
+    return ("cmp", instr.op, value_key(lhs), value_key(rhs))
+
+
+def _load_global_key(instr: LoadGlobal) -> Tuple:
+    element = value_key(instr.element) if instr.element is not None else None
+    return ("loadglobal", instr.var, instr.column, element)
+
+
+_VALUE_KEYS: Dict[type, Callable[[Any], Tuple]] = {
+    Constant: lambda value: ("c", value.ty, value.value),
+    Undef: lambda value: ("undef", value.ty),
+}
+
+#: The key builder of each instruction class that may be merged.
+_KEYS: Dict[type, Callable[[Any], Tuple]] = {
+    BinOp: _bin_key,
+    Cmp: _cmp_key,
+    UnOp: lambda instr: ("un", instr.op, value_key(instr.operands[0])),
+    Convert: lambda instr: ("conv", instr.ty.kind,
+                            value_key(instr.operands[0])),
+    Select: lambda instr: ("select", _operand_keys(instr)),
+    ExtractElem: lambda instr: ("extract", instr.index,
+                                value_key(instr.operands[0])),
+    InsertElem: lambda instr: ("insert", instr.index,
+                               value_key(instr.operands[0]),
+                               value_key(instr.operands[1])),
+    Shuffle: lambda instr: ("shuffle", tuple(instr.mask),
+                            value_key(instr.operands[0])),
+    Construct: lambda instr: ("construct", instr.ty, _operand_keys(instr)),
+    Call: lambda instr: ("call", instr.callee, instr.ty, _operand_keys(instr)),
+    Sample: lambda instr: ("sample", instr.sampler, instr.sampler_kind,
+                           _operand_keys(instr)),
+    LoadGlobal: _load_global_key,
+}

@@ -254,7 +254,9 @@ def _apply(function: Function, loop: NaturalLoop, plan: LoopPlan) -> None:
 
     for _trip in range(trips):
         block_map: Dict[BasicBlock, BasicBlock] = {}
-        value_map: Dict[Value, Value] = dict(current)
+        # id(original value) -> its copy in this trip (the cloner's map).
+        value_map: Dict[int, Value] = {id(hphi): value
+                                       for hphi, value in current.items()}
         new_blocks: List[BasicBlock] = []
         for old in loop_blocks:
             clone = BasicBlock(f"{old.name}.u{_trip}")
@@ -278,7 +280,7 @@ def _apply(function: Function, loop: NaturalLoop, plan: LoopPlan) -> None:
                     new_phi = Phi(instr.ty)
                     clone.instrs.append(new_phi)
                     new_phi.block = clone
-                    value_map[instr] = new_phi
+                    value_map[id(instr)] = new_phi
                     inner_phis.append((instr, new_phi))
 
         for old in loop_blocks:
@@ -293,7 +295,7 @@ def _apply(function: Function, loop: NaturalLoop, plan: LoopPlan) -> None:
                 clone.instrs.append(new_instr)
                 new_instr.block = clone
                 if not isinstance(new_instr, Terminator):
-                    value_map[instr] = new_instr
+                    value_map[id(instr)] = new_instr
 
         for old_phi, new_phi in inner_phis:
             for pred, value in old_phi.incoming:
@@ -301,7 +303,7 @@ def _apply(function: Function, loop: NaturalLoop, plan: LoopPlan) -> None:
                 # header may have the outer header as its predecessor, and
                 # that edge now comes from this trip's header clone.
                 new_phi.add_incoming(block_map.get(pred, pred),
-                                     value_map.get(value, value))
+                                     value_map.get(id(value), value))
 
         # Chain the previous tail into this iteration's header clone.
         _redirect(prev_tail, prev_tail_target, block_map[header])
@@ -312,7 +314,7 @@ def _apply(function: Function, loop: NaturalLoop, plan: LoopPlan) -> None:
         next_values: Dict[Phi, Value] = {}
         for hphi in header_phis:
             incoming = latch_incoming(hphi)
-            next_values[hphi] = value_map.get(incoming, incoming)
+            next_values[hphi] = value_map.get(id(incoming), incoming)
         current = next_values
 
         for clone in new_blocks:

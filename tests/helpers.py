@@ -8,6 +8,7 @@ collection order.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -37,14 +38,22 @@ from repro.ir import (
     Interpreter, emit_glsl, lower_shader, promote_to_ssa, verify_function,
 )
 from repro.ir.clone import clone_module
-from repro.ir.instructions import CondBr
+from repro.ir.instructions import (
+    BinOp, Br, Call, Cmp, CondBr, Construct, Convert, ExtractElem, LoadElem,
+    LoadVar, Phi, Select, Shuffle, StoreElem, StoreVar, UnOp,
+)
+from repro.ir.mem2reg import _prune_trivial_phis
 from repro.ir.module import Function, Module
-from repro.passes import OptimizationFlags, run_passes
+from repro.ir.values import Constant
+from repro.passes import OptimizationFlags, canonicalize, run_passes
 from repro.passes.coalesce import coalesce
+from repro.passes.dce import trivial_dce
 from repro.passes.div_to_mul import div_to_mul
 from repro.passes.gvn import gvn
 from repro.passes.hoist import hoist
+from repro.passes.keys import instr_key, load_key
 from repro.passes.manager import run_cleanup, run_step
+from repro.passes.simplify_cfg import merge_straightline_blocks
 from repro.passes.unroll import MAX_ROUNDS, unroll
 
 
@@ -259,6 +268,134 @@ def reference_measurement(platform: Platform, source: str,
                            interface=module.interface)
 
 
+def reference_cleanup(function: Function) -> None:
+    """The cleanup oracle: ``run_cleanup`` as the class tables and the
+    users index replaced it.  Canonicalization picks each rule through an
+    ``isinstance`` chain and rewrites a replaced value's uses with one
+    whole-function ``replace_all_uses``, local CSE does the same per merge,
+    and branch folding scans the whole block for phis.  Trivial DCE, block
+    merging and trivial-phi pruning are shared with ``run_cleanup``.
+
+    Phis sit at the top of their block before and after (nothing in the
+    cleanup adds one), so the shared steps' ``phis()``, which stops at the
+    first non-phi, reads every phi of the block here too.
+    """
+    _assert_phis_lead(function)
+    settled = _reference_canonicalize(function)
+    changed = merge_straightline_blocks(function)
+    changed += _reference_local_cse(function)
+    if changed or not settled:
+        trivial_dce(function)
+        _reference_canonicalize(function)
+    _assert_phis_lead(function)
+
+
+def _assert_phis_lead(function: Function) -> None:
+    for block in function.blocks:
+        phis = [instr for instr in block.instrs if isinstance(instr, Phi)]
+        assert block.instrs[:len(phis)] == phis, block.name
+
+
+def _reference_canonicalize(function: Function) -> bool:
+    for round_ in range(canonicalize._MAX_ROUNDS):
+        changed = _reference_fold_round(function)
+        changed += _reference_fold_branches(function)
+        if changed or not round_:
+            changed += trivial_dce(function)
+        if not changed:
+            return True
+    return False
+
+
+def _reference_fold_round(function: Function) -> int:
+    changed = 0
+    for block in function.blocks:
+        for instr in list(block.instrs):
+            replacement = _reference_simplify(instr)
+            if replacement is None:
+                continue
+            changed += 1
+            if replacement is instr:
+                continue  # simplified in place
+            function.replace_all_uses(instr, replacement)
+            block.remove(instr)
+    return changed
+
+
+def _reference_simplify(instr):
+    """The rule of *instr*'s class, found through an ``isinstance`` chain."""
+    if isinstance(instr, BinOp):
+        return canonicalize._simplify_binop(instr)
+    if isinstance(instr, UnOp):
+        return canonicalize._simplify_unop(instr)
+    if isinstance(instr, Cmp):
+        return canonicalize._simplify_cmp(instr)
+    if isinstance(instr, Convert):
+        return canonicalize._simplify_convert(instr)
+    if isinstance(instr, Select):
+        return canonicalize._simplify_select(instr)
+    if isinstance(instr, ExtractElem):
+        return canonicalize._simplify_extract(instr)
+    if isinstance(instr, Shuffle):
+        return canonicalize._simplify_shuffle(instr)
+    if isinstance(instr, Construct):
+        return canonicalize._simplify_construct(instr)
+    if isinstance(instr, Call):
+        return canonicalize._simplify_call(instr)
+    if isinstance(instr, LoadElem):
+        return canonicalize._simplify_load_elem(instr)
+    return None
+
+
+def _reference_fold_branches(function: Function) -> int:
+    changed = 0
+    for block in list(function.blocks):
+        term = block.terminator
+        if (isinstance(term, CondBr) and isinstance(term.cond, UnOp)
+                and term.cond.op == "not"):
+            term.operands[0] = term.cond.operand
+            term.if_true, term.if_false = term.if_false, term.if_true
+            changed += 1
+        if isinstance(term, CondBr) and isinstance(term.cond, Constant):
+            taken = term.if_true if term.cond.value else term.if_false
+            untaken = term.if_false if term.cond.value else term.if_true
+            block.remove(term)
+            block.append(Br(taken))
+            if untaken is not taken:
+                for phi in [i for i in untaken.instrs if isinstance(i, Phi)]:
+                    phi.remove_incoming(block)
+            changed += 1
+    if changed:
+        function.remove_unreachable_blocks()
+        _prune_trivial_phis(function)
+    return changed
+
+
+def _reference_local_cse(function: Function) -> int:
+    merged = 0
+    for block in function.blocks:
+        table: Dict[tuple, object] = {}
+        versions: Dict[int, int] = {}
+        for instr in list(block.instrs):
+            if isinstance(instr, (StoreVar, StoreElem)):
+                versions[id(instr.slot)] = versions.get(id(instr.slot), 0) + 1
+                continue
+            if isinstance(instr, (LoadVar, LoadElem)):
+                key = load_key(instr, versions.get(id(instr.slot), 0))
+            else:
+                key = instr_key(instr)
+            if key is None:
+                continue
+            existing = table.get(key)
+            if existing is None:
+                table[key] = instr
+            else:
+                function.replace_all_uses(instr, existing)
+                block.remove(instr)
+                merged += 1
+    return merged
+
+
 # A lexer that loops once per character.  ``reference_tokenize`` is the
 # oracle the one-regex lexer must equal token for token (kind, text, line
 # and col), and error for error.
@@ -395,6 +532,18 @@ def reference_tokenize(source: str) -> List[Token]:
 
     tokens.append(Token(TokenKind.EOF, "", line, col))
     return tokens
+
+
+def ast_shape(node):
+    """*node* as nested tuples without its source lines, so two ASTs
+    compare equal when they have the same structure."""
+    if dataclasses.is_dataclass(node) and not isinstance(node, type):
+        return (type(node).__name__,) + tuple(
+            ast_shape(getattr(node, field.name))
+            for field in dataclasses.fields(node) if field.name != "line")
+    if isinstance(node, list):
+        return tuple(ast_shape(item) for item in node)
+    return node
 
 
 def count_calls(monkeypatch, owner, name: str) -> List[tuple]:

@@ -7,7 +7,8 @@
    comments, and hypothesis strings over a GLSL-ish alphabet.  Where one
    raises, the other raises the same ``LexerError`` at the same place.
 2. **Round trip** — ``print_shader(parse_shader(...))`` is a fixpoint after
-   one round, over the same corpus and variant texts.
+   one round, over the same corpus and variant texts; nested prefix
+   operators print as text that parses back to the same AST.
 3. **Error table** — one malformed snippet per ``ParseError`` site of the
    statement and expression parsers, each with its exact message.
 """
@@ -20,9 +21,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core import ShaderCompiler
 from repro.corpus import default_corpus
 from repro.errors import LexerError, ParseError
-from repro.glsl import parse_shader, preprocess, print_shader, tokenize
+from repro.glsl import ast, parse_shader, preprocess, print_shader, tokenize
+from repro.glsl import types as T
+from repro.glsl.printer import print_expr
 from repro.glsl.tokens import MULTI_CHAR_OPS, SINGLE_CHAR_OPS
-from helpers import reference_tokenize
+from helpers import ast_shape, reference_tokenize
 
 WILD_DIR = Path(__file__).resolve().parents[1] / "examples" / "wild"
 
@@ -113,6 +116,40 @@ def test_print_parse_round_trip_is_a_fixpoint():
     for text in _TEXTS:
         once = print_shader(parse_shader(text))
         assert print_shader(parse_shader(once)) == once
+
+
+#: Nested prefix operators, as a statement of ``main`` and the text its
+#: expression prints as: a ``+`` or ``-`` operand that starts with the
+#: operator's own character is parenthesized (``--u`` is a pre-decrement).
+_PREFIX_SHAPES = [
+    ("color = vec4(- -u);", "vec4(-(-u))"),
+    ("color = vec4(-(-u));", "vec4(-(-u))"),
+    ("color = vec4(- -f);", "vec4(-(-f))"),
+    ("color = vec4(-(--f));", "vec4(-(--f))"),
+    ("color = vec4(-(-1.0));", "vec4(-(-1.0))"),
+    ("color = vec4(-(-(-u)));", "vec4(-(-(-u)))"),
+    ("color = vec4(u - -u);", "vec4(u - -u)"),
+    ("color = vec4(float(!!b));", "vec4(float(!!b))"),
+]
+
+
+@pytest.mark.parametrize("statement, printed", _PREFIX_SHAPES,
+                         ids=[printed for _, printed in _PREFIX_SHAPES])
+def test_nested_prefix_operators_print_and_parse_back(statement, printed):
+    source = ("uniform float u;\nout vec4 color;\nvoid main() {\n"
+              "    float f = u;\n    bool b = u > 0.0;\n"
+              f"    {statement}\n}}\n")
+    shader = parse_shader(source)
+    text = print_shader(shader)
+    assert f"color = {printed};" in text
+    assert ast_shape(parse_shader(text)) == ast_shape(shader)
+
+
+def test_unary_plus_of_unary_plus_prints_apart():
+    """The parser drops a unary ``+``, so only a built AST has this shape."""
+    u = ast.Ident(ty=T.FLOAT, name="u")
+    assert print_expr(ast.Unary(op="+", operand=ast.Unary(op="+", operand=u),
+                                ty=T.FLOAT)) == "+(+u)"
 
 
 # ---------------------------------------------------------------------------

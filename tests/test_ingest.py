@@ -5,11 +5,13 @@ import pytest
 from repro.corpus.generator import (CorpusSpec, IMPORTED_FAMILY,
                                     default_corpus)
 from repro.errors import ReproError
+from repro.glsl import parse_shader
 from repro.glsl.ingest import (SHADER_SUFFIXES, ingest_directory, ingest_file,
                                ingest_source, iter_shader_files)
 from repro.gpu.platform import platform_by_name
 from repro.harness.study import StudyConfig, run_study
 from repro.ir import verify_function
+from helpers import ast_shape
 
 WILD_DIR = "examples/wild"
 
@@ -77,22 +79,43 @@ def test_long_if_chain_imports_and_compiles_through_gvn():
     verify_function(module.function)
 
 
-@pytest.mark.parametrize("name", ["octal_literal", "deep_parentheses"])
+def test_import_of_a_double_negation_keeps_its_meaning():
+    """`- -f` of a local must not come back as `--f`, a pre-decrement."""
+    source = ("uniform float u;\nout vec4 color;\nvoid main() {\n"
+              "    float f = u;\n    color = vec4(- -f);\n}\n")
+    result = ingest_source(source, name="double_negation")
+    assert "color = vec4(-(-f));" in result.canonical
+    assert ast_shape(parse_shader(result.canonical)) == ast_shape(
+        parse_shader(source))
+
+
+_DEEP_IF_BODY = "\nout vec4 f;\nvoid main() { f = vec4(1.0); }\n#endif\n"
+
+
+@pytest.mark.parametrize("name", ["octal_literal", "deep_parentheses",
+                                  "deep_if_parentheses", "deep_if_sum"])
 def test_import_of_malformed_input_reports_fail_without_a_traceback(
         name, tmp_path, capsys):
     """``repro import`` reports a front-end rejection as a FAIL line and
-    exits 1: the committed octal-literal example, and a constructor around
-    600 nested parentheses."""
+    exits 1: the committed octal-literal example, a constructor around
+    600 nested parentheses, and ``#if`` conditions of 2,000 nested
+    parentheses and of a 3,000-term sum."""
     from repro.cli import main
 
     if name == "octal_literal":
         path = "examples/broken/octal_literal.frag"
         error = "ParseError: line 2, col 23: invalid octal literal '09'"
-    else:
+    elif name == "deep_parentheses":
         path = tmp_path / "deep_parentheses.frag"
         path.write_text("out vec4 f;\nvoid main() {\n    f = vec4("
                         + "(" * 600 + "1.0" + ")" * 600 + ");\n}\n")
         error = "ParseError: line 3, col 140: nesting deeper than 128"
+    else:
+        path = tmp_path / f"{name}.frag"
+        condition = ("(" * 2000 + "1" + ")" * 2000 if name.endswith("parentheses")
+                     else " + ".join(["1"] * 3000))
+        path.write_text(f"#if {condition}" + _DEEP_IF_BODY)
+        error = "PreprocessorError: line 1: #if condition nests deeper than 128"
     assert main(["import", str(path)]) == 1
     assert f"FAIL {path}: {error}" in capsys.readouterr().out
 

@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.core import ShaderCompiler
 from repro.errors import IRError
 from repro.glsl import parse_shader, preprocess
-from repro.ir import lower_shader, promote_to_ssa, verify_function
+from repro.harness.environment import SAMPLE_FRAGMENTS
+from repro.harness.uniforms import (
+    default_textures, default_uniform_values, fragment_inputs,
+)
+from repro.ir import (
+    Interpreter, lower_shader, promote_to_ssa, verify_function,
+)
 from repro.ir.cfg import (
     compute_dominators, compute_postdominators, dominates, find_natural_loops,
     reverse_postorder,
@@ -15,6 +22,8 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import BasicBlock, Function
 from repro.ir.values import Constant
+from repro.passes import DEFAULT_LUNARGLASS, OptimizationFlags
+from helpers import run_source
 
 
 def lower(source, ssa=True):
@@ -148,6 +157,64 @@ void main() {
                 if isinstance(i, Discard)]
     assert len(discards) == 1
     assert discards[0] is discards[0].block.terminator
+
+
+_SHADOWED_LOOPS = """
+in vec2 uv;
+out vec4 frag;
+void main() {
+    float x = uv.x;
+    for (int i = 0; i < 3; i++) {
+        for (int INNER = 0; INNER < 2; INNER++) {
+            x = x * 1.5 + float(INNER);
+        }
+        x = x - float(i);
+    }
+    frag = vec4(x, uv.y, 0.0, 1.0);
+}
+"""
+
+
+def _fragment_outputs(source, flags):
+    """The scalar interpreter's outputs of *source* at every sample
+    fragment."""
+    module = ShaderCompiler(source).compile(flags).module
+    verify_function(module.function)
+    interface = module.interface
+    return [Interpreter(module, uniforms=default_uniform_values(interface),
+                        inputs=fragment_inputs(interface, position),
+                        textures=default_textures(interface)).run()
+            for position in SAMPLE_FRAGMENTS]
+
+
+@pytest.mark.parametrize("flags", [OptimizationFlags.none(),
+                                   DEFAULT_LUNARGLASS],
+                         ids=["none", "default"])
+def test_inner_loop_variable_shadows_the_outer_one(flags):
+    """The inner `for` redeclares `i`; the outer loop's step must still
+    advance the outer `i`, as with the inner variable renamed."""
+    shadowed = _SHADOWED_LOOPS.replace("INNER", "i")
+    renamed = _SHADOWED_LOOPS.replace("INNER", "j")
+    assert (_fragment_outputs(shadowed, flags)
+            == _fragment_outputs(renamed, flags))
+
+
+def test_declaration_in_a_block_ends_with_the_block():
+    source = """
+out vec4 frag;
+void main() {
+    float x = 1.0;
+    {
+        float x = 5.0;
+        x = x + 1.0;
+    }
+    if (x > 0.0) {
+        float x = 7.0;
+    }
+    frag = vec4(x);
+}
+"""
+    assert run_source(source) == {"frag": (1.0, 1.0, 1.0, 1.0)}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import PreprocessorError
+from repro.glsl.parser import MAX_NESTING
 from repro.glsl.preprocessor import _strip_comments, preprocess
 
 
@@ -309,3 +310,33 @@ def test_error_directive_raises_when_active():
 
 def test_error_directive_skipped_when_inactive():
     assert "int x;" in text("#if 0\n#error nope\n#endif\nint x;\n")
+
+
+#: ``#if`` conditions nested *n* levels deep, one shape per kind of level.
+_DEEP_CONDITIONS = {
+    "parentheses": lambda n: "(" * n + "1" + ")" * n,
+    "sum": lambda n: " + ".join(["1"] * (n + 1)),
+    "prefix_minus": lambda n: "- " * n + "1",
+    "ternary_chain": lambda n: "0 ? 0 : " * n + "1",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP_CONDITIONS))
+def test_if_condition_nesting_at_the_limit_evaluates(shape):
+    condition = _DEEP_CONDITIONS[shape](MAX_NESTING)
+    source = f"#if {condition}\nint taken;\n#else\nint skipped;\n#endif\n"
+    assert text(source).split() == ["int", "taken;"]
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+@pytest.mark.parametrize("shape", sorted(_DEEP_CONDITIONS))
+def test_if_condition_nesting_past_the_limit_is_an_error(shape, depth):
+    """One level past the parser's limit, and far past it (where the
+    condition once overflowed the stack), the directive's line is named."""
+    condition = _DEEP_CONDITIONS[shape](depth)
+    source = f"int a;\n\n#if {condition}\nint b;\n#endif\n"
+    with pytest.raises(PreprocessorError) as excinfo:
+        text(source)
+    assert excinfo.value.line == 3
+    assert str(excinfo.value) == (
+        f"line 3: #if condition nests deeper than {MAX_NESTING} levels")
