@@ -35,9 +35,13 @@ references the tests hold this path to, bit for bit.
 Step 5's timer draws depend only on the seed and the platform, never on the
 shader, so an environment keeps the stream of the last seed it measured
 (:func:`~repro.harness.protocol.protocol_noise`) and reuses it while the
-seed repeats.  Every ``tune`` point is measured under the engine's one
-seed, so one stream serves the whole search; the study's per-variant seeds
-never repeat, so there each unit draws its own.
+seed repeats.  Under one seed the protocol's result depends only on the
+true draw time, so the environment also keeps each true time's
+:class:`~repro.harness.protocol.Measurement` beside the stream, and
+drops both when the seed changes.  Every ``tune`` point is measured under
+the engine's one seed, so one stream serves the whole search and texts
+with equal true times share one protocol run; the study's per-variant
+seeds never repeat, so there each unit draws its own.
 """
 
 from __future__ import annotations
@@ -122,10 +126,13 @@ class ShaderExecutionEnvironment:
         # from run to run.
         self._platform_digest = int.from_bytes(
             hashlib.sha256(platform.name.encode()).digest()[:8], "big")
-        #: ``(seed, noise)`` of the last seed measured.  It is replaced
-        #: whole, in one attribute store, so threads sharing the
-        #: environment always read a matching pair without a lock.
-        self._noise: Optional[Tuple[int, ProtocolNoise]] = None
+        #: ``(seed, noise, measurements)`` of the last seed measured: its
+        #: timer noise, and the protocol run of each true draw time
+        #: measured under it.  It is replaced whole, in one attribute
+        #: store, so threads sharing the environment always read a
+        #: matching triple without a lock.
+        self._noise: Optional[
+            Tuple[int, ProtocolNoise, Dict[float, Measurement]]] = None
 
     def profile(self, module: Module) -> Dict[str, float]:
         """Average dynamic block-visit counts over the sample fragments.
@@ -180,13 +187,21 @@ class ShaderExecutionEnvironment:
         slot = self._noise
         if slot is None or slot[0] != seed:
             rng = random.Random((seed * 1_000_003) ^ self._platform_digest)
-            slot = (seed, protocol_noise(self.platform.timer, rng))
+            slot = (seed, protocol_noise(self.platform.timer, rng), {})
             self._noise = slot
-        measurement = run_protocol(prepared.true_ns, self.platform.timer,
-                                   slot[1])
+        measurement = slot[2].get(prepared.true_ns)
+        if measurement is None:
+            measurement = run_protocol(prepared.true_ns, self.platform.timer,
+                                       slot[1])
+            slot[2][prepared.true_ns] = measurement
         return ExecutionReport(cost=prepared.cost, true_ns=prepared.true_ns,
                                measurement=measurement,
                                interface=prepared.module.interface)
+
+    def release_measurements(self) -> None:
+        """Drop the memoized protocol runs (and the noise they share);
+        the next measurement draws its seed's noise again."""
+        self._noise = None
 
     def run(self, source: str, seed: int = 0) -> ExecutionReport:
         """Full pipeline: JIT, profile, cost, measure."""

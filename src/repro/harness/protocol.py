@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.gpu.timing import TimerModel
@@ -34,13 +34,16 @@ REPEATS = 5
 ProtocolNoise = Tuple[Tuple[float, ...], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Measurement:
-    """Aggregated timing for one shader variant on one platform."""
+    """Aggregated timing for one shader variant on one platform.
+
+    Immutable: an environment hands one instance to every report of the
+    same true draw time under one seed."""
 
     mean_ns: float
     std_ns: float
-    repeat_means: List[float] = field(default_factory=list)
+    repeat_means: Tuple[float, ...] = ()
 
     @property
     def mean_us(self) -> float:
@@ -73,4 +76,4 @@ def run_protocol(true_ns: float, timer: TimerModel,
     variance = sum((m - mean) ** 2 for m in repeat_means) / max(
         len(repeat_means) - 1, 1)
     return Measurement(mean_ns=mean, std_ns=math.sqrt(variance),
-                       repeat_means=repeat_means)
+                       repeat_means=tuple(repeat_means))

@@ -231,15 +231,13 @@ def _beat(path: Optional[str]) -> None:
 
 def _run_one(case: ShaderCase, case_index: int, platforms: List[Platform],
              engine: EvaluationEngine, seed: int) -> ShaderResult:
-    from repro.analysis.cycle_analyzer import arm_static_cycles
-
     variant_set = engine.variants_for(case)
 
     shader_result = ShaderResult(
         name=case.name,
         family=case.family,
         loc=lines_of_code(case.source),
-        arm_static_cycles=arm_static_cycles(case.source),
+        arm_static_cycles=engine.static_cycles_for(case.source),
     )
 
     for platform in platforms:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterator, Tuple
 
 #: Number of flags == bits in a combination index.
@@ -66,12 +67,18 @@ class OptimizationFlags:
             **{name: bool(index >> bit & 1) for bit, name in enumerate(ALL_FLAG_NAMES)}
         )
 
-    @property
+    @cached_property
     def index(self) -> int:
+        """The combination index (bit i = ALL_FLAG_NAMES[i]), computed once
+        per instance."""
         return sum(
             (1 << bit) if getattr(self, name) else 0
             for bit, name in enumerate(ALL_FLAG_NAMES)
         )
+
+    def __getstate__(self) -> dict:
+        """Pickle the eight flags alone, as before ``index`` was cached."""
+        return {name: getattr(self, name) for name in ALL_FLAG_NAMES}
 
     def enabled(self) -> Tuple[str, ...]:
         return tuple(name for name in ALL_FLAG_NAMES if getattr(self, name))

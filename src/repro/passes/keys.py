@@ -63,8 +63,18 @@ def _load_global_key(instr: LoadGlobal) -> Tuple:
     return ("loadglobal", instr.var, instr.column, element)
 
 
+def _constant_key(constant: Constant) -> Tuple:
+    """``-0.0 == 0.0`` in Python, but GLSL keeps the sign of zero
+    (``1.0 / -0.0`` is ``-inf``), so a constant with a zero component
+    carries its text, which tells the zeros apart."""
+    value = constant.value
+    if value == 0 or (value.__class__ is tuple and 0 in value):
+        return ("c", constant.ty, value, repr(value))
+    return ("c", constant.ty, value)
+
+
 _VALUE_KEYS: Dict[type, Callable[[Any], Tuple]] = {
-    Constant: lambda value: ("c", value.ty, value.value),
+    Constant: _constant_key,
     Undef: lambda value: ("undef", value.ty),
 }
 

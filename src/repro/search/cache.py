@@ -38,8 +38,9 @@ from repro.jsonlog import JsonLog
 logger = logging.getLogger("repro.search.cache")
 
 #: Bump when the cached payload layout or the key recipe changes.
-#: (Compiled variant sets are additive "variants:<digest>" entries, so
-#: they did not need a version bump.)  2: ``[key, value]`` log records.
+#: (Compiled variant sets and static cycle counts are additive
+#: "variants:<digest>" and "static_cycles:<digest>" entries, so they did
+#: not need a version bump.)  2: ``[key, value]`` log records.
 CACHE_VERSION = 2
 
 
@@ -180,6 +181,29 @@ class ResultCache:
         """
         with self._lock:
             self._entries.pop(self.variants_key(digest), None)
+
+    # ------------------------------------------------------------------
+    # Static cycle counts
+    # ------------------------------------------------------------------
+    # ARM's static cycle count of a source (paper Fig. 4b) needs a driver
+    # compile of it, so it is kept beside the source's variant set: a warm
+    # study replays it without a front end.  Unmetered, like the variants.
+
+    @staticmethod
+    def static_cycles_key(digest: str) -> str:
+        return f"static_cycles:{digest}"
+
+    def get_static_cycles(self, digest: str) -> Optional[float]:
+        """The stored static cycle count of a source, or None."""
+        entry = self._entries.get(self.static_cycles_key(digest))
+        try:
+            return float(entry["cycles"])
+        except (KeyError, TypeError, ValueError):
+            return None
+
+    def put_static_cycles(self, digest: str, cycles: float) -> None:
+        """Store the static cycle count of a source."""
+        self.put(self.static_cycles_key(digest), {"cycles": cycles})
 
     # ------------------------------------------------------------------
     # Disk store

@@ -7,22 +7,27 @@ The engine wraps :class:`ShaderCompiler` and
 
 1. compiled variant sets — the 256-combination emitted texts per source
    (the front-end module itself lives in the vendor JITs' shared LRU,
-   :func:`repro.gpu.jit.shared_frontend`, and no engine pins it);
+   :func:`repro.gpu.jit.shared_frontend`, and no engine pins it), and each
+   source's ARM static cycle count;
 2. measurements — per (text, platform, seed), so flag combinations that
    collapse to the same emitted text (most of them — Fig. 4c) are timed
    once.
 
-The engine keeps only the flag points it compiled alone (``tune`` reads
-each once per platform; a long-lived engine drops a finished search's
-with :meth:`EvaluationEngine.release_texts`), and it is the one place
-that builds cache keys and values and counts work.  Every entry is keyed
-on content hashes, so a disk-backed cache survives process restarts and
-is shared by engines of every seed: repeated ``tune`` runs, repeated
-studies, and the benchmark suite all skip work they have already paid
-for.  (Study and ``tune`` measurements don't cross-hit each other: the
-study keeps the paper's per-variant measurement seeds for protocol
-fidelity, while ``tune`` keys every measurement on the engine's single
-seed.)
+Besides the cache, the engine keeps only the flag points it compiled
+alone, per source: each point's flag index, the flags whose pass changed
+the IR, and its text.  A point that differs from a compiled one only by
+passes that changed nothing takes that point's text without compiling
+(:func:`repro.passes.manager.covers`), so a search compiles only the
+points no compiled point covers.  A long-lived engine drops a finished
+search's points, and its environments' memoized protocol runs, with
+:meth:`EvaluationEngine.release_texts`.  The engine is the one place that
+builds cache keys and values and counts work.  Every entry is keyed on
+content hashes, so a disk-backed cache survives process restarts and is
+shared by engines of every seed: repeated ``tune`` runs, repeated studies,
+and the benchmark suite all skip work they have already paid for.  (Study
+and ``tune`` measurements don't cross-hit each other: the study keeps the
+paper's per-variant measurement seeds for protocol fidelity, while
+``tune`` keys every measurement on the engine's single seed.)
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from repro.harness.environment import (
     ExecutionReport, ShaderExecutionEnvironment,
 )
 from repro.harness.results import ShaderCase
-from repro.passes import OptimizationFlags
+from repro.passes import OptimizationFlags, changed_flags, covers
 from repro.search.cache import ResultCache, make_key, source_digest
 
 FlagsLike = Union[OptimizationFlags, int]
@@ -93,12 +98,15 @@ class EvaluationEngine:
         self.cache = cache if cache is not None else ResultCache()
         self._environments: Dict[str, ShaderExecutionEnvironment] = {
             p.name: ShaderExecutionEnvironment(p) for p in self.platforms}
-        #: (source digest, flag index) -> text of a point compiled alone.
-        self._texts: Dict[Tuple[str, int], str] = {}
+        #: source digest -> the points compiled alone, each as
+        #: ``(flag index, changed flags, text)`` (see text_for).
+        self._texts: Dict[str, List[Tuple[int, int, str]]] = {}
         #: digests of the sources this engine compiled (holds no IR).
         self._compiled: Set[str] = set()
         # Work counters, exposed so tests can assert cache semantics.
-        self.compile_count = 0      # 256 per variant set, 1 per lone point
+        # compile_count: 256 per variant set, 1 per point that no compiled
+        # point covered (each a run_passes call).
+        self.compile_count = 0
         self.measure_count = 0      # actual environment executions
         # Per-thread cooperative-cancellation hook (see set_cancel_check):
         # thread-local so service workers sharing one engine each cancel
@@ -173,29 +181,51 @@ class EvaluationEngine:
         self._count_compiles(digest, 256)
         self.cache.put_variants(digest, index_to_text)
 
-    def text_for(self, source: str, flags: FlagsLike) -> str:
-        """Emitted text of *source* under *flags*: from the cached variant
-        set when there is one, else compiled alone (memoized per flag
-        index, since ``tune`` reads each point once per platform)."""
-        flags = self._coerce_flags(flags)
+    def static_cycles_for(self, source: str) -> float:
+        """ARM's static cycle count of *source* (paper Fig. 4b), read from
+        the result cache; a miss runs the ARM compile, counted as this
+        source's front end, and stores the count."""
+        from repro.analysis.cycle_analyzer import arm_static_cycles
+
         digest = source_digest(source)
-        key = (digest, flags.index)
-        text = self._texts.get(key)
-        if text is None:
-            text = (self.cache.get_variants(digest) or {}).get(flags.index)
+        cycles = self.cache.get_static_cycles(digest)
+        if cycles is None:
+            self._compiled.add(digest)
+            cycles = arm_static_cycles(source)
+            self.cache.put_static_cycles(digest, cycles)
+        return cycles
+
+    def text_for(self, source: str, flags: FlagsLike) -> str:
+        """Emitted text of *source* under *flags*.
+
+        Taken from a point this engine compiled alone that covers *flags*
+        (:func:`repro.passes.manager.covers`: it differs only by passes
+        that changed nothing), else from the cached variant set, else
+        compiled alone and kept as a point.
+        """
+        flags = self._coerce_flags(flags)
+        index = flags.index
+        digest = source_digest(source)
+        for point, changed, text in self._texts.get(digest, ()):
+            if covers(point, changed, index):
+                return text
+        text = (self.cache.get_variants(digest) or {}).get(index)
         if text is None:
             self._count_compiles(digest, 1)
-            text = ShaderCompiler(source).compile(flags).output
-            self._texts[key] = text
+            compiled = ShaderCompiler(source).compile(flags)
+            text = compiled.output
+            self._texts.setdefault(digest, []).append(
+                (index, changed_flags(compiled.pass_stats), text))
         return text
 
     def release_texts(self, sources: Iterable[str]) -> None:
         """Drop the points of *sources* compiled alone (a finished search
-        job's); a later request for one compiles it again."""
-        digests = {source_digest(source) for source in sources}
-        for key in list(self._texts):
-            if key[0] in digests:
-                self._texts.pop(key, None)
+        job's), and every environment's memoized protocol runs; a later
+        request for one of those points compiles it again."""
+        for source in sources:
+            self._texts.pop(source_digest(source), None)
+        for environment in self._environments.values():
+            environment.release_measurements()
 
     @staticmethod
     def _coerce_flags(flags: FlagsLike) -> OptimizationFlags:

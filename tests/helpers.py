@@ -244,7 +244,7 @@ def reference_protocol(true_ns: float, timer: TimerModel, rng: random.Random,
     variance = sum((m - mean) ** 2 for m in repeat_means) / max(
         len(repeat_means) - 1, 1)
     return Measurement(mean_ns=mean, std_ns=math.sqrt(variance),
-                       repeat_means=repeat_means)
+                       repeat_means=tuple(repeat_means))
 
 
 def reference_measurement(platform: Platform, source: str,

@@ -15,7 +15,8 @@ corpus.  The profile and the protocol are also held to
 their own references (``helpers.reference_profile`` and
 ``helpers.reference_protocol``), and a whole study to both oracles.  The
 shared timer stream is checked on its own: for any true time, under seed
-changes, and across threads sharing one engine.
+changes, across threads sharing one engine, and with one protocol run
+shared by the texts of equal true time.
 """
 
 from __future__ import annotations
@@ -209,6 +210,30 @@ def test_seed_changes_replace_the_stream():
                 env.run(MOTIVATING_SHADER, seed=seed),
                 reference_measurement(platform, MOTIVATING_SHADER, seed),
                 (platform.name, seed))
+
+
+@pytest.mark.parametrize("platform", all_platforms(),
+                         ids=lambda platform: platform.name)
+def test_texts_with_equal_true_times_share_one_measurement(monkeypatch,
+                                                           platform):
+    """Under one seed the protocol depends only on the true draw time, so
+    two texts that time equally share one protocol run, whose
+    ``Measurement`` equals the per-frame reference bit for bit."""
+    import repro.harness.environment as environment
+
+    texts = [MOTIVATING_SHADER, "// a comment\n" + MOTIVATING_SHADER]
+    env = ShaderExecutionEnvironment(platform)
+    runs = count_calls(monkeypatch, environment, "run_protocol")
+    first, second = (env.run(text, seed=5) for text in texts)
+    assert first.true_ns == second.true_ns
+    assert second.measurement is first.measurement
+    assert len(runs) == 1
+    for text, report in zip(texts, (first, second)):
+        assert_report_identical(
+            report, reference_measurement(platform, text, 5), text[:40])
+    env.release_measurements()
+    assert_report_identical(env.run(texts[1], seed=5), second)
+    assert len(runs) == 2
 
 
 def test_threads_sharing_an_engine_measure_mixed_seeds_exactly():

@@ -481,6 +481,46 @@ void main() { f = (a * b) + (b * a); }
     assert len([i for i in instrs(opt, BinOp) if i.op == "mul"]) == 1
 
 
+#: ``u * 0.0`` and ``u * -0.0`` differ in GLSL (``1.0 / b`` is ``-inf``
+#: for ``u > 0``), although ``-0.0 == 0.0`` in Python.
+SIGNED_ZEROS = """
+uniform float u;
+out vec4 color;
+void main() {
+    float a = u * 0.0;
+    float b = u * -0.0;
+    color = vec4(a, b, 1.0 / a, 1.0 / b);
+}
+"""
+
+
+@pytest.mark.parametrize("flags", [OptimizationFlags.none(),
+                                   OptimizationFlags.single("gvn")],
+                         ids=str)
+def test_cse_and_gvn_keep_signed_zeros_apart(flags):
+    c = compile_shader(SIGNED_ZEROS, flags)
+    muls = [i for i in instrs(c, BinOp) if i.op == "mul"]
+    divs = [i for i in instrs(c, BinOp) if i.op == "div"]
+    assert len(muls) == 2 and len(divs) == 2
+    assert "* 0.0;" in c.output and "* -0.0;" in c.output
+
+
+def test_constant_keys_tell_signed_zeros_apart():
+    from repro.ir.types import IRType
+    from repro.ir.values import Constant
+    from repro.passes.keys import value_key
+
+    vec2 = IRType("float", 2)
+    assert value_key(Constant.float_(0.0)) != value_key(Constant.float_(-0.0))
+    assert value_key(Constant(vec2, (1.0, 0.0))) != value_key(
+        Constant(vec2, (1.0, -0.0)))
+    for constant in (Constant.float_(-0.0), Constant(vec2, (-0.0, 2.0)),
+                     Constant.float_(1.5), Constant.int_(0),
+                     Constant.bool_(False)):
+        twin = Constant(constant.ty, constant.value)
+        assert value_key(constant) == value_key(twin), constant
+
+
 # ---------------------------------------------------------------------------
 # Coalesce
 # ---------------------------------------------------------------------------
@@ -536,9 +576,25 @@ def test_compilation_is_deterministic(blur_shader):
 
 
 def test_flag_index_roundtrip():
+    """``index`` is computed once per instance and kept out of equality,
+    hashing and pickles, which see the eight flags alone."""
+    import pickle
+
+    from repro.passes import ALL_FLAG_NAMES
+
     for index in range(256):
         flags = OptimizationFlags.from_index(index)
-        assert flags.index == index
+        fresh = OptimizationFlags(**{name: getattr(flags, name)
+                                     for name in ALL_FLAG_NAMES})
+        pickled = pickle.dumps(fresh)
+        assert flags.index == index and flags.index == index
+        assert fresh == flags and hash(fresh) == hash(flags)
+        assert fresh.index == index
+        assert fresh == flags and hash(fresh) == hash(flags)
+        assert pickle.dumps(fresh) == pickled
+        restored = pickle.loads(pickled)
+        assert restored == flags and hash(restored) == hash(flags)
+        assert restored.index == index
 
 
 def test_default_lunarglass_flags_match_paper():

@@ -22,7 +22,7 @@ from repro.passes.flags import (
 )
 from repro.search import (
     STRATEGIES, EvaluationEngine, Exhaustive, Genetic, GreedyHillClimb,
-    RandomSampling, ResultCache, Scheduler, make_strategy,
+    RandomSampling, ResultCache, Scheduler, make_strategy, source_digest,
 )
 
 
@@ -37,6 +37,13 @@ def synthetic_objective(index: int) -> float:
 @pytest.fixture(scope="module")
 def small_corpus():
     return default_corpus(max_shaders=2)
+
+
+@pytest.fixture(scope="module")
+def varied_corpus():
+    """Cases whose flag points emit many distinct texts and timings."""
+    return [case for case in default_corpus()
+            if case.name in ("blur.taps5", "shadow.pcf2", "ssao.s4")]
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +190,33 @@ def test_disk_cache_round_trip_does_zero_compiles(tmp_path, small_corpus,
     assert replay.speedup_pct == baseline.speedup_pct
 
 
+def test_warm_study_replay_parses_nothing(tmp_path, monkeypatch,
+                                         small_corpus, two_platforms):
+    """The ARM static cycle count is kept in the cache beside the variant
+    set, so a warm replay runs no front end, not even for Fig. 4b."""
+    import repro.gpu.jit as jit
+    from helpers import count_calls
+
+    store = tmp_path / "cache.jsonl"
+    config = StudyConfig(platforms=two_platforms)
+    cold_engine = EvaluationEngine(platforms=two_platforms,
+                                   cache=ResultCache(store))
+    cold = run_study(small_corpus, config, engine=cold_engine)
+    assert cold_engine.frontend_count == len(small_corpus)
+    assert [shader.arm_static_cycles for shader in cold.shaders] == [
+        arm_static_cycles(case.source) for case in small_corpus]
+
+    jit.clear_frontend_memo()
+    parses = count_calls(monkeypatch, jit, "parse_shader")
+    warm_engine = EvaluationEngine(platforms=two_platforms,
+                                   cache=ResultCache(store))
+    warm = run_study(small_corpus, config, engine=warm_engine)
+    assert warm.to_json() == cold.to_json()
+    assert parses == []
+    assert warm_engine.frontend_count == 0
+    assert warm_engine.compile_count == warm_engine.measure_count == 0
+
+
 def test_measurements_identical_across_processes(tmp_path):
     """Disk-cached results are only sound if measurements don't depend on
     per-process state (str hash salting regressed this once)."""
@@ -239,6 +273,127 @@ def test_engine_of_another_seed_reads_the_studys_variant_sets(small_corpus,
             engine.evaluate(case, index, two_platforms[0])
     assert engine.frontend_count == 0
     assert engine.compile_count == 0
+
+
+def test_a_covered_point_compiles_nothing(monkeypatch, varied_corpus):
+    """A point that differs from a compiled one only by passes that changed
+    nothing takes its text: no compile counted, no ``run_passes`` run."""
+    import repro.core.pipeline as pipeline
+    from helpers import count_calls
+    from repro.passes import covers
+
+    source = varied_corpus[0].source
+    engine = EvaluationEngine(platforms=all_platforms()[:1], seed=5)
+    text = engine.text_for(source, 255)
+    [(index, changed, kept)] = engine._texts[source_digest(source)]
+    assert (index, kept) == (255, text)
+    covered = [q for q in range(SPACE_SIZE)
+               if q != index and covers(index, changed, q)]
+    assert covered
+    runs = count_calls(monkeypatch, pipeline, "run_passes")
+    assert all(engine.text_for(source, q) == text for q in covered)
+    assert runs == []
+    assert engine.compile_count == 1
+    assert len(engine._texts[source_digest(source)]) == 1
+    monkeypatch.undo()
+    compiler = ShaderCompiler(source)
+    for q in covered:
+        assert compiler.compile(OptimizationFlags.from_index(q)).output == text
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "genetic"])
+def test_searches_match_an_engine_primed_with_the_studys_variant_sets(
+        strategy, varied_corpus, two_platforms):
+    """A search that compiles its points alone, and reuses them where they
+    cover a later point, finds what it finds on the study's variant sets."""
+    platforms = two_platforms[:1]
+    primed = ResultCache()
+    run_study(varied_corpus, StudyConfig(platforms=platforms),
+              engine=EvaluationEngine(platforms=platforms, cache=primed))
+    runs = []
+    for cache in (ResultCache(), primed):
+        engine = EvaluationEngine(platforms=platforms, seed=2018, cache=cache)
+        objective = engine.corpus_objective(varied_corpus, platforms[0].name)
+        outcome = make_strategy(strategy, seed=4).search(objective,
+                                                         budget=24)
+        runs.append((outcome, engine))
+    (cold, cold_engine), (warm, warm_engine) = runs
+    assert len({score for _, score in cold.history}) > 3
+    assert cold == warm
+    assert warm_engine.compile_count == 0
+    assert 0 < cold_engine.compile_count < (cold.points_evaluated
+                                            * len(varied_corpus))
+
+
+def test_threads_sharing_an_engine_get_every_point_right(varied_corpus):
+    """Service workers are threads sharing one engine and its points.  More
+    threads than cores ask for points of the same sources with the GIL
+    switching often; every text must still be the point's own."""
+    import os
+    import random
+    import sys
+    import threading
+
+    sources = [case.source for case in varied_corpus]
+    compilers = [ShaderCompiler(source) for source in sources]
+    engine = EvaluationEngine(platforms=all_platforms()[:1], seed=5)
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    workers = cores + 2
+    results, errors = [], []
+
+    def ask(seed, start):
+        try:
+            rng = random.Random(seed)
+            start.wait(timeout=60)
+            for _ in range(24):
+                position = rng.randrange(len(sources))
+                index = rng.randrange(SPACE_SIZE)
+                results.append((position, index,
+                                engine.text_for(sources[position], index)))
+        except Exception as exc:  # re-raised below, in the test's thread
+            errors.append(exc)
+
+    start = threading.Barrier(workers)
+    threads = [threading.Thread(target=ask, args=(seed, start))
+               for seed in range(workers)]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(results) == workers * 24
+    assert engine.compile_count < len(results)
+    for position, index, text in results:
+        expected = compilers[position].compile(
+            OptimizationFlags.from_index(index)).output
+        assert text == expected, (position, index)
+
+
+def test_release_texts_drops_a_sources_points(small_corpus):
+    """A finished search's points go, and so do the environments'
+    memoized protocol runs; another source's points stay."""
+    platform = all_platforms()[0].name
+    engine = EvaluationEngine(platforms=all_platforms()[:1], seed=5)
+    first, second = (case.source for case in small_corpus)
+    for source in (first, second):
+        engine.measure(engine.text_for(source, 37), platform)
+    environment = engine.environment(platform)
+    assert environment._noise is not None and environment._noise[2]
+    engine.release_texts([first])
+    assert set(engine._texts) == {source_digest(second)}
+    assert environment._noise is None
+    compiles = engine.compile_count
+    engine.text_for(second, 37)
+    assert engine.compile_count == compiles
+    engine.text_for(first, 37)
+    assert engine.compile_count == compiles + 1
 
 
 def test_corrupt_disk_cache_is_ignored(tmp_path):
