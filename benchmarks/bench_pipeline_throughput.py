@@ -6,7 +6,9 @@ from repro.core import ShaderCompiler, compile_shader
 from repro.corpus import MOTIVATING_SHADER
 from repro.gpu.vendors import NVIDIA
 from repro.harness.environment import ShaderExecutionEnvironment
-from repro.passes import DEFAULT_LUNARGLASS, OptimizationFlags
+from repro.ir import emit_glsl
+from repro.ir.clone import clone_module
+from repro.passes import DEFAULT_LUNARGLASS, OptimizationFlags, run_passes
 
 
 def test_bench_full_pipeline_compile(benchmark):
@@ -21,9 +23,16 @@ def test_bench_all_256_variants(benchmark):
 
 
 def _naive_variants(compiler):
-    """The baseline: a full pass-pipeline run per flag combination."""
-    return {flags.index: compiler.compile(flags).output
-            for flags in OptimizationFlags.all_combinations()}
+    """The baseline: a full pass-pipeline run per flag combination, the
+    reference path that shares nothing between combinations: a
+    name-preserving clone of the cleaned module, ``run_passes`` and
+    emission."""
+    texts = {}
+    for flags in OptimizationFlags.all_combinations():
+        module = clone_module(compiler._module, preserve_names=True)
+        run_passes(module, flags)
+        texts[flags.index] = emit_glsl(module)
+    return texts
 
 
 def test_bench_256_variants_naive(benchmark):

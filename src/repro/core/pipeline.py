@@ -8,22 +8,26 @@ the emitted text — Fig. 4c's "unique shader variants" statistic.  A
 JITs use (:func:`repro.gpu.jit.shared_frontend`), so a source text is
 parsed, lowered and cleaned once, however many flag combinations and
 platforms compile it; every consumer clones that shared module before
-mutating it.  ``all_variants`` walks the shared-prefix compilation trie
-(:mod:`repro.core.trie`), so each pass runs once per distinct reachable IR
-state rather than once per combination.
+mutating it.
+
+One flag point compiles as a driver pipeline
+(:meth:`repro.gpu.jit.VendorJIT.for_flags`) through the source's step
+memo, and its text is emitted once per state reached.  ``all_variants``
+walks the shared-prefix compilation trie (:mod:`repro.core.trie`), so each
+pass runs once per distinct reachable IR state rather than once per
+combination.  Both equal ``run_passes`` on a clone, the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.trie import VariantTrie
-from repro.gpu.jit import shared_frontend
+from repro.gpu.jit import VendorJIT, point_texts, shared_frontend
 from repro.ir import emit_glsl
-from repro.ir.clone import clone_module
 from repro.ir.module import Module
-from repro.passes import OptimizationFlags, run_passes
+from repro.passes import OptimizationFlags
 
 
 def compile_mode() -> str:
@@ -40,7 +44,9 @@ class CompiledShader:
     flags: OptimizationFlags
     module: Module
     output: str
-    pass_stats: Dict[str, int] = field(default_factory=dict)
+    #: False when ``output`` is the text an earlier compile emitted for
+    #: the same state.
+    emitted: bool = True
 
 
 class ShaderCompiler:
@@ -56,12 +62,18 @@ class ShaderCompiler:
         self._module = shared_frontend(source)
 
     def compile(self, flags: OptimizationFlags, es: bool = False) -> CompiledShader:
-        """Run the flag passes under *flags* on a clone of the module."""
-        module = clone_module(self._module, preserve_names=True)
-        stats = run_passes(module, flags)
-        output = emit_glsl(module, es=es)
+        """Compile under *flags*: walk the offline pipeline through the
+        source's step memo, and emit the text only for a state no earlier
+        compile emitted.  The module's IR is built on its first read."""
+        module = VendorJIT.for_flags(flags).compile(self.source)
+        texts = point_texts(self.source)
+        key = (module.driver_steps, es)
+        output = texts.get(key)
+        emitted = output is None
+        if emitted:
+            output = texts[key] = emit_glsl(module, es=es)
         return CompiledShader(source=self.source, flags=flags, module=module,
-                              output=output, pass_stats=stats)
+                              output=output, emitted=emitted)
 
     def all_variants(self, es: bool = False) -> "VariantSet":
         """Compile all 256 combinations and deduplicate the emitted text.
@@ -70,7 +82,7 @@ class ShaderCompiler:
         (:class:`repro.core.trie.VariantTrie`): one pass application per
         distinct reachable IR state instead of a full pipeline run per
         combination, with output byte-identical to compiling each
-        combination alone through :meth:`compile`.
+        combination alone through ``run_passes`` or :meth:`compile`.
         """
         return VariantSet.from_index_to_text(
             VariantTrie(self._module, es=es).compile())

@@ -1,11 +1,11 @@
-"""Simulated vendor driver JIT compilers.
+"""Simulated vendor driver JIT compilers, and the walk every pipeline takes.
 
 OpenGL drivers receive GLSL source and compile it with their own (opaque)
 optimizer.  Each vendor's JIT here re-parses the (possibly offline-optimized)
 source through the shared frontend and applies a vendor-specific pipeline:
 the always-on canonical cleanup, a driver unroller with vendor limits, and a
-subset of the offline flag passes.  None runs the reassociation passes
-(``reassociate``, ``fp_reassociate``), but every stock pipeline runs
+subset of the offline flag passes.  None of the five runs a reassociation
+pass (``reassociate``, ``fp_reassociate``), but every one runs
 ``div_to_mul``, which :mod:`repro.passes.div_to_mul` and
 :mod:`repro.passes.flags` call unsafe because the compile-time reciprocal
 rounds.  Whether a conformant driver may do that is an open question;
@@ -23,29 +23,30 @@ leaves by) -> ``run_cleanup`` once per source text, and keeps only the
 cleaned module: a study that walks a shader's 256 flag combinations and
 measures its variants on 5 platforms parses and cleans each text once.
 
-The drivers' pipelines differ only in their unroll limits and safe passes,
-so they share most steps too.  A compile is a walk from the cleaned
-module, state ``()``, where a state is the tuple of steps that changed the
-IR so far (``Module.driver_steps``).  The driver unroller runs as rounds,
-as in :func:`~repro.passes.unroll.unroll`: each round unrolls the first
-loop within the driver's limits and is the step ``("unroll", loop index,
-trips)``; ``("cleanup",)`` follows the last round; each safe pass that
-changes the IR is the step ``(name,)``.  The entry's step memo maps
-``(state, step)`` to the state after it, and ``(state, ("loops", trip
-cap))`` to the state's limit-free loop sizes
-(:func:`~repro.passes.unroll.loop_sizes`), from which every driver picks
-its round.  :meth:`VendorJIT.compile` follows the memo while it hits, and
-runs a missed step on its one private module, cloned from the cleaned
-module the first time the walk needs IR and brought to the walk's state
-by replaying the steps it skipped.  Drivers that unroll the same loops
-share the rounds and everything after them.  Two compiles with equal
+The offline pipeline under one flag combination is a driver pipeline too
+(:meth:`VendorJIT.for_flags`), so the drivers and the offline flag points
+share most steps.  A compile is a walk from the cleaned module, state
+``()``, where a state is the tuple of steps that changed the IR so far
+(``Module.driver_steps``).  The unroller runs as rounds, as in
+:func:`~repro.passes.unroll.unroll`: each round unrolls the first loop
+within the pipeline's limits and is the step ``("unroll", loop index,
+trips)``; ``("cleanup",)`` follows the last round; each pass that changes
+the IR is the step ``(name,)``, run from the pass table of
+:mod:`repro.passes.manager`.  The entry's step memo maps ``(state, step)``
+to the state after it, and ``(state, ("loops", trip cap))`` to the state's
+limit-free loop sizes (:func:`~repro.passes.unroll.loop_sizes`), from which
+every pipeline picks its round.  :meth:`VendorJIT.compile` follows the memo
+while it hits, and runs a missed step on its one private module, cloned
+from the cleaned module the first time the walk needs IR and brought to the
+walk's state by replaying the steps it skipped.  Two compiles with equal
 steps produce identical IR, because every step is a deterministic function
 of the IR it runs on and a step that reports no change leaves the IR alone
-(``tests/test_cleanup_properties.py``), so the measurement path analyses
-each distinct driver output once and keeps the analysis in the same entry
-(:func:`driver_output_memo`).  The step memo holds no IR, the entry's one
-module is never mutated, and an entry goes as a whole: by LRU eviction or
-:func:`clear_frontend_memo`.
+(``tests/test_cleanup_properties.py``).  So the entry keeps what is
+derived from a state's IR once: the offline compiler's emitted text
+(:func:`point_texts`) and the measurement path's analysis of a driver
+output (:func:`driver_output_memo`).  The step memo holds no IR, the
+entry's one module is never mutated, and an entry goes as a whole: by LRU
+eviction or :func:`clear_frontend_memo`.
 """
 
 from __future__ import annotations
@@ -59,30 +60,20 @@ from repro.glsl import parse_shader, preprocess
 from repro.ir import lower_shader, promote_to_ssa
 from repro.ir.clone import clone_module
 from repro.ir.module import Function, Module
-from repro.passes.coalesce import coalesce
-from repro.passes.div_to_mul import div_to_mul
-from repro.passes.gvn import gvn
-from repro.passes.hoist import hoist
-from repro.passes.manager import run_cleanup, run_step
+from repro.passes.flags import OptimizationFlags
+from repro.passes.manager import FLAG_PASSES, PASS_ORDER, run_cleanup, run_step
 from repro.passes.unroll import (
-    MAX_ROUNDS, MAX_TRIPS, first_fit, loop_sizes, unroll_round,
+    MAX_GROWTH, MAX_ROUNDS, MAX_TRIPS, first_fit, loop_sizes, unroll_round,
 )
-
-_SAFE_PASSES = {
-    "gvn": gvn,
-    "coalesce": coalesce,
-    "div_to_mul": div_to_mul,
-    "hoist": hoist,
-}
 
 
 class _FrontEnd:
     """One source text's memo entry: the cleaned ``module``, which the
     vendor JITs, the offline compiler and its variant walk all clone and
-    never mutate, and the ``steps`` and ``driver_outputs`` that fill in as
-    the text is compiled and measured."""
+    never mutate, and the ``steps``, ``texts`` and ``driver_outputs`` that
+    fill in as the text is compiled and measured."""
 
-    __slots__ = ("module", "steps", "driver_outputs")
+    __slots__ = ("module", "steps", "texts", "driver_outputs")
 
     def __init__(self, module: Module):
         self.module = module
@@ -90,6 +81,8 @@ class _FrontEnd:
         #: after`` and ``(state, ("loops", trip cap)) -> loop sizes``,
         #: where a state is a ``driver_steps`` tuple.  It holds no IR.
         self.steps: Dict[Tuple, Tuple] = {}
+        #: ``(driver_steps, es) -> emitted text`` of the flag points.
+        self.texts: Dict[Tuple, str] = {}
         #: Per-``driver_steps`` analyses of this text's driver outputs.
         self.driver_outputs: Dict[Tuple, object] = {}
 
@@ -124,26 +117,35 @@ def shared_frontend(source: str) -> Module:
 
 
 def clear_frontend_memo() -> None:
-    """Drop the shared front-end memo, with every step memo and
-    driver-output analysis it holds (tests and memory-sensitive callers)."""
+    """Drop the shared front-end memo, with every step memo, flag-point
+    text and driver-output analysis it holds (tests and memory-sensitive
+    callers)."""
     with _FRONTEND_LOCK:
         _FRONTEND_MEMO.clear()
 
 
-def driver_output_memo(source: str) -> Dict[Tuple, object]:
-    """The dict, keyed by ``Module.driver_steps``, in which the measurement
-    path keeps what it derives from *source*'s driver outputs.
-
-    It lives in the source's front-end memo entry and goes with it.  With
-    no entry (evicted since the compile) it is a fresh, unshared dict.
-    """
+def _entry_memo(source: str, slot: str) -> dict:
+    """The memo *slot* of *source*'s front-end entry, or a fresh dict when
+    the entry is gone (evicted since the compile)."""
     with _FRONTEND_LOCK:
         entry = _FRONTEND_MEMO.get(source)
-    return {} if entry is None else entry.driver_outputs
+    return {} if entry is None else getattr(entry, slot)
+
+
+def driver_output_memo(source: str) -> Dict[Tuple, object]:
+    """The dict, keyed by ``Module.driver_steps``, in which the measurement
+    path keeps what it derives from *source*'s driver outputs."""
+    return _entry_memo(source, "driver_outputs")
+
+
+def point_texts(source: str) -> Dict[Tuple, str]:
+    """The dict, keyed by ``(driver_steps, es)``, in which the offline
+    compiler keeps the text it emitted for *source* at each state."""
+    return _entry_memo(source, "texts")
 
 
 #: Pipeline steps that ``VendorJIT.compile`` ran on IR so far: each loop
-#: scan, unroll round, post-unroll cleanup and safe pass run on a step-memo
+#: scan, unroll round, post-unroll cleanup and pass run on a step-memo
 #: miss, and each step replayed to bring a walk's module to its state.  A
 #: memo hit counts nothing, nor does the front end's cleanup.
 _JIT_STEPS = 0
@@ -171,7 +173,7 @@ def _run(function: Function, step: Tuple) -> bool:
     if step[0] == "cleanup":
         run_cleanup(function)
         return True
-    return bool(run_step(function, _SAFE_PASSES[step[0]]))
+    return bool(run_step(function, FLAG_PASSES[step[0]]))
 
 
 class _Walk:
@@ -251,11 +253,26 @@ class VendorJIT:
     """One driver compiler: which redundant optimizations it already does."""
 
     name: str
-    #: Safe passes the driver applies itself (subset of _SAFE_PASSES keys).
+    #: Flag passes the driver applies itself, in order (``FLAG_PASSES``
+    #: names other than ``unroll``).
     passes: Tuple[str, ...] = ()
     #: Driver unroller limit (0 = driver does not unroll).
     unroll_max_trips: int = 0
     unroll_max_growth: int = 1024
+
+    @classmethod
+    def for_flags(cls, flags: OptimizationFlags) -> "VendorJIT":
+        """The offline pipeline under *flags* as a driver pipeline:
+        ``unroll`` at :data:`~repro.passes.unroll.MAX_TRIPS` and
+        :data:`~repro.passes.unroll.MAX_GROWTH` when the flag is set, then
+        each other enabled flag pass in ``PASS_ORDER``.  Its compile is
+        ``run_passes`` under *flags*: the rounds and the cleanup after
+        the last are ``unroll``'s, and every other pass is one
+        ``run_step``."""
+        return cls(str(flags),
+                   tuple(name for name in PASS_ORDER
+                         if name != "unroll" and getattr(flags, name)),
+                   MAX_TRIPS if flags.unroll else 0, MAX_GROWTH)
 
     def compile(self, source: str) -> Module:
         """Parse and optimize GLSL the way this vendor's driver would.

@@ -267,7 +267,8 @@ def _scalar_binop(op: str, x: Num, y: Num) -> Num:
     if op == "div":
         if isinstance(x, float) or isinstance(y, float):
             if y == 0.0:
-                return math.copysign(_BIG, x if x else 1.0)
+                return (math.copysign(_BIG, x if x else 1.0)
+                        * math.copysign(1.0, y))
             return x / y
         return int(x / y) if y else 0
     if op == "mod":

@@ -179,12 +179,13 @@ class Module:
         self.function = function
         self.interface = interface
         self.version = version
-        #: The vendor-JIT steps that changed the source's cleaned module
+        #: The pipeline steps that changed the source's cleaned module
         #: into this module, in order: unroll rounds ``("unroll", loop
         #: index, trips)``, the ``("cleanup",)`` after the last round, and
-        #: each safe pass ``(name,)`` that changed the IR (set by
-        #: :meth:`repro.gpu.jit.VendorJIT.compile`); ``None`` on a module
-        #: no driver compiled.  Equal steps mean equal IR.
+        #: each pass ``(name,)`` that changed the IR (set by
+        #: :meth:`repro.gpu.jit.VendorJIT.compile`, for a driver or a flag
+        #: point); ``None`` on a module no walk compiled.  Equal steps
+        #: mean equal IR.
         self.driver_steps: Optional[Tuple[Tuple, ...]] = None
 
     def dump(self) -> str:

@@ -13,15 +13,13 @@ from repro.passes.flags import (
     neighbor_indices, popcount, random_index, uniform_crossover,
 )
 from repro.passes.manager import (
-    PASS_ORDER, apply_flag_pass, changed_flags, covers, run_cleanup,
-    run_passes,
+    PASS_ORDER, apply_flag_pass, run_cleanup, run_passes,
 )
 
 __all__ = [
     "OptimizationFlags", "ALL_FLAG_NAMES", "DEFAULT_LUNARGLASS",
     "FLAG_COUNT", "SPACE_SIZE", "run_passes",
-    "PASS_ORDER", "apply_flag_pass", "run_cleanup", "changed_flags",
-    "covers",
+    "PASS_ORDER", "apply_flag_pass", "run_cleanup",
     "flip_bit", "neighbor_indices", "popcount", "hamming_distance",
     "random_index", "uniform_crossover", "mutate_index",
 ]

@@ -10,11 +10,13 @@ late; ADCE last), re-running the cleanup after each one that changed the IR.
 
 Skipping the cleanup after a pass that changed nothing gives the same IR:
 the pass ran on cleaned IR and left it as it was, and the cleanup is
-idempotent.  ``tests/test_cleanup_properties.py`` fuzzes both facts.  So
-two flag points that differ only by passes that changed nothing compile to
-the same text (:func:`covers`).
+idempotent.  ``tests/test_cleanup_properties.py`` fuzzes both facts.
 
-The vendor JIT pipelines run their own steps through :func:`run_step`.
+``run_passes`` is the reference pipeline.  The offline compiler
+(:meth:`repro.core.ShaderCompiler.compile`) runs the same steps as a
+driver pipeline (:meth:`repro.gpu.jit.VendorJIT.for_flags`), and the
+vendor JITs run theirs, all through :func:`run_step` and the one pass
+table :data:`FLAG_PASSES`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.passes.coalesce import coalesce
 from repro.passes.cse import local_cse
 from repro.passes.dce import adce, trivial_dce
 from repro.passes.div_to_mul import div_to_mul
-from repro.passes.flags import ALL_FLAG_NAMES, OptimizationFlags
+from repro.passes.flags import OptimizationFlags
 from repro.passes.fp_reassociate import fp_reassociate
 from repro.passes.gvn import gvn
 from repro.passes.hoist import hoist
@@ -41,10 +43,8 @@ PASS_ORDER = (
     "gvn", "coalesce", "adce",
 )
 
-#: Bit of each flag pass in a combination index.
-_FLAG_BIT = {name: bit for bit, name in enumerate(ALL_FLAG_NAMES)}
-
-_PASS_FN = {
+#: The one table of flag passes, by flag name.
+FLAG_PASSES = {
     "unroll": unroll,
     "hoist": hoist,
     "reassociate": reassociate,
@@ -92,9 +92,9 @@ def apply_flag_pass(module: Module, name: str) -> int:
     exactly one such step per enabled flag in ``PASS_ORDER`` — the
     compilation trie (:mod:`repro.core.trie`) walks edges of precisely this
     granularity."""
-    if name not in _PASS_FN:
+    if name not in FLAG_PASSES:
         raise KeyError(f"unknown flag pass {name!r}; have {PASS_ORDER}")
-    return run_step(module.function, _PASS_FN[name])
+    return run_step(module.function, FLAG_PASSES[name])
 
 
 def run_passes(module: Module, flags: OptimizationFlags) -> Dict[str, int]:
@@ -107,24 +107,3 @@ def run_passes(module: Module, flags: OptimizationFlags) -> Dict[str, int]:
         stats[name] = apply_flag_pass(module, name)
     return stats
 
-
-def changed_flags(stats: Dict[str, int]) -> int:
-    """The flag-index bits of the passes that changed the IR in *stats*,
-    a :func:`run_passes` result."""
-    return sum(1 << _FLAG_BIT[name] for name, count in stats.items()
-               if count)
-
-
-def covers(index: int, changed: int, query: int) -> bool:
-    """Whether flag point *query* compiles to the same IR as point *index*,
-    whose passes that changed the IR are the bits of *changed*
-    (:func:`changed_flags`): true when changed ⊆ query ⊆ index.
-
-    By induction along ``PASS_ORDER``: before each pass both pipelines hold
-    the same IR.  A pass in *changed* runs in both, on that IR.  Any other
-    pass of *index* changed nothing there, and :func:`run_step` skipped
-    its cleanup, so whether *query* runs it or not, the IR stays as it
-    was.  *query* runs no pass that *index* does not.  So both end on the
-    same IR, and emit the same text.
-    """
-    return changed & ~query == 0 and query & ~index == 0

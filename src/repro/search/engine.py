@@ -13,21 +13,20 @@ The engine wraps :class:`ShaderCompiler` and
    collapse to the same emitted text (most of them — Fig. 4c) are timed
    once.
 
-Besides the cache, the engine keeps only the flag points it compiled
-alone, per source: each point's flag index, the flags whose pass changed
-the IR, and its text.  A point that differs from a compiled one only by
-passes that changed nothing takes that point's text without compiling
-(:func:`repro.passes.manager.covers`), so a search compiles only the
-points no compiled point covers.  A long-lived engine drops a finished
-search's points, and its environments' memoized protocol runs, with
-:meth:`EvaluationEngine.release_texts`.  The engine is the one place that
-builds cache keys and values and counts work.  Every entry is keyed on
-content hashes, so a disk-backed cache survives process restarts and is
-shared by engines of every seed: repeated ``tune`` runs, repeated studies,
-and the benchmark suite all skip work they have already paid for.  (Study
-and ``tune`` measurements don't cross-hit each other: the study keeps the
-paper's per-variant measurement seeds for protocol fidelity, while
-``tune`` keys every measurement on the engine's single seed.)
+The engine keeps no compiled text of its own.  A flag point that no cached
+variant set holds compiles through :meth:`ShaderCompiler.compile`, which
+takes the text of any state an earlier compile of the source reached from
+the source's front-end entry, which the LRU bounds.  A long-lived engine
+drops its environments' memoized protocol runs when a search job ends,
+with :meth:`EvaluationEngine.release_measurements`.  The engine is the one
+place that builds cache keys and values and counts work.  Every entry is
+keyed on content hashes, so a disk-backed cache survives process restarts
+and is shared by engines of every seed: repeated ``tune`` runs, repeated
+studies, and the benchmark suite all skip work they have already paid
+for.  (Study and ``tune`` measurements don't cross-hit each other: the
+study keeps the paper's per-variant measurement seeds for protocol
+fidelity, while ``tune`` keys every measurement on the engine's single
+seed.)
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import hashlib
 import threading
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+    Callable, Dict, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from repro.core.pipeline import ShaderCompiler, VariantSet
@@ -45,7 +44,7 @@ from repro.harness.environment import (
     ExecutionReport, ShaderExecutionEnvironment,
 )
 from repro.harness.results import ShaderCase
-from repro.passes import OptimizationFlags, changed_flags, covers
+from repro.passes import OptimizationFlags
 from repro.search.cache import ResultCache, make_key, source_digest
 
 FlagsLike = Union[OptimizationFlags, int]
@@ -98,14 +97,11 @@ class EvaluationEngine:
         self.cache = cache if cache is not None else ResultCache()
         self._environments: Dict[str, ShaderExecutionEnvironment] = {
             p.name: ShaderExecutionEnvironment(p) for p in self.platforms}
-        #: source digest -> the points compiled alone, each as
-        #: ``(flag index, changed flags, text)`` (see text_for).
-        self._texts: Dict[str, List[Tuple[int, int, str]]] = {}
         #: digests of the sources this engine compiled (holds no IR).
         self._compiled: Set[str] = set()
         # Work counters, exposed so tests can assert cache semantics.
-        # compile_count: 256 per variant set, 1 per point that no compiled
-        # point covered (each a run_passes call).
+        # compile_count: 256 per variant set, 1 per point whose text had
+        # to be emitted.
         self.compile_count = 0
         self.measure_count = 0      # actual environment executions
         # Per-thread cooperative-cancellation hook (see set_cancel_check):
@@ -196,34 +192,21 @@ class EvaluationEngine:
         return cycles
 
     def text_for(self, source: str, flags: FlagsLike) -> str:
-        """Emitted text of *source* under *flags*.
-
-        Taken from a point this engine compiled alone that covers *flags*
-        (:func:`repro.passes.manager.covers`: it differs only by passes
-        that changed nothing), else from the cached variant set, else
-        compiled alone and kept as a point.
-        """
+        """Emitted text of *source* under *flags*: from the cached variant
+        set, else from :meth:`ShaderCompiler.compile`, counted as a compile
+        when it had to emit the text."""
         flags = self._coerce_flags(flags)
-        index = flags.index
         digest = source_digest(source)
-        for point, changed, text in self._texts.get(digest, ()):
-            if covers(point, changed, index):
-                return text
-        text = (self.cache.get_variants(digest) or {}).get(index)
+        text = (self.cache.get_variants(digest) or {}).get(flags.index)
         if text is None:
-            self._count_compiles(digest, 1)
             compiled = ShaderCompiler(source).compile(flags)
+            self._count_compiles(digest, compiled.emitted)
             text = compiled.output
-            self._texts.setdefault(digest, []).append(
-                (index, changed_flags(compiled.pass_stats), text))
         return text
 
-    def release_texts(self, sources: Iterable[str]) -> None:
-        """Drop the points of *sources* compiled alone (a finished search
-        job's), and every environment's memoized protocol runs; a later
-        request for one of those points compiles it again."""
-        for source in sources:
-            self._texts.pop(source_digest(source), None)
+    def release_measurements(self) -> None:
+        """Drop every environment's memoized protocol runs (when a search
+        job ends)."""
         for environment in self._environments.values():
             environment.release_measurements()
 

@@ -209,8 +209,9 @@ class JobRunner:
                     publish: Publish) -> dict:
         """A budgeted flag-space search (the ``repro tune`` path) as a job.
 
-        The seed engine outlives the job, so the points it compiled alone
-        are dropped when the job ends; their measurements stay cached.
+        The seed engine outlives the job, so its environments' memoized
+        protocol runs are dropped when the job ends; the measurements stay
+        cached, and the points' texts stay in the front-end LRU.
         """
         spec = job.spec
         cases = spec.cases()
@@ -230,7 +231,7 @@ class JobRunner:
                 rows.append(row)
                 publish(dict(row, type="platform"))
         finally:
-            engine.release_texts(case.source for case in cases)
+            engine.release_measurements()
         return {"kind": "search", "strategy": strategy.name,
                 "budget": spec.budget, "shaders": len(cases),
                 "platforms": [row["platform"] for row in rows],

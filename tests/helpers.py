@@ -45,7 +45,9 @@ from repro.ir.instructions import (
 from repro.ir.mem2reg import _prune_trivial_phis
 from repro.ir.module import Function, Module
 from repro.ir.values import Constant
-from repro.passes import OptimizationFlags, canonicalize, run_passes
+from repro.passes import (
+    ALL_FLAG_NAMES, OptimizationFlags, canonicalize, run_passes,
+)
 from repro.passes.coalesce import coalesce
 from repro.passes.dce import trivial_dce
 from repro.passes.div_to_mul import div_to_mul
@@ -101,32 +103,42 @@ def fresh_frontend(source: str) -> Module:
     return module
 
 
+def reference_compile(source: str, flags: OptimizationFlags,
+                      es: bool = False) -> str:
+    """The flag-point oracle: *source* compiled under *flags* on a
+    fresh-name clone of a ``fresh_frontend`` module, through the cleanup,
+    ``run_passes`` and emission, with no memo, cleaned module or step
+    shared."""
+    return _reference_point(fresh_frontend(source), flags, es)
+
+
+def _reference_point(frontend: Module, flags: OptimizationFlags,
+                     es: bool) -> str:
+    module = clone_module(frontend)
+    run_cleanup(module.function)
+    run_passes(module, flags)
+    return emit_glsl(module, es=es)
+
+
 def naive_variants(source: str, es: bool = False) -> VariantSet:
-    """The variant oracle: every flag combination compiled alone from one
-    ``fresh_frontend`` module, each on its own fresh-name clone: cleanup,
-    the enabled flag passes, emission.  Grouped by emitted text in
-    flag-index order."""
+    """The variant oracle: ``reference_compile`` under every flag
+    combination, from one ``fresh_frontend`` module.  Grouped by emitted
+    text in flag-index order."""
     frontend = fresh_frontend(source)
-    by_text: Dict[str, List[OptimizationFlags]] = {}
-    index_to_text: Dict[int, str] = {}
-    for flags in OptimizationFlags.all_combinations():
-        module = clone_module(frontend)
-        run_cleanup(module.function)
-        run_passes(module, flags)
-        output = emit_glsl(module, es=es)
-        by_text.setdefault(output, []).append(flags)
-        index_to_text[flags.index] = output
-    return VariantSet(by_text, index_to_text)
+    return VariantSet.from_index_to_text(
+        {flags.index: _reference_point(frontend, flags, es)
+         for flags in OptimizationFlags.all_combinations()})
 
 
-#: The vendor JITs' safe passes, by the names ``VendorJIT.passes`` uses.
+#: The passes the stock and the drawn vendor JITs run, by the names
+#: ``VendorJIT.passes`` uses.
 _DRIVER_PASSES = {"gvn": gvn, "coalesce": coalesce, "div_to_mul": div_to_mul,
                   "hoist": hoist}
 
 
 def reference_jit_compile(jit: VendorJIT, source: str) -> Module:
     """The driver-JIT oracle: the whole vendor pipeline (cleanup, the
-    driver unroll, then each safe pass) on a fresh-name clone of a
+    driver unroll, then each of its passes) on a fresh-name clone of a
     ``fresh_frontend`` module, as the shared front end starts, with no
     memo, cleaned module or step shared."""
     module = clone_module(fresh_frontend(source))
@@ -140,6 +152,15 @@ def reference_jit_compile(jit: VendorJIT, source: str) -> Module:
     return module
 
 
+def changed_flags(driver_steps) -> int:
+    """The flag-index bits of the passes that changed the IR on a flag
+    point's walk, read from its ``driver_steps``: an unroll round, and the
+    cleanup after the last, are ``unroll``'s."""
+    names = {"unroll" if step[0] == "cleanup" else step[0]
+             for step in driver_steps}
+    return sum(1 << ALL_FLAG_NAMES.index(name) for name in names)
+
+
 def unroll_rounds(module: Module) -> int:
     """The unroll rounds a driver compile took (``driver_steps``)."""
     return sum(step[0] == "unroll" for step in module.driver_steps)
@@ -148,13 +169,26 @@ def unroll_rounds(module: Module) -> int:
 def unshared_jit_steps(jit: VendorJIT, module: Module) -> int:
     """``jit_pipeline_steps()`` of *jit*'s compile when it shares no step
     with an earlier one: a loop scan per unroll round plus the one that
-    ends them, each round and the cleanup after the last, and each safe
-    pass.  *module* is that compile's result."""
+    ends them, each round and the cleanup after the last, and each of its
+    passes.  *module* is that compile's result."""
     rounds = unroll_rounds(module)
     scans = 0
     if jit.unroll_max_trips > 0:
         scans = rounds + (rounds < MAX_ROUNDS)
     return scans + rounds + (rounds > 0) + len(jit.passes)
+
+
+#: What an ``EvaluationEngine`` holds: its configuration, the result cache,
+#: its environments, the digests of the sources it compiled, its work
+#: counters and its cancel hook.  None of them keeps a compiled text or IR.
+_ENGINE_ATTRIBUTES = {"platforms", "seed", "cache", "_environments",
+                      "_compiled", "compile_count", "measure_count",
+                      "_cancel_local"}
+
+
+def assert_engine_keeps_no_store(engine) -> None:
+    """The engine keeps no store of its own beside the result cache."""
+    assert set(vars(engine)) == _ENGINE_ATTRIBUTES, sorted(vars(engine))
 
 
 def reference_cost(function: Function, spec: GPUSpec,

@@ -1,7 +1,7 @@
 """Property fuzz of the two facts that let a pipeline step skip the
 canonical cleanup when it changed nothing (``repro.passes.manager.run_step``).
 
-Every flag pass, vendor-JIT safe pass and driver unroll runs on IR that
+Every flag pass, vendor-JIT pass and driver unroll runs on IR that
 ``run_cleanup`` has already cleaned.  When the step reports zero changes,
 skipping the cleanup after it yields the same IR as running it, because
 
@@ -67,7 +67,7 @@ _CASES = {f"{case.family}/{case.name}": case.source
 _NAMES = sorted(_CASES)
 _COMPILERS = {}
 
-#: The raw flag passes (the vendor JITs' safe passes are among them).
+#: The raw flag passes (the vendor JITs' passes are among them).
 _PASSES = {
     "unroll": unroll, "hoist": hoist, "reassociate": reassociate,
     "fp_reassociate": fp_reassociate, "div_to_mul": div_to_mul, "gvn": gvn,
@@ -83,11 +83,14 @@ indices = st.integers(min_value=0, max_value=255)
 
 
 def _walk_state(name, index):
-    """The offline walk's state for one flag combination: cleanup, then one
-    ``apply_flag_pass`` per enabled flag (``run_passes``)."""
+    """The offline walk's state for one flag combination: the cleaned
+    module, then each enabled flag pass that changed it (``run_passes``'s
+    steps).  Its IR is built here, before a test patches a pass."""
     if name not in _COMPILERS:
         _COMPILERS[name] = ShaderCompiler(_CASES[name])
-    return _COMPILERS[name].compile(OptimizationFlags.from_index(index))
+    compiled = _COMPILERS[name].compile(OptimizationFlags.from_index(index))
+    assert compiled.module.function.blocks
+    return compiled
 
 
 def _assert_cleanup_idempotent(module):

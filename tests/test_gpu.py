@@ -620,7 +620,7 @@ def test_offline_compile_after_the_jits_parses_and_cleans_nothing(
         monkeypatch):
     """Once the five JITs have compiled a source, its cleaned module is in
     the memo: a flag-point compile of the source parses nothing and runs
-    no cleanup before its first flag pass."""
+    no cleanup before its first pipeline step."""
     import repro.gpu.jit as jit_module
     from repro.core import ShaderCompiler
     from repro.corpus import MOTIVATING_SHADER
@@ -644,11 +644,11 @@ def test_offline_compile_after_the_jits_parses_and_cleans_nothing(
     record(jit_module, "parse_shader", "parse")
     record(jit_module, "run_cleanup", "cleanup")
     record(manager, "run_cleanup", "cleanup")
-    record(manager, "apply_flag_pass", "pass")
+    record(jit_module, "_run", "step")
     ShaderCompiler(MOTIVATING_SHADER).compile(OptimizationFlags.none())
     assert events == []
     ShaderCompiler(MOTIVATING_SHADER).compile(DEFAULT_LUNARGLASS)
-    assert events[0] == "pass" and "parse" not in events, events
+    assert events[0] == "step" and "parse" not in events, events
 
 
 def test_compile_builds_its_ir_only_when_read(monkeypatch):

@@ -505,6 +505,40 @@ def test_cse_and_gvn_keep_signed_zeros_apart(flags):
     assert "* 0.0;" in c.output and "* -0.0;" in c.output
 
 
+DIVIDE_BY_NEGATIVE_ZERO = """
+uniform float u;
+out vec4 color;
+void main() {
+    float b = u * -0.0;
+    color = vec4(b, 1.0 / b, 1.0 / -0.0, 1.0);
+}
+"""
+
+
+def test_division_by_zero_takes_the_sign_of_the_divisor():
+    """``x / ±0.0`` is ±1e30 with the sign of x times the divisor's, as
+    GLSL's ±inf is: the constant division folds to -1e+30 under no flag
+    and under all eight, and the scalar and batched interpreters agree on
+    the run-time ``1.0 / b``."""
+    import re
+
+    from repro.ir.interp_batch import BatchedInterpreter
+
+    for flags in (OptimizationFlags.none(), OptimizationFlags.all()):
+        output = compile_shader(DIVIDE_BY_NEGATIVE_ZERO, flags).output
+        assert "-1e+30, 1.0)" in output, output
+        assert re.findall(r"-?1e\+30", output) == re.findall(r"-1e\+30",
+                                                               output)
+    module = compile_shader(DIVIDE_BY_NEGATIVE_ZERO,
+                            OptimizationFlags.none()).module
+    uniforms = {"u": 2.0}
+    scalar = Interpreter(module, uniforms=uniforms).run()
+    batched = BatchedInterpreter(module, uniforms=uniforms,
+                                 inputs=[{}, {}]).run()
+    assert scalar["color"] == (-0.0, -1e30, -1e30, 1.0)
+    assert batched == [scalar, scalar]
+
+
 def test_constant_keys_tell_signed_zeros_apart():
     from repro.ir.types import IRType
     from repro.ir.values import Constant

@@ -22,7 +22,7 @@ from repro.passes.flags import (
 )
 from repro.search import (
     STRATEGIES, EvaluationEngine, Exhaustive, Genetic, GreedyHillClimb,
-    RandomSampling, ResultCache, Scheduler, make_strategy, source_digest,
+    RandomSampling, ResultCache, Scheduler, make_strategy,
 )
 
 
@@ -276,29 +276,36 @@ def test_engine_of_another_seed_reads_the_studys_variant_sets(small_corpus,
 
 
 def test_a_covered_point_compiles_nothing(monkeypatch, varied_corpus):
-    """A point that differs from a compiled one only by passes that changed
-    nothing takes its text: no compile counted, no ``run_passes`` run."""
+    """Once a point p is compiled, a point q with changed(p) ⊆ q ⊆
+    enabled(p) differs from it only by passes that changed nothing.  Its
+    walk reaches p's state through memo hits and takes p's text: no clone,
+    no step, no emission and no compile counted."""
     import repro.core.pipeline as pipeline
-    from helpers import count_calls
-    from repro.passes import covers
+    import repro.gpu.jit as jit_module
+    from helpers import changed_flags, count_calls, reference_compile
+    from repro.gpu.jit import clear_frontend_memo, jit_pipeline_steps
 
     source = varied_corpus[0].source
+    clear_frontend_memo()
     engine = EvaluationEngine(platforms=all_platforms()[:1], seed=5)
     text = engine.text_for(source, 255)
-    [(index, changed, kept)] = engine._texts[source_digest(source)]
-    assert (index, kept) == (255, text)
-    covered = [q for q in range(SPACE_SIZE)
-               if q != index and covers(index, changed, q)]
-    assert covered
-    runs = count_calls(monkeypatch, pipeline, "run_passes")
-    assert all(engine.text_for(source, q) == text for q in covered)
-    assert runs == []
     assert engine.compile_count == 1
-    assert len(engine._texts[source_digest(source)]) == 1
+    steps = ShaderCompiler(source).compile(
+        OptimizationFlags.from_index(255)).module.driver_steps
+    changed = changed_flags(steps)
+    covered = [q for q in range(SPACE_SIZE)
+               if q != 255 and q & changed == changed]
+    assert covered
+    clones = count_calls(monkeypatch, jit_module, "clone_module")
+    emits = count_calls(monkeypatch, pipeline, "emit_glsl")
+    before = jit_pipeline_steps()
+    assert all(engine.text_for(source, q) == text for q in covered)
+    assert (clones, emits, jit_pipeline_steps() - before) == ([], [], 0)
+    assert engine.compile_count == 1
     monkeypatch.undo()
-    compiler = ShaderCompiler(source)
-    for q in covered:
-        assert compiler.compile(OptimizationFlags.from_index(q)).output == text
+    for q in covered[::8]:
+        assert reference_compile(source,
+                                 OptimizationFlags.from_index(q)) == text
 
 
 @pytest.mark.parametrize("strategy", ["greedy", "genetic"])
@@ -334,8 +341,9 @@ def test_threads_sharing_an_engine_get_every_point_right(varied_corpus):
     import sys
     import threading
 
+    from helpers import reference_compile
+
     sources = [case.source for case in varied_corpus]
-    compilers = [ShaderCompiler(source) for source in sources]
     engine = EvaluationEngine(platforms=all_platforms()[:1], seed=5)
     cores = (len(os.sched_getaffinity(0))
              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -371,29 +379,30 @@ def test_threads_sharing_an_engine_get_every_point_right(varied_corpus):
     assert len(results) == workers * 24
     assert engine.compile_count < len(results)
     for position, index, text in results:
-        expected = compilers[position].compile(
-            OptimizationFlags.from_index(index)).output
+        expected = reference_compile(sources[position],
+                                     OptimizationFlags.from_index(index))
         assert text == expected, (position, index)
 
 
-def test_release_texts_drops_a_sources_points(small_corpus):
-    """A finished search's points go, and so do the environments'
-    memoized protocol runs; another source's points stay."""
+def test_release_measurements_drops_the_protocol_memo(small_corpus):
+    """When a search job ends, every environment's memoized protocol runs
+    go, and the engine keeps nothing else: a point asked for again takes
+    its text from the front-end memo without a compile."""
+    from helpers import assert_engine_keeps_no_store
+
     platform = all_platforms()[0].name
     engine = EvaluationEngine(platforms=all_platforms()[:1], seed=5)
-    first, second = (case.source for case in small_corpus)
-    for source in (first, second):
-        engine.measure(engine.text_for(source, 37), platform)
+    for case in small_corpus:
+        engine.measure(engine.text_for(case.source, 37), platform)
     environment = engine.environment(platform)
     assert environment._noise is not None and environment._noise[2]
-    engine.release_texts([first])
-    assert set(engine._texts) == {source_digest(second)}
+    engine.release_measurements()
     assert environment._noise is None
+    assert_engine_keeps_no_store(engine)
     compiles = engine.compile_count
-    engine.text_for(second, 37)
+    for case in small_corpus:
+        engine.text_for(case.source, 37)
     assert engine.compile_count == compiles
-    engine.text_for(first, 37)
-    assert engine.compile_count == compiles + 1
 
 
 def test_corrupt_disk_cache_is_ignored(tmp_path):

@@ -329,8 +329,11 @@ def test_search_strategy_job(service):
 
 
 def test_search_jobs_leave_no_lone_point_texts():
-    """The seed engine outlives its search jobs: the points a job compiled
-    alone go when it ends, and a warm resubmit still does no engine work."""
+    """The seed engine outlives its search jobs: when a job ends, its
+    environments' memoized protocol runs go and the engine keeps no store
+    beside the result cache, and a warm resubmit still does no engine
+    work."""
+    from helpers import assert_engine_keeps_no_store
     from repro.service.jobs import Job
     from repro.service.runner import JobRunner
 
@@ -339,7 +342,10 @@ def test_search_jobs_leave_no_lone_point_texts():
         spec = JobSpec(corpus=CorpusSpec(max_shaders=count),
                        strategy="random", budget=4, platforms=("ARM",))
         runner.run(Job(id=f"search-{count}", spec=spec), lambda event: None)
-        assert runner.engine_for(spec.seed)._texts == {}
+        engine = runner.engine_for(spec.seed)
+        assert all(environment._noise is None
+                   for environment in engine._environments.values())
+        assert_engine_keeps_no_store(engine)
     before = runner.work_snapshot()
     runner.run(Job(id="again", spec=spec), lambda event: None)
     after = runner.work_snapshot()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from helpers import assert_engine_keeps_no_store
 from repro.cli import main
 from repro.corpus import default_corpus
 from repro.gpu.vendors import INTEL, NVIDIA
@@ -360,7 +361,7 @@ def test_streaming_study_checkpoints_and_replays(tmp_path):
     # (its log holds them), and the engine keeps no copy of its own.
     assert not any(engine.cache.has_variants(source_digest(case.source))
                    for case in corpus)
-    assert engine._texts == {}
+    assert_engine_keeps_no_store(engine)
     assert engine.compile_count == 256 * len(corpus)
 
     warm_engine = EvaluationEngine(platforms=[INTEL], seed=9,

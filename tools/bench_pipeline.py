@@ -32,7 +32,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core.pipeline import ShaderCompiler  # noqa: E402
 from repro.core.trie import VariantTrie  # noqa: E402
 from repro.corpus import MOTIVATING_SHADER, default_corpus  # noqa: E402
-from repro.passes import OptimizationFlags  # noqa: E402
+from repro.ir import emit_glsl  # noqa: E402
+from repro.ir.clone import clone_module  # noqa: E402
+from repro.passes import OptimizationFlags, run_passes  # noqa: E402
 
 
 def _best_of(repeats: int, fn):
@@ -46,9 +48,17 @@ def _best_of(repeats: int, fn):
 
 
 def _naive_variants(compiler: ShaderCompiler) -> dict:
-    """The baseline: a full pass-pipeline run per flag combination."""
-    return {flags.index: compiler.compile(flags).output
-            for flags in OptimizationFlags.all_combinations()}
+    """The baseline: a full pass-pipeline run per flag combination, the
+    reference path that shares nothing between combinations: a
+    name-preserving clone of the cleaned module, ``run_passes`` and
+    emission.  (``compiler.compile`` would answer repeated states from
+    the source's memo.)"""
+    texts = {}
+    for flags in OptimizationFlags.all_combinations():
+        module = clone_module(compiler._module, preserve_names=True)
+        run_passes(module, flags)
+        texts[flags.index] = emit_glsl(module)
+    return texts
 
 
 def bench_shader(source: str, repeats: int) -> dict:
