@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.trie import VariantTrie
-from repro.gpu.jit import VendorJIT, point_texts, shared_frontend
+from repro.gpu.jit import VendorJIT, shared_frontend
 from repro.ir import emit_glsl
 from repro.ir.module import Module
 from repro.passes import OptimizationFlags
@@ -59,14 +59,18 @@ class ShaderCompiler:
 
     def __init__(self, source: str):
         self.source = source
-        self._module = shared_frontend(source)
+
+    @property
+    def _module(self) -> Module:
+        """The source's cleaned module, built on the first ask."""
+        return shared_frontend(self.source)
 
     def compile(self, flags: OptimizationFlags, es: bool = False) -> CompiledShader:
         """Compile under *flags*: walk the offline pipeline through the
         source's step memo, and emit the text only for a state no earlier
         compile emitted.  The module's IR is built on its first read."""
         module = VendorJIT.for_flags(flags).compile(self.source)
-        texts = point_texts(self.source)
+        texts = module.state_texts
         key = (module.driver_steps, es)
         output = texts.get(key)
         emitted = output is None

@@ -43,10 +43,10 @@ steps produce identical IR, because every step is a deterministic function
 of the IR it runs on and a step that reports no change leaves the IR alone
 (``tests/test_cleanup_properties.py``).  So the entry keeps what is
 derived from a state's IR once: the offline compiler's emitted text
-(:func:`point_texts`) and the measurement path's analysis of a driver
-output (:func:`driver_output_memo`).  The step memo holds no IR, the
-entry's one module is never mutated, and an entry goes as a whole: by LRU
-eviction or :func:`clear_frontend_memo`.
+(``state_texts`` of every compiled module) and the measurement path's
+analysis of a driver output (:func:`driver_output_memo`).  The step memo
+holds no IR, the entry's one module is never mutated, and an entry goes as
+a whole: by LRU eviction or :func:`clear_frontend_memo`.
 """
 
 from __future__ import annotations
@@ -124,24 +124,13 @@ def clear_frontend_memo() -> None:
         _FRONTEND_MEMO.clear()
 
 
-def _entry_memo(source: str, slot: str) -> dict:
-    """The memo *slot* of *source*'s front-end entry, or a fresh dict when
-    the entry is gone (evicted since the compile)."""
-    with _FRONTEND_LOCK:
-        entry = _FRONTEND_MEMO.get(source)
-    return {} if entry is None else getattr(entry, slot)
-
-
 def driver_output_memo(source: str) -> Dict[Tuple, object]:
     """The dict, keyed by ``Module.driver_steps``, in which the measurement
-    path keeps what it derives from *source*'s driver outputs."""
-    return _entry_memo(source, "driver_outputs")
-
-
-def point_texts(source: str) -> Dict[Tuple, str]:
-    """The dict, keyed by ``(driver_steps, es)``, in which the offline
-    compiler keeps the text it emitted for *source* at each state."""
-    return _entry_memo(source, "texts")
+    path keeps what it derives from *source*'s driver outputs, or a fresh
+    dict when the entry is gone (evicted since the compile)."""
+    with _FRONTEND_LOCK:
+        entry = _FRONTEND_MEMO.get(source)
+    return {} if entry is None else entry.driver_outputs
 
 
 #: Pipeline steps that ``VendorJIT.compile`` ran on IR so far: each loop
@@ -231,10 +220,13 @@ class _DriverModule(Module):
     module or by replaying the steps on a clone of the cleaned module.  The
     IR is private to this object."""
 
-    def __init__(self, walk: _Walk, steps: Tuple):
+    def __init__(self, walk: _Walk, steps: Tuple, entry: _FrontEnd):
         self._walk: Optional[_Walk] = walk
-        super().__init__(None, walk.cleaned.interface, walk.cleaned.version)
+        super().__init__(None, entry.module.interface, entry.module.version)
         self.driver_steps = steps
+        #: The source entry's ``(driver_steps, es) -> emitted text`` memo,
+        #: in which the offline compiler keeps each state's text.
+        self.state_texts: Dict[Tuple, str] = entry.texts
 
     @property
     def function(self) -> Function:
@@ -269,7 +261,7 @@ class VendorJIT:
         ``run_passes`` under *flags*: the rounds and the cleanup after
         the last are ``unroll``'s, and every other pass is one
         ``run_step``."""
-        return cls(str(flags),
+        return cls("offline",
                    tuple(name for name in PASS_ORDER
                          if name != "unroll" and getattr(flags, name)),
                    MAX_TRIPS if flags.unroll else 0, MAX_GROWTH)
@@ -283,7 +275,8 @@ class VendorJIT:
         ``(("unroll", 0, 9), ("cleanup",), ("gvn",))``.  Its IR is built
         on the first read of ``function`` and is private to it.
         """
-        walk = _Walk(_entry(source))
+        entry = _entry(source)
+        walk = _Walk(entry)
         state: Tuple = ()
         if self.unroll_max_trips > 0:
             # One scan of a state serves every driver with at most
@@ -301,7 +294,7 @@ class VendorJIT:
                 state = walk.step(state, ("cleanup",))
         for name in self.passes:
             state = walk.step(state, (name,))
-        return _DriverModule(walk, state)
+        return _DriverModule(walk, state, entry)
 
     #: :meth:`compile` under the name ``perfbench``'s tracer resolves.
     compile_cached = compile

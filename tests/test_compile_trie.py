@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import fresh_frontend, naive_variants
+from helpers import fresh_frontend, naive_variants, reference_compile
 from repro.core.pipeline import ShaderCompiler, compile_mode
 from repro.core.trie import VariantTrie
 from repro.corpus import MOTIVATING_SHADER, default_corpus
@@ -85,14 +85,14 @@ def test_trie_matches_naive_in_es_dialect():
 
 def test_property_random_flag_subsets_match_fresh_compiles():
     """Property test: for random flag subsets, the trie's text equals an
-    independent single-combination pipeline run on a fresh compiler."""
+    independent single-combination pipeline run on a fresh front end."""
     compiler = ShaderCompiler(MOTIVATING_SHADER)
     trie_set = compiler.all_variants()
     rng = random.Random(20180417)
     for index in rng.sample(range(256), 32):
         flags = OptimizationFlags.from_index(index)
-        fresh = ShaderCompiler(MOTIVATING_SHADER).compile(flags)
-        assert trie_set.index_to_text[index] == fresh.output, flags
+        assert trie_set.index_to_text[index] == reference_compile(
+            MOTIVATING_SHADER, flags), flags
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ pipeline through its source's step memo.
 (``VendorJIT.for_flags``: ``unroll`` at the offline limits, then each other
 enabled flag pass in ``PASS_ORDER``) through the step memo the five vendor
 JITs walk (``VendorJIT.compile``), and takes the text of any state an
-earlier compile emitted (``repro.gpu.jit.point_texts``).  That is exact when
+earlier compile emitted (the module's ``state_texts``).  That is exact when
 every point, compiled in any order among other points and driver compiles
 of the same source, emits the text the offline pipeline emits alone.  It
 follows from the honest change counts that ``tests/test_cleanup_properties.py``
