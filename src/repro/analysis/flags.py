@@ -4,11 +4,12 @@ optimality), Fig. 9 (isolated per-flag impact)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Dict, List, Optional
 
 from repro.harness.results import ShaderResult, StudyResult
-from repro.passes import ALL_FLAG_NAMES, OptimizationFlags
-from repro.passes.flags import FLAG_LABELS
+from repro.passes import ALL_FLAG_NAMES, SPACE_SIZE, OptimizationFlags
+from repro.passes.flags import FLAG_LABELS, popcount
 from repro.reporting.spec import Series, TableSpec, ViolinSpec
 
 
@@ -18,50 +19,77 @@ def best_static_flags(study: StudyResult, platform: str) -> OptimizationFlags:
     paper's note that no-op flags (ADCE) "can be safely omitted from the
     minimal optimal flag selection".
 
-    The 256-combination scan is memoized per (study, platform) on the
-    study instance — a full report evaluates it from four different
-    artifacts.  Like ``ShaderResult.variant_for_flags``, the memo is
-    refreshed when shaders have been appended since it was built."""
-    cached = study.__dict__.get("_best_static_flags")
-    if cached is None or cached[0] != len(study.shaders):
-        cached = (len(study.shaders), {})
-        study.__dict__["_best_static_flags"] = cached
-    if platform in cached[1]:
-        return cached[1][platform]
-    best = _scan_best_static_flags(study, platform)
-    cached[1][platform] = best
-    return best
-
-
-def _scan_best_static_flags(study: StudyResult,
-                            platform: str) -> OptimizationFlags:
-    best: Optional[OptimizationFlags] = None
+    Scans the platform's row of corpus means (:func:`mean_speedup_row`)
+    over indices 0..255 in order, treating scores within 1e-9 as ties."""
+    best: Optional[int] = None
     best_score = float("-inf")
-    for index in range(256):
-        flags = OptimizationFlags.from_index(index)
-        score = _mean_speedup(study, platform, flags)
+    for index, score in enumerate(mean_speedup_row(study, platform)):
+        if score is None:
+            _raise_missing(study, platform, index)
         better = score > best_score + 1e-9
         tie = abs(score - best_score) <= 1e-9
         if better or (tie and best is not None
-                      and len(flags.enabled()) < len(best.enabled())):
-            best = flags
+                      and popcount(index) < popcount(best)):
+            best = index
             best_score = score
     assert best is not None
-    return best
-
-
-def _mean_speedup(study: StudyResult, platform: str,
-                  flags: OptimizationFlags) -> float:
-    total = 0.0
-    for shader in study.shaders:
-        total += shader.speedup_pct(platform, flags)
-    return total / max(len(study.shaders), 1)
+    return OptimizationFlags.from_index(best)
 
 
 def mean_speedup(study: StudyResult, platform: str,
                  flags: OptimizationFlags) -> float:
-    """Public wrapper for the Table I / Fig. 5 metric."""
-    return _mean_speedup(study, platform, flags)
+    """Mean speed-up of *flags* over the corpus on *platform*: the Table I
+    / Fig. 5 metric, read from :func:`mean_speedup_row`."""
+    score = mean_speedup_row(study, platform)[flags.index]
+    if score is None:
+        _raise_missing(study, platform, flags.index)
+    return score
+
+
+def mean_speedup_row(study: StudyResult,
+                     platform: str) -> List[Optional[float]]:
+    """The corpus-mean speed-up of every flag combination on *platform*, by
+    flag index; ``None`` where some shader lacks the combination.
+
+    Each entry adds the shaders' :meth:`~ShaderResult.speedup_row` entries
+    left to right in shader order, starting from 0.0, then divides by the
+    shader count.  Memoized on the study until a shader or a variant is
+    appended."""
+    memo = _study_memo(study)
+    row = memo.get(("means", platform))
+    if row is None:
+        totals: List[Optional[float]] = [0.0] * SPACE_SIZE
+        for shader in study.shaders:
+            speedups = shader.speedup_row(platform)
+            try:
+                totals = list(map(add, totals, speedups))
+            except TypeError:       # a None: a combination some shader lacks
+                totals = [None if total is None or speedup is None
+                          else total + speedup
+                          for total, speedup in zip(totals, speedups)]
+        count = max(len(study.shaders), 1)
+        row = memo[("means", platform)] = [
+            None if total is None else total / count for total in totals]
+    return row
+
+
+def _study_memo(study: StudyResult) -> dict:
+    """The study's analysis memo, emptied whenever a shader or a variant has
+    been appended since it was filled."""
+    key = [len(shader.variants) for shader in study.shaders]
+    memo = study.__dict__.get("_analysis_memo")
+    if memo is None or memo[0] != key:
+        memo = study.__dict__["_analysis_memo"] = (key, {})
+    return memo[1]
+
+
+def _raise_missing(study: StudyResult, platform: str, index: int) -> None:
+    """Raise the ``KeyError`` of the first shader lacking combination
+    *index*."""
+    flags = OptimizationFlags.from_index(index)
+    for shader in study.shaders:
+        shader.speedup_pct(platform, flags)
+    raise AssertionError(f"every shader holds combination {index}")
 
 
 # ---------------------------------------------------------------------------
@@ -85,21 +113,36 @@ class FlagApplicability:
 
 def flag_applicability(study: StudyResult,
                        platform: str) -> Dict[str, FlagApplicability]:
-    """Fig. 8 for one platform."""
-    results = {name: FlagApplicability(flag=name, total_shaders=len(study.shaders))
+    """Fig. 8 for one platform.  The platform-independent "changes code"
+    counts are computed once per study."""
+    changes = _changes_code(study)
+    results = {name: FlagApplicability(flag=name,
+                                       total_shaders=len(study.shaders),
+                                       changes_code=changes[name])
                for name in ALL_FLAG_NAMES}
     for shader in study.shaders:
-        variant_of: Dict[int, int] = {}
-        for variant in shader.variants:
-            for index in variant.flag_indices:
-                variant_of[index] = variant.variant_id
-        for bit, name in enumerate(ALL_FLAG_NAMES):
-            if _flag_changes_code(variant_of, bit):
-                results[name].changes_code += 1
-        optimal = _optimal_variant_flags(shader, platform)
-        for name in optimal:
+        for name in _optimal_variant_flags(shader, platform):
             results[name].in_optimal_set += 1
     return results
+
+
+def _changes_code(study: StudyResult) -> Dict[str, int]:
+    """Per flag, how many shaders it rewrites under some combination;
+    memoized beside the means rows."""
+    memo = _study_memo(study)
+    counts = memo.get("changes code")
+    if counts is None:
+        counts = dict.fromkeys(ALL_FLAG_NAMES, 0)
+        for shader in study.shaders:
+            variant_of: Dict[int, int] = {}
+            for variant in shader.variants:
+                for index in variant.flag_indices:
+                    variant_of[index] = variant.variant_id
+            for bit, name in enumerate(ALL_FLAG_NAMES):
+                if _flag_changes_code(variant_of, bit):
+                    counts[name] += 1
+        memo["changes code"] = counts
+    return counts
 
 
 def _flag_changes_code(variant_of: Dict[int, int], bit: int) -> bool:

@@ -21,6 +21,7 @@ combination.  Both equal ``run_passes`` on a clone, the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from repro.core.trie import VariantTrie
@@ -96,24 +97,34 @@ class ShaderCompiler:
 class VariantSet:
     """Distinct emitted texts -> the flag combinations that produce them."""
 
-    by_text: Dict[str, List[OptimizationFlags]]
     #: flag index -> emitted text, for O(1) lookups (``text_for`` is on the
     #: hot path of every per-combination analysis, 256x per shader).
     index_to_text: Dict[int, str]
 
     @classmethod
     def from_index_to_text(cls, index_to_text: Dict[int, str]) -> "VariantSet":
-        """Group *index_to_text* by emitted text, each text's combinations
-        in ascending flag index."""
-        by_text: Dict[str, List[OptimizationFlags]] = {}
-        for index in sorted(index_to_text):
-            by_text.setdefault(index_to_text[index], []).append(
-                OptimizationFlags.from_index(index))
-        return cls(by_text, dict(index_to_text))
+        """A variant set over a copy of *index_to_text*; the grouping by
+        text is built on first use."""
+        return cls(dict(index_to_text))
+
+    @cached_property
+    def indices_by_text(self) -> Dict[str, List[int]]:
+        """Each distinct text -> the flag indices producing it, ascending;
+        texts in the order of their smallest index."""
+        grouped: Dict[str, List[int]] = {}
+        for index in sorted(self.index_to_text):
+            grouped.setdefault(self.index_to_text[index], []).append(index)
+        return grouped
+
+    @cached_property
+    def by_text(self) -> Dict[str, List[OptimizationFlags]]:
+        """:attr:`indices_by_text` with each index as its flags."""
+        return {text: [OptimizationFlags.from_index(i) for i in indices]
+                for text, indices in self.indices_by_text.items()}
 
     @property
     def unique_count(self) -> int:
-        return len(self.by_text)
+        return len(self.indices_by_text)
 
     def text_for(self, flags: OptimizationFlags) -> str:
         try:

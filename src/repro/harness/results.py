@@ -12,10 +12,11 @@ within the shard.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.passes import OptimizationFlags
+from repro.passes import SPACE_SIZE, OptimizationFlags
 
 
 @dataclass
@@ -55,27 +56,49 @@ class ShaderResult:
     def unique_variant_count(self) -> int:
         return len(self.variants)
 
-    def variant_for_flags(self, flags: OptimizationFlags) -> VariantRecord:
-        # Lazily built flag-index -> variant map; rebuilt whenever variants
-        # have been appended since the last lookup.
-        cached = self.__dict__.get("_variants_by_index")
-        if cached is None or cached[0] != len(self.variants):
+    def _by_index(self) -> tuple:
+        """The memo behind :meth:`variant_for_flags` and
+        :meth:`speedup_row`: ``(variant count, flag index -> variant,
+        platform -> speed-up row)``, rebuilt whenever variants have been
+        appended since it was built."""
+        memo = self.__dict__.get("_by_index_memo")
+        if memo is None or memo[0] != len(self.variants):
             mapping = {index: variant
                        for variant in self.variants
                        for index in variant.flag_indices}
-            cached = (len(self.variants), mapping)
-            self.__dict__["_variants_by_index"] = cached
+            memo = (len(self.variants), mapping, {})
+            self.__dict__["_by_index_memo"] = memo
+        return memo
+
+    def variant_for_flags(self, flags: OptimizationFlags) -> VariantRecord:
         try:
-            return cached[1][flags.index]
+            return self._by_index()[1][flags.index]
         except KeyError:
             raise KeyError(
                 f"no variant for flags {flags} in shader {self.name}") from None
 
+    def speedup_row(self, platform: str) -> List[Optional[float]]:
+        """Percentage speed-up over the unaltered shader of every flag
+        combination on *platform*, by flag index; ``None`` where no variant
+        holds the index.  Each variant's entry is computed once."""
+        rows = self._by_index()[2]
+        row = rows.get(platform)
+        if row is None:
+            base = self.original_times_ns[platform]
+            row = [None] * SPACE_SIZE
+            for variant in self.variants:
+                speedup = (base / variant.times_ns[platform] - 1.0) * 100.0
+                for index in variant.flag_indices:
+                    row[index] = speedup
+            rows[platform] = row
+        return row
+
     def speedup_pct(self, platform: str, flags: OptimizationFlags) -> float:
         """Percentage speed-up of *flags* over the unaltered shader."""
-        base = self.original_times_ns[platform]
-        time = self.variant_for_flags(flags).times_ns[platform]
-        return (base / time - 1.0) * 100.0
+        speedup = self.speedup_row(platform)[flags.index]
+        if speedup is None:
+            self.variant_for_flags(flags)   # raises its KeyError
+        return speedup
 
     def variant_speedup_pct(self, platform: str, variant: VariantRecord) -> float:
         base = self.original_times_ns[platform]
@@ -196,8 +219,33 @@ class StudyResult:
                     static_ops={k: int(x) for k, x in v["static_ops"].items()},
                     registers={k: int(x) for k, x in v["registers"].items()},
                 ))
+            _check_flag_indices(shader)
             result.shaders.append(shader)
         return result
+
+
+def _check_flag_indices(shader: ShaderResult) -> None:
+    """Raise ``ValueError`` unless *shader*'s variants hold every flag
+    index 0..255 exactly once, naming the shader and the bad indices.  An
+    index must be an integer: ``5.0`` equals 5 but cannot index a
+    speed-up row."""
+    indices: list = []
+    for variant in shader.variants:
+        indices += variant.flag_indices
+    indices.sort()
+    if indices == list(range(SPACE_SIZE)) and set(map(type, indices)) == {int}:
+        return
+    counts = Counter(indices)
+    found = {
+        "missing": [i for i in range(SPACE_SIZE) if i not in counts],
+        "repeated": [i for i, n in counts.items() if n > 1],
+        "invalid": [i for i in counts
+                    if type(i) is not int or i not in range(SPACE_SIZE)],
+    }
+    details = "; ".join(f"{label} {bad}" for label, bad in found.items()
+                        if bad)
+    raise ValueError(f"shader {shader.name!r}: flag_indices must cover "
+                     f"0..{SPACE_SIZE - 1} exactly once ({details})")
 
 
 def merge_study_results(parts: Sequence[StudyResult],

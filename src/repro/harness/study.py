@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.pipeline import ShaderCompiler, VariantSet
+from repro.core.pipeline import ShaderCompiler
 from repro.glsl.metrics import lines_of_code
 from repro.gpu.platform import Platform, all_platforms, platform_by_name
 from repro.harness.environment import ShaderExecutionEnvironment
@@ -245,10 +245,12 @@ def _run_one(case: ShaderCase, case_index: int, platforms: List[Platform],
                                 _variant_seed(seed, case_index, -1))
         shader_result.original_times_ns[platform.name] = sample.mean_ns
 
-    for variant_id, (text, combos) in enumerate(_ordered_variants(variant_set)):
+    # Variants in the order of their smallest producing flag index.
+    for variant_id, (text, indices) in enumerate(
+            variant_set.indices_by_text.items()):
         record = VariantRecord(
             variant_id=variant_id,
-            flag_indices=sorted(f.index for f in combos),
+            flag_indices=indices,
             text_hash=hashlib.sha256(text.encode()).hexdigest()[:16],
         )
         for platform in platforms:
@@ -260,12 +262,6 @@ def _run_one(case: ShaderCase, case_index: int, platforms: List[Platform],
             record.registers[platform.name] = sample.registers
         shader_result.variants.append(record)
     return shader_result
-
-
-def _ordered_variants(variant_set: VariantSet):
-    """Deterministic variant ordering: by smallest producing flag index."""
-    return sorted(variant_set.items(),
-                  key=lambda kv: min(f.index for f in kv[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +301,7 @@ def _prime_engine(corpus: Sequence[ShaderCase], case_indices: Sequence[int],
     # it once for all of the batch's platforms.
     pending: Dict[str, List[Tuple[str, int]]] = {}
     for case, case_index in zip(corpus, case_indices):
-        texts = [case.source] + [
-            text for text, _ in _ordered_variants(engine.variants_for(case))]
+        texts = [case.source] + list(engine.variants_for(case).indices_by_text)
         for variant_id, text in enumerate(texts, start=-1):
             unit_seed = _variant_seed(seed, case_index, variant_id)
             for platform in platforms:

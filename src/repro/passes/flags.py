@@ -9,7 +9,7 @@ exhaustive search space of Section III-A.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Tuple
 
@@ -40,7 +40,13 @@ FLAG_LABELS = {
 @dataclass(frozen=True)
 class OptimizationFlags:
     """An immutable set of the paper's eight flag bits — one point in the
-    256-combination space."""
+    256-combination space.
+
+    :meth:`from_index` and the constructors built on it (``none``, ``all``,
+    ``single``, ``with_flag``) return one of 256 shared instances whose
+    ``index`` is already set, so code that walks the space by index builds
+    no objects.  A directly constructed instance equals (and hashes like)
+    the shared one with the same flags."""
     adce: bool = False
     coalesce: bool = False
     gvn: bool = False
@@ -52,25 +58,24 @@ class OptimizationFlags:
 
     @staticmethod
     def none() -> "OptimizationFlags":
-        return OptimizationFlags()
+        return _SHARED[0]
 
     @staticmethod
     def all() -> "OptimizationFlags":
-        return OptimizationFlags(**{name: True for name in ALL_FLAG_NAMES})
+        return _SHARED[SPACE_SIZE - 1]
 
     @staticmethod
     def from_index(index: int) -> "OptimizationFlags":
-        """Decode combination 0..255 (bit i = ALL_FLAG_NAMES[i])."""
-        if not 0 <= index < 256:
+        """The shared instance of combination 0..255 (bit i =
+        ALL_FLAG_NAMES[i])."""
+        if not 0 <= index < SPACE_SIZE:
             raise ValueError(f"combination index {index} out of range")
-        return OptimizationFlags(
-            **{name: bool(index >> bit & 1) for bit, name in enumerate(ALL_FLAG_NAMES)}
-        )
+        return _SHARED[index]
 
     @cached_property
     def index(self) -> int:
         """The combination index (bit i = ALL_FLAG_NAMES[i]), computed once
-        per instance."""
+        per instance (set up front on the shared ones)."""
         return sum(
             (1 << bit) if getattr(self, name) else 0
             for bit, name in enumerate(ALL_FLAG_NAMES)
@@ -86,9 +91,8 @@ class OptimizationFlags:
     def with_flag(self, name: str, value: bool = True) -> "OptimizationFlags":
         if name not in ALL_FLAG_NAMES:
             raise ValueError(f"unknown flag {name!r}")
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current[name] = value
-        return OptimizationFlags(**current)
+        mask = 1 << ALL_FLAG_NAMES.index(name)
+        return _SHARED[self.index | mask if value else self.index & ~mask]
 
     @staticmethod
     def single(name: str) -> "OptimizationFlags":
@@ -96,12 +100,23 @@ class OptimizationFlags:
 
     @staticmethod
     def all_combinations() -> Iterator["OptimizationFlags"]:
-        for index in range(256):
-            yield OptimizationFlags.from_index(index)
+        return iter(_SHARED)
 
     def __str__(self) -> str:
         names = self.enabled()
         return "+".join(names) if names else "none"
+
+
+def _shared_instance(index: int) -> OptimizationFlags:
+    flags = OptimizationFlags(**{name: bool(index >> bit & 1)
+                                 for bit, name in enumerate(ALL_FLAG_NAMES)})
+    flags.__dict__["index"] = index     # the cached ``index``, set up front
+    return flags
+
+
+#: The 256 shared instances, by combination index.
+_SHARED: Tuple[OptimizationFlags, ...] = tuple(
+    _shared_instance(index) for index in range(SPACE_SIZE))
 
 
 # ---------------------------------------------------------------------------

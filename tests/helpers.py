@@ -46,7 +46,7 @@ from repro.ir.mem2reg import _prune_trivial_phis
 from repro.ir.module import Function, Module
 from repro.ir.values import Constant
 from repro.passes import (
-    ALL_FLAG_NAMES, OptimizationFlags, canonicalize, run_passes,
+    ALL_FLAG_NAMES, SPACE_SIZE, OptimizationFlags, canonicalize, run_passes,
 )
 from repro.passes.coalesce import coalesce
 from repro.passes.dce import trivial_dce
@@ -602,3 +602,78 @@ def assert_report_identical(a: ExecutionReport, b: ExecutionReport,
     assert a.measurement.repeat_means == b.measurement.repeat_means, context
     assert a.cost == b.cost, context
     assert a.true_ns == b.true_ns, context
+
+
+# ---------------------------------------------------------------------------
+# Analysis oracles: the per-call formulas that the speed-up rows
+# (``ShaderResult.speedup_row``) and the corpus-means rows
+# (``repro.analysis.flags.mean_speedup_row``) replaced.
+# ---------------------------------------------------------------------------
+
+
+def reference_speedup_pct(shader, platform: str,
+                          flags: OptimizationFlags) -> float:
+    """One shader's speed-up under *flags*: one variant lookup, one
+    division."""
+    base = shader.original_times_ns[platform]
+    time = shader.variant_for_flags(flags).times_ns[platform]
+    return (base / time - 1.0) * 100.0
+
+
+def reference_mean_speedup(study, platform: str,
+                           flags: OptimizationFlags) -> float:
+    """The Table I / Fig. 5 metric: a left-to-right loop over the
+    shaders."""
+    total = 0.0
+    for shader in study.shaders:
+        total += reference_speedup_pct(shader, platform, flags)
+    return total / max(len(study.shaders), 1)
+
+
+def reference_best_static_flags(study, platform: str) -> OptimizationFlags:
+    """Table I's scan: each combination's mean in index order, scores within
+    1e-9 tied, ties broken toward fewer enabled flags."""
+    best: Optional[OptimizationFlags] = None
+    best_score = float("-inf")
+    for index in range(SPACE_SIZE):
+        flags = OptimizationFlags.from_index(index)
+        score = reference_mean_speedup(study, platform, flags)
+        better = score > best_score + 1e-9
+        tie = abs(score - best_score) <= 1e-9
+        if better or (tie and best is not None
+                      and len(flags.enabled()) < len(best.enabled())):
+            best = flags
+            best_score = score
+    assert best is not None
+    return best
+
+
+def reference_study_objective(study, platform: str):
+    """The report's search objective: the ``sum()`` of the shaders'
+    speed-ups over the shader count."""
+
+    def objective(flag_index: int) -> float:
+        if not study.shaders:
+            return 0.0
+        flags = OptimizationFlags.from_index(flag_index)
+        total = sum(reference_speedup_pct(s, platform, flags)
+                    for s in study.shaders)
+        return total / len(study.shaders)
+
+    return objective
+
+
+def reference_changes_code(study) -> Dict[str, int]:
+    """Fig. 8's "changes code" counts: per flag, the shaders in which
+    turning it on changes the variant of some combination."""
+    counts = dict.fromkeys(ALL_FLAG_NAMES, 0)
+    for shader in study.shaders:
+        variant_of = {index: variant.variant_id
+                      for variant in shader.variants
+                      for index in variant.flag_indices}
+        for bit, name in enumerate(ALL_FLAG_NAMES):
+            mask = 1 << bit
+            if any(variant_of[index] != variant_of[index | mask]
+                   for index in range(SPACE_SIZE) if not index & mask):
+                counts[name] += 1
+    return counts

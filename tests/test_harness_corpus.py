@@ -206,6 +206,40 @@ def test_isolated_impact_has_entry_per_shader(mini_study):
     assert len(impact.speedups_pct) == len(mini_study.shaders)
 
 
+def test_full_report_reads_rows_not_per_combination_lookups(mini_study,
+                                                           monkeypatch):
+    """Every artifact reads the speed-up rows: only Fig. 9's isolated
+    impacts look variants up, twice per (shader, platform, flag), where a
+    per-combination analysis would look up 256 x shaders x platforms."""
+    from helpers import count_calls
+    from repro.harness.results import ShaderResult
+    from repro.passes import FLAG_COUNT
+    from repro.reporting import ReportBuilder
+
+    lookups = count_calls(monkeypatch, ShaderResult, "variant_for_flags")
+    report = ReportBuilder(config=StudyConfig(platforms=[INTEL, NVIDIA])) \
+        .build(mini_study)
+    assert report.sections
+    shaders, platforms = len(mini_study.shaders), len(mini_study.platforms)
+    assert len(lookups) == 2 * FLAG_COUNT * shaders * platforms
+
+
+def test_studies_build_no_flag_objects(tmp_path, monkeypatch):
+    """A cold serial study and its warm replay group each case's variants
+    by flag index and construct no ``OptimizationFlags``."""
+    from helpers import count_calls
+    from repro.passes import OptimizationFlags
+
+    corpus = default_corpus(max_shaders=2)
+    config = StudyConfig(platforms=[INTEL],
+                         cache_path=str(tmp_path / "cache.jsonl"))
+    constructed = count_calls(monkeypatch, OptimizationFlags, "__init__")
+    cold = run_study(corpus, config)
+    warm = run_study(corpus, config)
+    assert constructed == []
+    assert warm.to_json() == cold.to_json()
+
+
 def test_study_json_roundtrip(mini_study):
     text = mini_study.to_json()
     back = StudyResult.from_json(text)

@@ -611,7 +611,8 @@ def test_compilation_is_deterministic(blur_shader):
 
 def test_flag_index_roundtrip():
     """``index`` is computed once per instance and kept out of equality,
-    hashing and pickles, which see the eight flags alone."""
+    hashing and pickles, which see the eight flags alone: a shared
+    instance pickles to the bytes of a constructed one."""
     import pickle
 
     from repro.passes import ALL_FLAG_NAMES
@@ -621,6 +622,7 @@ def test_flag_index_roundtrip():
         fresh = OptimizationFlags(**{name: getattr(flags, name)
                                      for name in ALL_FLAG_NAMES})
         pickled = pickle.dumps(fresh)
+        assert pickle.dumps(flags) == pickled
         assert flags.index == index and flags.index == index
         assert fresh == flags and hash(fresh) == hash(flags)
         assert fresh.index == index
@@ -629,6 +631,40 @@ def test_flag_index_roundtrip():
         restored = pickle.loads(pickled)
         assert restored == flags and hash(restored) == hash(flags)
         assert restored.index == index
+
+
+def test_from_index_shares_one_instance_per_combination():
+    """``from_index`` and the constructors built on it hand out 256 shared
+    immutable instances, ``index`` already set, each equal and hash-equal
+    to a constructed instance of the same flags."""
+    import dataclasses
+
+    from repro.passes import ALL_FLAG_NAMES
+
+    shared = [OptimizationFlags.from_index(index) for index in range(256)]
+    for index, flags in enumerate(shared):
+        assert OptimizationFlags.from_index(index) is flags
+        assert vars(flags)["index"] == index
+        fresh = OptimizationFlags(**{name: getattr(flags, name)
+                                     for name in ALL_FLAG_NAMES})
+        assert fresh is not flags
+        assert fresh == flags and hash(fresh) == hash(flags)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            flags.adce = not flags.adce
+    assert list(OptimizationFlags.all_combinations()) == shared
+    assert all(a is b for a, b in zip(OptimizationFlags.all_combinations(),
+                                      shared))
+    assert OptimizationFlags.none() is shared[0]
+    assert OptimizationFlags.all() is shared[255]
+    assert OptimizationFlags.single("unroll") is shared[16]
+    assert DEFAULT_LUNARGLASS.with_flag("div_to_mul") is shared[
+        DEFAULT_LUNARGLASS.index | 128]
+    assert DEFAULT_LUNARGLASS.with_flag("adce", False) is shared[
+        DEFAULT_LUNARGLASS.index & ~1]
+    with pytest.raises(ValueError):
+        OptimizationFlags.from_index(256)
+    with pytest.raises(ValueError):
+        OptimizationFlags.from_index(-1)
 
 
 def test_default_lunarglass_flags_match_paper():

@@ -153,6 +153,51 @@ def test_cli_report_missing_study_file(tmp_path):
               "--out-dir", str(tmp_path)])
 
 
+def test_cli_report_rejects_a_study_missing_a_combination(tmp_path, study):
+    """A saved study whose shader lacks flag combination 5 is refused as
+    not a saved study, naming the shader and the index, before any
+    artifact reads it."""
+    import json
+
+    payload = json.loads(study.to_json())
+    shader = payload["shaders"][1]
+    for variant in shader["variants"]:
+        if 5 in variant["flag_indices"]:
+            variant["flag_indices"].remove(5)
+    path = tmp_path / "holey.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit, match="is not a saved study JSON") as exc:
+        main(["report", "--study", str(path), "--out-dir",
+              str(tmp_path / "out")])
+    assert f"shader {shader['name']!r}" in str(exc.value)
+    assert "missing [5]" in str(exc.value)
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_json_must_cover_every_combination_once(study):
+    import json
+    import re
+
+    from repro.harness.results import StudyResult
+
+    def broken(edit) -> str:
+        payload = json.loads(study.to_json())
+        edit(payload["shaders"][0]["variants"])
+        return json.dumps(payload)
+
+    name = study.shaders[0].name
+    for edit, problem in [
+            (lambda vs: vs[-1]["flag_indices"].append(0), "repeated [0]"),
+            (lambda vs: vs[-1]["flag_indices"].append(256), "invalid [256]"),
+            (lambda vs: vs[0]["flag_indices"].remove(0), "missing [0]"),
+            (lambda vs: vs[0]["flag_indices"].__setitem__(0, 0.0),
+             "invalid [0.0]")]:
+        with pytest.raises(ValueError, match=re.escape(problem)) as exc:
+            StudyResult.from_json(broken(edit))
+        assert repr(name) in str(exc.value)
+    assert StudyResult.from_json(study.to_json()).to_json() == study.to_json()
+
+
 def test_variant_cache_roundtrips_sparse_indices(tmp_path):
     """put_variants must preserve the real flag indices, even for sparse
     maps (a dense-remap regression poisoned warm caches silently)."""
