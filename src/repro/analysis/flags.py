@@ -4,7 +4,8 @@ optimality), Fig. 9 (isolated per-flag impact)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
+from functools import reduce
+from operator import add, and_
 from typing import Dict, List, Optional
 
 from repro.harness.results import ShaderResult, StudyResult
@@ -157,26 +158,19 @@ def _flag_changes_code(variant_of: Dict[int, int], bit: int) -> bool:
 
 def _optimal_variant_flags(shader: ShaderResult, platform: str) -> List[str]:
     """Flags on in at least half of the best-10% variants (paper's green
-    criterion: "included for at least half of the optimal 10% of variants")."""
+    criterion: "included for at least half of the optimal 10% of variants").
+
+    A variant corresponds to many combinations; it votes for a flag when
+    every combination producing it has the flag on (the flag is materially
+    involved), i.e. when the flag's bit is set in the AND of its indices.
+    A variant without indices votes for nothing."""
     ranked = sorted(shader.variants,
                     key=lambda v: v.times_ns[platform])
     top_n = max(1, round(len(ranked) * 0.10))
-    top = ranked[:top_n]
-    winners: List[str] = []
-    for bit, name in enumerate(ALL_FLAG_NAMES):
-        mask = 1 << bit
-        votes = 0
-        for variant in top:
-            # A variant corresponds to many combos; call the flag "on" when
-            # at least one producing combo has it on AND turning it off would
-            # leave this variant (i.e. the flag is materially involved).
-            on = any(index & mask for index in variant.flag_indices)
-            off = any(not (index & mask) for index in variant.flag_indices)
-            if on and not off:
-                votes += 1
-        if votes * 2 >= len(top):
-            winners.append(name)
-    return winners
+    masks = [reduce(and_, variant.flag_indices) if variant.flag_indices
+             else 0 for variant in ranked[:top_n]]
+    return [name for bit, name in enumerate(ALL_FLAG_NAMES)
+            if sum(mask >> bit & 1 for mask in masks) * 2 >= len(masks)]
 
 
 # ---------------------------------------------------------------------------

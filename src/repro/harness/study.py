@@ -4,21 +4,26 @@ For every corpus shader: compile all 256 flag combinations, deduplicate the
 emitted GLSL (most combinations collapse — Fig. 4c), then time every unique
 variant plus the unaltered original on every platform.
 
-The study now runs on the :mod:`repro.search` layers — the
+The study runs on the :mod:`repro.search` layers — the
 :class:`EvaluationEngine` (compile/measure with a content-addressed result
 cache; it builds every cache key and value and counts all work, the
-pool's included) and the :class:`Scheduler`.  With ``max_workers > 1`` a
-process pool primes the engine first (the work is pure-Python and
-CPU-bound, so threads would serialize on the GIL): one task per unique
-shader source compiles the 256-combination variant set (via the
-shared-prefix compilation trie, :mod:`repro.core.trie`), then the
-unmeasured (shader x variant x platform) tasks are measured in per-text
-:class:`MeasureBatch` groups so each emitted shader pickles across the
-process boundary once rather than once per task.
-Assembly then reads everything back through the engine's cache.  Compiles
-and measurements are pure functions of their inputs, so serial runs,
-parallel runs, and the pre-refactor nested loop all produce byte-identical
-:class:`StudyResult` JSON.
+pool's included) and the :class:`Scheduler`.  With ``max_workers > 1``
+the study opens one scheduler session, one process pool for the whole
+study (the work is pure-Python and CPU-bound, so threads would serialize
+on the GIL), and feeds it case by case.  Each case's source is one task
+that compiles the 256-combination variant set (via the shared-prefix
+compilation trie, :mod:`repro.core.trie`) and counts its ARM static cycles
+on the front-end entry the walk just made.  As soon as that task returns,
+the case's unmeasured (text x platform) units go out as one
+:class:`MeasureBatch` task per text, so each emitted shader pickles across
+the process boundary once rather than once per platform.  Cases are
+assembled in corpus order as their batches return: the engine stores the
+compiled set, the static count and the samples, then the serial per-case
+path reads everything back through its cache.  Compiles and measurements
+are pure functions of their inputs, so serial runs, parallel runs, and the
+pre-refactor nested loop all produce byte-identical :class:`StudyResult`
+JSON, and serial and parallel runs write the same cache log.  If a worker
+dies, the cases not yet assembled finish serially.
 
 With ``cache_path`` set, the cache persists both measurements and compiled
 variant sets, each appended to its log the moment it is produced, so a
@@ -40,19 +45,23 @@ Large corpora (see ``repro.corpus.synth``) add two scale-out levers:
   released from the cache's memory, with or without a cache file (a
   file's log keeps it; without one, a repeated source compiles again).
   A serial streaming run holds one case's variants in memory; a parallel
-  one primes in chunks of ``checkpoint_every x max_workers`` cases, so
-  memory is bounded by the chunk, never the corpus.
+  one admits a case to the pool only while fewer than
+  ``checkpoint_every x max_workers`` admitted cases wait for assembly, so
+  memory is bounded by that window, never the corpus.
 """
 
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.pipeline import ShaderCompiler
+from repro.analysis.cycle_analyzer import arm_static_cycles
+from repro.core.pipeline import ShaderCompiler, VariantSet
 from repro.glsl.metrics import lines_of_code
+from repro.gpu.jit import clear_frontend_memo
 from repro.gpu.platform import Platform, all_platforms, platform_by_name
 from repro.harness.environment import ShaderExecutionEnvironment
 from repro.harness.results import (
@@ -60,7 +69,7 @@ from repro.harness.results import (
 )
 from repro.search.cache import ResultCache, source_digest
 from repro.search.engine import EvaluationEngine, Sample
-from repro.search.scheduler import MeasureBatch, Scheduler
+from repro.search.scheduler import MeasureBatch, Scheduler, Tasks
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,8 @@ class StudyConfig:
     #: when > 0: persist the result cache after every N cases and release
     #: each finished case's compiled variant set from the cache's memory
     #: (streaming mode — memory stays bounded by one case serially, or by
-    #: one N x max_workers priming chunk in parallel runs).
+    #: N x max_workers cases compiled but not yet assembled in parallel
+    #: runs).
     checkpoint_every: int = 0
     #: called as ``progress(position, total, shader_result)`` after each
     #: finished case — the incremental-streaming hook the study service
@@ -169,40 +179,47 @@ def run_study(corpus: Sequence[ShaderCase],
             print(f"[study] shard {config.shard}: {len(cases)} of "
                   f"{len(corpus)} cases")
 
-    # Streaming bounds memory by releasing each finished case's compiled
-    # variants — so a parallel run must also prime in bounded chunks, or
-    # _prime_engine would install the whole corpus's variant sets up front.
-    chunk_size = len(cases) or 1
-    if scheduler.parallel and config.checkpoint_every > 0:
-        chunk_size = config.checkpoint_every * scheduler.max_workers
-
     result = StudyResult(platforms=[p.name for p in platforms],
                          seed=config.seed, shard=shard_info)
+
+    def assemble(position: int) -> None:
+        """Run case *position* through the engine (a replay of what the
+        pool stored, or the serial work itself) and publish it."""
+        case = cases[position]
+        # Cooperative cancellation boundary: a service job's timeout or
+        # client cancel lands here between cases (and, finer-grained,
+        # at every compile/measure inside _run_one).
+        engine.check_cancelled()
+        if config.verbose:
+            print(f"[study] {position + 1}/{len(cases)} {case.name}")
+        result.shaders.append(_run_one(case, case_indices[position],
+                                       platforms, engine, config.seed))
+        if config.progress is not None:
+            config.progress(position + 1, len(cases), result.shaders[-1])
+        _beat(config.heartbeat_path)
+        if config.checkpoint_every > 0:
+            engine.cache.release_variants(source_digest(case.source))
+            if (position + 1) % config.checkpoint_every == 0:
+                engine.cache.save()
+
     _beat(config.heartbeat_path)
-    position = 0
-    for start in range(0, len(cases), chunk_size):
-        chunk = cases[start:start + chunk_size]
-        chunk_indices = case_indices[start:start + chunk_size]
-        if scheduler.parallel:
-            _prime_engine(chunk, chunk_indices, platforms, engine, scheduler,
-                          config.seed, config.verbose)
-        for case, case_index in zip(chunk, chunk_indices):
-            # Cooperative cancellation boundary: a service job's timeout or
-            # client cancel lands here between cases (and, finer-grained,
-            # at every compile/measure inside _run_one).
-            engine.check_cancelled()
-            position += 1
-            if config.verbose:
-                print(f"[study] {position}/{len(cases)} {case.name}")
-            result.shaders.append(
-                _run_one(case, case_index, platforms, engine, config.seed))
-            if config.progress is not None:
-                config.progress(position, len(cases), result.shaders[-1])
-            _beat(config.heartbeat_path)
+    assembled = 0
+    with scheduler.session() as pooled:
+        if pooled:
+            window = len(cases)
             if config.checkpoint_every > 0:
-                engine.cache.release_variants(source_digest(case.source))
-                if position % config.checkpoint_every == 0:
-                    engine.cache.save()
+                window = config.checkpoint_every * scheduler.max_workers
+            if config.verbose:
+                print(f"[study] {len(cases)} cases on "
+                      f"{scheduler.max_workers} workers")
+            assembled = _PoolFeed(cases, case_indices, platforms, engine,
+                                  scheduler, config.seed).run(assemble,
+                                                              window)
+            if assembled < len(cases) and config.verbose:
+                print(f"[study] a pool worker died; finishing "
+                      f"{len(cases) - assembled} cases serially")
+    for position in range(assembled, len(cases)):
+        assemble(position)
     engine.cache.save()
     return result
 
@@ -265,64 +282,144 @@ def _run_one(case: ShaderCase, case_index: int, platforms: List[Platform],
 
 
 # ---------------------------------------------------------------------------
-# Parallel priming: shard the CPU-bound work across a process pool, land
-# everything in the engine's result cache, and let assembly read it back.
+# The pool feed: one compile task per case source, one MeasureBatch task per
+# text as soon as its case's compile returns, cases assembled in order.
 # ---------------------------------------------------------------------------
 
+#: How long the feed waits on the pool between cancellation checks.
+_POLL_S = 0.1
 
-def _prime_engine(corpus: Sequence[ShaderCase], case_indices: Sequence[int],
-                  platforms: List[Platform], engine: EvaluationEngine,
-                  scheduler: Scheduler, seed: int, verbose: bool) -> None:
-    """Shard the CPU-bound work across the pool and land it in the cache.
 
-    ``case_indices`` carries each case's *global* corpus index — measurement
-    seeds are derived from it, which is what keeps shard runs byte-
-    compatible with the unsharded study.
+class _PoolFeed:
+    """Feeds one session's pool case by case, with no phase barrier.
+
+    A case is *admitted* when its compile task is submitted (or, for a
+    source whose variant set the cache holds, when its measure batches
+    are), and *assembled* when the engine has stored its results and
+    ``assemble`` has read them back.  Cases admitted while a compile of
+    their source runs share it.
     """
-    # Phase 1: one task per unique uncached source compiles all 256
-    # combinations (the dominant cost: ~256 pass-pipeline runs each).
-    sources: List[str] = []
-    seen = set()
-    for case in corpus:
-        digest = source_digest(case.source)
-        if digest not in seen and not engine.cache.has_variants(digest):
-            seen.add(digest)
-            sources.append(case.source)
-    if verbose and sources:
-        print(f"[study] compiling {len(sources)} shaders "
-              f"x 256 combinations on {scheduler.max_workers} workers")
-    for source, index_to_text in zip(
-            sources, scheduler.map(_compile_case_variants, sources)):
-        engine.prime_variants(source, index_to_text)
 
-    # Phase 2: the unmeasured (text, platform, seed) tasks, batched per
-    # shader text so the pool pickles each text once (instead of once per
-    # variant x platform) and the worker's shared JIT front-end memo parses
-    # it once for all of the batch's platforms.
-    pending: Dict[str, List[Tuple[str, int]]] = {}
-    for case, case_index in zip(corpus, case_indices):
-        texts = [case.source] + list(engine.variants_for(case).indices_by_text)
-        for variant_id, text in enumerate(texts, start=-1):
-            unit_seed = _variant_seed(seed, case_index, variant_id)
-            for platform in platforms:
-                if not engine.has_sample(text, platform.name, unit_seed):
-                    pending.setdefault(text, []).append(
-                        (platform.name, unit_seed))
-    batches = [MeasureBatch(text=text, tasks=tuple(tasks))
-               for text, tasks in pending.items()]
-    if verbose and batches:
-        print(f"[study] measuring {sum(len(b.tasks) for b in batches)} "
-              f"units in {len(batches)} text batches on "
-              f"{scheduler.max_workers} workers")
-    for batch, samples in zip(batches, scheduler.map(_measure_batch, batches)):
-        for (platform_name, unit_seed), sample in zip(batch.tasks, samples):
-            engine.record_sample(batch.text, platform_name, unit_seed, sample)
+    def __init__(self, cases: Sequence[ShaderCase],
+                 case_indices: Sequence[int], platforms: List[Platform],
+                 engine: EvaluationEngine, scheduler: Scheduler, seed: int):
+        self.cases = cases
+        #: global corpus indices: measurement seeds derive from them, which
+        #: keeps shard runs byte-compatible with the unsharded study.
+        self.case_indices = case_indices
+        self.platforms = platforms
+        self.engine = engine
+        self.scheduler = scheduler
+        self.seed = seed
+        #: source digest -> the admitted cases its running compile serves.
+        self.waiting: Dict[str, List[int]] = {}
+        self.compiles: Dict[Tasks, str] = {}      # compile map -> digest
+        self.measures: Dict[Tasks, int] = {}      # measure map -> case
+        #: case -> (variant set, static cycles) from its compile task.
+        self.compiled: Dict[int, Tuple[Dict[int, str], float]] = {}
+        self.batches: Dict[int, List[MeasureBatch]] = {}
+        #: case -> samples per batch, once every batch returned.
+        self.samples: Dict[int, List[List[Sample]]] = {}
+
+    def run(self, assemble: Callable[[int], None], window: int) -> int:
+        """Assemble every case in order, keeping at most *window* admitted
+        cases unassembled; returns how many cases were assembled, which
+        is fewer than all only when a pool worker died."""
+        total = len(self.cases)
+        admitted = assembled = 0
+        try:
+            while assembled < total:
+                while admitted < min(total, assembled + window):
+                    self._admit(admitted)
+                    admitted += 1
+                if assembled in self.samples:
+                    self._store(assembled)
+                    assemble(assembled)
+                    assembled += 1
+                    continue
+                self.engine.check_cancelled()
+                tasks = self.scheduler.finished(_POLL_S)
+                if tasks is not None:
+                    self._on_finished(tasks)
+        except BrokenProcessPool:
+            pass
+        return assembled
+
+    def _admit(self, position: int) -> None:
+        source = self.cases[position].source
+        digest = source_digest(source)
+        if digest in self.waiting:
+            self.waiting[digest].append(position)
+            return
+        index_to_text = self.engine.cache.get_variants(digest)
+        if index_to_text is not None:
+            self._submit_measures(position, index_to_text)
+            return
+        self.waiting[digest] = [position]
+        tasks = self.scheduler.map(_compile_case_variants, [source])
+        self.compiles[tasks] = digest
+
+    def _on_finished(self, tasks: Tasks) -> None:
+        digest = self.compiles.pop(tasks, None)
+        if digest is None:
+            self.samples[self.measures.pop(tasks)] = list(tasks)
+            return
+        compiled = next(tasks)
+        for position in self.waiting.pop(digest):
+            self.compiled[position] = compiled
+            self._submit_measures(position, compiled[0])
+
+    def _submit_measures(self, position: int,
+                         index_to_text: Dict[int, str]) -> None:
+        """Send out the case's unmeasured units, one batch per text, in
+        the order :func:`_run_one` reads them."""
+        source = self.cases[position].source
+        variant_set = VariantSet.from_index_to_text(index_to_text)
+        batches: List[MeasureBatch] = []
+        for variant_id, text in enumerate(
+                [source, *variant_set.indices_by_text], start=-1):
+            unit_seed = _variant_seed(self.seed, self.case_indices[position],
+                                      variant_id)
+            tasks = tuple(
+                (platform.name, unit_seed) for platform in self.platforms
+                if not self.engine.has_sample(text, platform.name, unit_seed))
+            if tasks:
+                batches.append(MeasureBatch(text=text, tasks=tasks))
+        self.batches[position] = batches
+        if batches:
+            self.measures[self.scheduler.map(_measure_batch, batches)] = \
+                position
+        else:
+            self.samples[position] = []
+
+    def _store(self, position: int) -> None:
+        """Hand the case's worker results to the engine, which stores them
+        (and counts the work) in the order a serial run would."""
+        compiled = self.compiled.pop(position, None)
+        if compiled is not None:
+            self.engine.prime_compiled(self.cases[position].source,
+                                       *compiled)
+        for batch, samples in zip(self.batches.pop(position),
+                                  self.samples.pop(position)):
+            for (platform_name, unit_seed), sample in zip(batch.tasks,
+                                                          samples):
+                self.engine.record_sample(batch.text, platform_name,
+                                          unit_seed, sample)
 
 
-def _compile_case_variants(source: str) -> Dict[int, str]:
-    """Pool worker: emitted text for all 256 combinations of one shader
-    (module-level so it pickles into process-pool workers)."""
-    return ShaderCompiler(source).all_variants().index_to_text
+# A pool task starts from an empty front-end memo, so its work, and every
+# work counter of a traced run, is the same whichever worker runs it after
+# whichever tasks; and a worker holds one task's entries, not the study's.
+
+
+def _compile_case_variants(source: str) -> Tuple[Dict[int, str], float]:
+    """Pool worker: emitted text for all 256 combinations of one shader and
+    its ARM static cycle count, whose driver compile starts from the
+    front-end entry the variant walk just made (module-level so it pickles
+    into process-pool workers)."""
+    clear_frontend_memo()
+    index_to_text = ShaderCompiler(source).all_variants().index_to_text
+    return index_to_text, arm_static_cycles(source)
 
 
 def _measure_batch(batch: MeasureBatch) -> List[Sample]:
@@ -335,6 +432,7 @@ def _measure_batch(batch: MeasureBatch) -> List[Sample]:
     so each (text, platform) unit compiles, profiles, and costs once no
     matter how many measurement seeds it carries.
     """
+    clear_frontend_memo()
     by_platform: Dict[str, List[Tuple[int, int]]] = {}
     for position, (platform_name, seed) in enumerate(batch.tasks):
         by_platform.setdefault(platform_name, []).append((position, seed))

@@ -169,13 +169,19 @@ class EvaluationEngine:
         self.cache.put_variants(digest, variant_set.index_to_text)
         return variant_set
 
-    def prime_variants(self, source: str,
-                       index_to_text: Dict[int, str]) -> None:
-        """Store a variant set compiled elsewhere (e.g. a pool worker),
-        counting its front end and 256 compiles as this engine's work."""
+    def prime_compiled(self, source: str, index_to_text: Dict[int, str],
+                       static_cycles: float) -> None:
+        """Store a variant set and ARM static cycle count computed elsewhere
+        (a pool worker), where the cache lacks them, counting that work as
+        this engine's: :meth:`variants_for` then :meth:`static_cycles_for`
+        store and count exactly this on a miss."""
         digest = source_digest(source)
-        self._count_compiles(digest, 256)
-        self.cache.put_variants(digest, index_to_text)
+        if self.cache.get_variants(digest) is None:
+            self._count_compiles(digest, 256)
+            self.cache.put_variants(digest, index_to_text)
+        if self.cache.get_static_cycles(digest) is None:
+            self._compiled.add(digest)
+            self.cache.put_static_cycles(digest, static_cycles)
 
     def static_cycles_for(self, source: str) -> float:
         """ARM's static cycle count of *source* (paper Fig. 4b), read from

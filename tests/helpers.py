@@ -677,3 +677,23 @@ def reference_changes_code(study) -> Dict[str, int]:
                    for index in range(SPACE_SIZE) if not index & mask):
                 counts[name] += 1
     return counts
+
+
+def reference_optimal_variant_flags(shader, platform: str) -> List[str]:
+    """Fig. 8's green criterion, one flag at a time: a best-10% variant
+    votes for a flag when some producing combination has it on and none
+    has it off; flags with votes from at least half the top win."""
+    ranked = sorted(shader.variants, key=lambda v: v.times_ns[platform])
+    top = ranked[:max(1, round(len(ranked) * 0.10))]
+    winners: List[str] = []
+    for bit, name in enumerate(ALL_FLAG_NAMES):
+        mask = 1 << bit
+        votes = 0
+        for variant in top:
+            on = any(index & mask for index in variant.flag_indices)
+            off = any(not (index & mask) for index in variant.flag_indices)
+            if on and not off:
+                votes += 1
+        if votes * 2 >= len(top):
+            winners.append(name)
+    return winners

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.cycle_analyzer import arm_static_cycles
 from repro.analysis.flags import (
-    best_static_flags, flag_applicability, isolated_flag_impact,
+    _optimal_variant_flags, best_static_flags, flag_applicability,
+    isolated_flag_impact,
 )
 from repro.analysis.speedups import average_speedups, top_shaders
 from repro.analysis.static_metrics import loc_distribution, loc_summary
@@ -17,7 +20,7 @@ from repro.glsl import parse_shader, preprocess, shader_interface
 from repro.gpu.vendors import INTEL, NVIDIA
 from repro.harness.environment import ShaderExecutionEnvironment
 from repro.harness.protocol import protocol_noise, run_protocol
-from repro.harness.results import StudyResult
+from repro.harness.results import ShaderResult, StudyResult, VariantRecord
 from repro.harness.study import StudyConfig, run_study
 from repro.harness.uniforms import (
     default_textures, default_uniform_values, fragment_inputs,
@@ -199,6 +202,40 @@ def test_flag_applicability_counts_bounded(mini_study):
 def test_adce_never_applicable(mini_study):
     stats = flag_applicability(mini_study, "Intel")
     assert stats["adce"].changes_code == 0
+
+
+def test_optimal_flag_votes_equal_the_per_flag_scans(mini_study):
+    from helpers import reference_optimal_variant_flags
+
+    for platform in mini_study.platforms:
+        for shader in mini_study.shaders:
+            assert (_optimal_variant_flags(shader, platform)
+                    == reference_optimal_variant_flags(shader, platform))
+
+
+@st.composite
+def _ranked_variants(draw):
+    """A shader whose variants hold arbitrary (possibly no) flag indices,
+    one of them none, with times drawn to rank them."""
+    shader = ShaderResult(name="s", family="f", loc=1, arm_static_cycles=0.0)
+    count = draw(st.integers(min_value=1, max_value=40))
+    empty = draw(st.integers(min_value=0, max_value=count - 1))
+    for variant_id in range(count):
+        indices = [] if variant_id == empty else draw(st.lists(
+            st.integers(min_value=0, max_value=255), max_size=12))
+        shader.variants.append(VariantRecord(
+            variant_id=variant_id, flag_indices=indices, text_hash="",
+            times_ns={"P": draw(st.floats(min_value=1.0, max_value=2.0))}))
+    return shader
+
+
+@settings(max_examples=200, deadline=None)
+@given(shader=_ranked_variants())
+def test_optimal_flag_votes_equal_the_per_flag_scans_on_any_variants(shader):
+    from helpers import reference_optimal_variant_flags
+
+    assert (_optimal_variant_flags(shader, "P")
+            == reference_optimal_variant_flags(shader, "P"))
 
 
 def test_isolated_impact_has_entry_per_shader(mini_study):

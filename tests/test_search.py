@@ -4,6 +4,9 @@ refactored exhaustive study."""
 from __future__ import annotations
 
 import hashlib
+import os
+import time
+from concurrent.futures import CancelledError
 
 import pytest
 
@@ -437,16 +440,56 @@ def _boom(x):
     return x
 
 
+def _pid(_):
+    return os.getpid()
+
+
 def test_scheduler_preserves_order_and_parallel_equals_serial():
     items = list(range(100))
-    serial = Scheduler(max_workers=1).map(_square, items)
-    parallel = Scheduler(max_workers=4).map(_square, items)
-    assert serial == parallel == [x * x for x in items]
+    serial = list(Scheduler(max_workers=1).map(_square, items))
+    scheduler = Scheduler(max_workers=4)
+    with scheduler.session() as pooled:
+        assert pooled
+        parallel = scheduler.map(_square, items)
+        # Every item is its own pool task, a one-item map's included.
+        lone = scheduler.map(_pid, [0])
+        assert scheduler.finished(60) is not None
+        assert scheduler.finished(60) is not None
+        assert list(parallel) == serial == [x * x for x in items]
+        assert next(lone) != os.getpid()
+    # Outside a session the items run here.
+    assert list(scheduler.map(_pid, [0])) == [os.getpid()]
 
 
 def test_scheduler_propagates_worker_exceptions():
+    scheduler = Scheduler(max_workers=4)
+    with scheduler.session():
+        results = scheduler.map(_boom, list(range(10)))
+        assert scheduler.finished(60) is results
+        assert [next(results) for _ in range(5)] == [0, 1, 2, 3, 4]
+        with pytest.raises(RuntimeError, match="worker failed"):
+            next(results)
     with pytest.raises(RuntimeError, match="worker failed"):
-        Scheduler(max_workers=4).map(_boom, list(range(10)))
+        list(Scheduler(max_workers=1).map(_boom, list(range(10))))
+
+
+def test_scheduler_session_cancels_and_leaves_no_worker():
+    """A session closed by an error (a cancellation, a signal handler's
+    exception) drops the tasks that have not started and joins its
+    workers."""
+    import multiprocessing
+
+    class Cancelled(Exception):
+        pass
+
+    scheduler = Scheduler(max_workers=2)
+    with pytest.raises(Cancelled):
+        with scheduler.session():
+            pending = scheduler.map(time.sleep, [0.05] * 200)
+            raise Cancelled
+    assert not multiprocessing.active_children()
+    with pytest.raises(CancelledError):
+        list(pending)
 
 
 def test_scheduler_honors_jobs_env_var(monkeypatch):

@@ -405,6 +405,37 @@ def test_cancel_running_job_lands_cancelled(service):
     assert "cancelled" in status["error"]
 
 
+def test_pooled_study_jobs_stream_each_case_and_cancel_cleanly(
+        service_root):
+    """A ``job_workers=2`` study publishes one event per case, in order,
+    and a cancel while it runs closes its pool: no worker outlives it."""
+    import multiprocessing
+
+    svc = StudyService(service_root, workers=1, job_workers=2)
+    svc.start()
+    client = ServiceClient(svc.socket_path)
+    client.wait_ready()
+    try:
+        done = client.submit(JobSpec(corpus=CorpusSpec(max_shaders=4),
+                                     platforms=("Intel",)))
+        events = list(client.follow(done["id"]))
+        assert [event["position"] for event in events
+                if event["type"] == "case"] == [1, 2, 3, 4]
+        assert (events[-1]["type"], events[-1]["state"]) == ("state", "done")
+
+        running = client.submit(JobSpec(
+            corpus=CorpusSpec(max_shaders=6, synth_count=3)))
+        for event in client.follow(running["id"]):
+            if event["type"] == "case":     # mid-run: cancel it
+                client.cancel(running["id"])
+                break
+        status = _wait_terminal(client, running["id"])
+        assert status["state"] == "cancelled"
+        assert not multiprocessing.active_children()
+    finally:
+        svc.stop()
+
+
 def test_timeout_fails_job_without_wedging_worker(service):
     _, client = service
     doomed = client.submit(JobSpec(corpus=CorpusSpec(max_shaders=3),

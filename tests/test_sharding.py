@@ -1,17 +1,23 @@
 """Sharded studies, the merge path, and the streaming result cache."""
 
 import json
+import multiprocessing
+import os
+import sys
 
 import pytest
 
 from helpers import assert_engine_keeps_no_store
+from repro.analysis.cycle_analyzer import arm_static_cycles
 from repro.cli import main
 from repro.corpus import default_corpus
 from repro.gpu.vendors import INTEL, NVIDIA
 from repro.harness.results import (
     ShardInfo, StudyResult, merge_study_results,
 )
-from repro.harness.study import ShardSpec, StudyConfig, run_study
+from repro.harness.study import (
+    ShardSpec, StudyConfig, _measure_batch, run_study,
+)
 from repro.search.cache import CACHE_VERSION, ResultCache, source_digest
 
 
@@ -388,34 +394,199 @@ def test_memory_only_streaming_study_releases_variants():
     assert streamed.to_json() == plain.to_json()
 
 
-def test_parallel_streaming_primes_in_chunks(tmp_path, monkeypatch):
-    """Parallel + checkpoint_every primes bounded chunks (byte-identical
-    results, memos released), instead of installing the whole corpus's
-    variant sets up front."""
+def test_parallel_streaming_bounds_the_variant_sets_in_memory(tmp_path):
+    """Parallel + checkpoint_every keeps at most checkpoint_every x
+    max_workers cases compiled but not yet assembled, and never more
+    variant sets than that in the cache's memory; the result equals the
+    serial run's, and every set is released at the end."""
+    import repro.harness.study as study_mod
+    from repro.search.engine import EvaluationEngine
+    from repro.search.scheduler import Scheduler
+
+    corpus = _corpus()
+    digests = [source_digest(case.source) for case in corpus]
+    serial = run_study(corpus, StudyConfig(platforms=[INTEL], seed=9))
+
+    window = 1 * 2                          # checkpoint_every x workers
+    assembled, in_flight, held = [], [], []
+
+    class Cache(ResultCache):
+        def put_variants(self, digest, index_to_text):
+            super().put_variants(digest, index_to_text)
+            held.append(sum(map(self.has_variants, digests)))
+
+    class CountingScheduler(Scheduler):
+        def map(self, fn, items):
+            items = list(items)
+            if fn is study_mod._compile_case_variants:
+                in_flight.append(len(in_flight) + 1 - len(assembled))
+            return super().map(fn, items)
+
+    engine = EvaluationEngine(platforms=[INTEL], seed=9,
+                              cache=Cache(tmp_path / "s.jsonl"))
+    parallel = run_study(corpus, StudyConfig(
+        platforms=[INTEL], seed=9, max_workers=2, checkpoint_every=1,
+        progress=lambda position, *_: assembled.append(position)),
+        engine=engine, scheduler=CountingScheduler(2))
+    assert parallel.to_json() == serial.to_json()
+    assert len(in_flight) == len(corpus)    # one compile per source
+    assert max(in_flight) == window
+    assert held and max(held) <= window
+    # Released from the cache's memory as cases finish.
+    assert not any(map(engine.cache.has_variants, digests))
+
+
+# ---------------------------------------------------------------------------
+# The parallel study's one pool
+# ---------------------------------------------------------------------------
+
+#: Set by the tests below before a pool forks, so workers inherit them.
+_TEST_PID = None
+_PID_LOG = None
+
+
+def _logging_static_cycles(source):
+    with open(_PID_LOG, "a") as log:
+        log.write(f"{os.getpid()}\n")
+    return arm_static_cycles(source)
+
+
+def _dying_measure_batch(batch):
+    """A worker dies measuring the third case's original text."""
+    if os.getpid() != _TEST_PID and batch.text == _corpus()[2].source:
+        os._exit(3)
+    return _measure_batch(batch)
+
+
+def test_a_parallel_study_runs_on_one_pool(monkeypatch):
+    import repro.search.scheduler as scheduler_mod
+
+    pools = []
+
+    class CountingPool(scheduler_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler_mod, "ProcessPoolExecutor", CountingPool)
+    corpus = _corpus()
+    parallel = run_study(corpus, StudyConfig(
+        platforms=[INTEL], seed=9, max_workers=2, checkpoint_every=2))
+    assert len(pools) == 1
+    assert parallel.to_json() == run_study(
+        corpus, StudyConfig(platforms=[INTEL], seed=9)).to_json()
+    assert not multiprocessing.active_children()
+
+
+def test_a_cold_parallel_study_counts_static_cycles_in_the_workers(
+        tmp_path, monkeypatch):
+    import repro.analysis.cycle_analyzer as cycle_analyzer
+    import repro.harness.study as study_mod
+
+    monkeypatch.setattr(sys.modules[__name__], "_PID_LOG",
+                        str(tmp_path / "pids"))
+    for module in (study_mod, cycle_analyzer):
+        monkeypatch.setattr(module, "arm_static_cycles",
+                            _logging_static_cycles)
+    corpus = _corpus()
+    parallel = run_study(corpus, StudyConfig(platforms=[INTEL], seed=9,
+                                             max_workers=2))
+    pids = set((tmp_path / "pids").read_text().split())
+    assert pids and str(os.getpid()) not in pids
+    monkeypatch.undo()
+    assert parallel.to_json() == run_study(
+        corpus, StudyConfig(platforms=[INTEL], seed=9)).to_json()
+
+
+def test_parallel_studies_write_the_serial_cache_log(tmp_path):
+    """Cases store their results in case order whatever order the pool
+    returns them in: every run writes the same log bytes."""
+    corpus = _corpus()
+    logs = []
+    for name, workers in (("a", 2), ("b", 2), ("serial", 1)):
+        path = tmp_path / f"{name}.jsonl"
+        run_study(corpus, StudyConfig(platforms=[INTEL], seed=9,
+                                      max_workers=workers,
+                                      cache_path=str(path)))
+        logs.append(path.read_bytes())
+    assert logs[0] == logs[1] == logs[2]
+
+
+def test_a_parallel_study_submits_only_missing_work(tmp_path):
+    """A repeated source compiles once while its compile runs, and a warm
+    cache leaves nothing to submit."""
+    import repro.harness.study as study_mod
+    from repro.harness.results import ShaderCase
+    from repro.search.engine import EvaluationEngine
+    from repro.search.scheduler import Scheduler
+
+    maps = []
+
+    class CountingScheduler(Scheduler):
+        def map(self, fn, items):
+            maps.append(fn)
+            return super().map(fn, items)
+
+    corpus = _corpus()[:3]
+    corpus.append(ShaderCase(name="again", family=corpus[0].family,
+                             source=corpus[0].source))
+    serial = run_study(corpus, StudyConfig(platforms=[INTEL], seed=9))
+    runs, compiles = [], []
+    for _ in range(2):
+        maps.clear()
+        engine = EvaluationEngine(platforms=[INTEL], seed=9,
+                                  cache=ResultCache(tmp_path / "c.jsonl"))
+        runs.append(run_study(corpus, StudyConfig(
+            platforms=[INTEL], seed=9, max_workers=2), engine=engine,
+            scheduler=CountingScheduler(2)).to_json())
+        compiles.append(maps.count(study_mod._compile_case_variants))
+    assert runs == [serial.to_json()] * 2
+    assert compiles == [3, 0]
+    assert maps == []                       # the warm run
+    assert engine.compile_count == engine.measure_count == 0
+
+
+def test_a_pool_task_does_the_same_work_whatever_ran_before():
+    """A persistent worker's earlier tasks leave it nothing to reuse, so
+    the pool's work counts repeat whichever worker runs which task."""
+    from repro.gpu.jit import jit_pipeline_steps
+    from repro.harness.study import _compile_case_variants
+    from repro.search.scheduler import MeasureBatch
+
+    source = _corpus()[0].source
+    batch = MeasureBatch(text=source, tasks=(("Intel", 1), ("NVIDIA", 1)))
+
+    def steps(task, item):
+        before = jit_pipeline_steps()
+        task(item)
+        return jit_pipeline_steps() - before
+
+    alone = steps(_measure_batch, batch)
+    again = steps(_measure_batch, batch)
+    steps(_compile_case_variants, source)
+    assert alone == again == steps(_measure_batch, batch) > 0
+
+
+def test_a_dead_pool_worker_leaves_the_serial_result(monkeypatch, capsys):
     import repro.harness.study as study_mod
     from repro.search.engine import EvaluationEngine
 
+    monkeypatch.setattr(sys.modules[__name__], "_TEST_PID", os.getpid())
+    monkeypatch.setattr(study_mod, "_measure_batch", _dying_measure_batch)
     corpus = _corpus()
-    serial = run_study(corpus, StudyConfig(platforms=[INTEL], seed=9))
-
-    prime_sizes = []
-    real_prime = study_mod._prime_engine
-
-    def spying_prime(cases, indices, *rest):
-        prime_sizes.append(len(cases))
-        return real_prime(cases, indices, *rest)
-
-    monkeypatch.setattr(study_mod, "_prime_engine", spying_prime)
-    engine = EvaluationEngine(platforms=[INTEL], seed=9,
-                              cache=ResultCache(tmp_path / "s.jsonl"))
-    parallel = run_study(corpus, StudyConfig(
-        platforms=[INTEL], seed=9, max_workers=2, checkpoint_every=1),
-        engine=engine)
+    engine = EvaluationEngine(platforms=[INTEL, NVIDIA], seed=9)
+    parallel = run_study(corpus, StudyConfig(platforms=[INTEL, NVIDIA],
+                                             seed=9, max_workers=2,
+                                             verbose=True),
+                         engine=engine)
+    assert "a pool worker died" in capsys.readouterr().out
+    assert not multiprocessing.active_children()
+    monkeypatch.undo()
+    serial = run_study(corpus, StudyConfig(platforms=[INTEL, NVIDIA], seed=9))
     assert parallel.to_json() == serial.to_json()
-    assert prime_sizes and max(prime_sizes) <= 2   # checkpoint_every x workers
-    # Released from the cache's memory as cases finish.
-    assert not any(engine.cache.has_variants(source_digest(case.source))
-                   for case in corpus)
+    # The cases the pool left unfinished ran here, on the same engine.
+    assert engine.measure_count == sum(
+        (1 + len(shader.variants)) * 2 for shader in serial.shaders)
 
 
 def test_sharded_streaming_caches_merge_warm(tmp_path):
