@@ -335,18 +335,27 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge_results(args: argparse.Namespace) -> int:
+    import json
     from pathlib import Path
+
+    from repro.search.cache import CACHE_VERSION
 
     if bool(args.caches) != bool(args.cache_out):
         raise SystemExit("error: --caches and --cache-out go together")
+    header = json.dumps({"version": CACHE_VERSION})
     for path in args.caches:
-        # A cache that cannot be opened would otherwise merge as empty.
+        # A cache that cannot be opened, or is of another layout, would
+        # otherwise merge as empty.
         try:
-            with open(path, "rb"):
-                pass
+            with open(path, "rb") as handle:
+                head = handle.readline().decode(errors="replace").rstrip("\n")
         except OSError as exc:
             raise SystemExit(f"error: cannot read cache {path!r}: "
                              f"{exc.strerror or exc}") from None
+        if head and head != header:
+            print(f"error: cache {path!r} has header {head:.80}, not this "
+                  f"version's header {header}", file=sys.stderr)
+            raise SystemExit(2)
     parts = []
     for path in args.shards:
         try:

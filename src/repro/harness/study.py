@@ -11,25 +11,28 @@ pool's included) and the :class:`Scheduler`.  With ``max_workers > 1``
 the study opens one scheduler session, one process pool for the whole
 study (the work is pure-Python and CPU-bound, so threads would serialize
 on the GIL), and feeds it case by case.  Each case's source is one task
-that compiles the 256-combination variant set (via the shared-prefix
-compilation trie, :mod:`repro.core.trie`) and counts its ARM static cycles
-on the front-end entry the walk just made.  As soon as that task returns,
-the case's unmeasured (text x platform) units go out as one
-:class:`MeasureBatch` task per text, so each emitted shader pickles across
-the process boundary once rather than once per platform.  Cases are
-assembled in corpus order as their batches return: the engine stores the
-compiled set, the static count and the samples, then the serial per-case
-path reads everything back through its cache.  Compiles and measurements
-are pure functions of their inputs, so serial runs, parallel runs, and the
-pre-refactor nested loop all produce byte-identical :class:`StudyResult`
-JSON, and serial and parallel runs write the same cache log.  If a worker
-dies, the cases not yet assembled finish serially.
+that compiles the source's record with
+:func:`~repro.search.engine.compile_source`, as the serial path does: the
+256-combination variant set (via the shared-prefix compilation trie,
+:mod:`repro.core.trie`), the ARM static cycle count, taken on the
+front-end entry the walk just made, and the lines of code.  As soon as
+that task returns, the case's unmeasured units go out as one
+:class:`MeasureBatch` task per text, measured under the text's one seed on
+each platform still missing it, so each emitted shader pickles across the
+process boundary once rather than once per platform.  Cases are assembled
+in corpus order as their batches return: the engine stores the record and
+the samples, then the serial per-case path reads everything back through
+its cache.  Compiles and measurements are pure functions of their inputs,
+so serial runs, parallel runs, and the pre-refactor nested loop all
+produce byte-identical :class:`StudyResult` JSON, and serial and parallel
+runs write the same cache log.  If a worker dies, the cases not yet
+assembled finish serially.
 
-With ``cache_path`` set, the cache persists both measurements and compiled
-variant sets, each appended to its log the moment it is produced, so a
+With ``cache_path`` set, the cache persists both measurements and each
+source's record, each appended to its log the moment it is produced, so a
 killed study keeps what it measured, and a repeated study — and the
 ``repro report`` pipeline built on top of it — replays from disk with zero
-compiles and zero measurements.
+compiles, zero measurements and no front end.
 
 Large corpora (see ``repro.corpus.synth``) add two scale-out levers:
 
@@ -41,11 +44,12 @@ Large corpora (see ``repro.corpus.synth``) add two scale-out levers:
   measurement seed derives from the *global* corpus index, which shard runs
   carry along.
 - **Streaming** (``checkpoint_every=N``): the result cache is flushed
-  every N cases, and each finished case's compiled variant set is
-  released from the cache's memory, with or without a cache file (a
-  file's log keeps it; without one, a repeated source compiles again).
-  A serial streaming run holds one case's variants in memory; a parallel
-  one admits a case to the pool only while fewer than
+  every N cases, and each finished case's source record (its variant
+  set, static cycle count and lines of code) is released from the
+  cache's memory, with or without a cache file (a file's log keeps it;
+  without one, a repeated source compiles again), so only measurements
+  stay.  A serial streaming run holds one case's record in memory; a
+  parallel one admits a case to the pool only while fewer than
   ``checkpoint_every x max_workers`` admitted cases wait for assembly, so
   memory is bounded by that window, never the corpus.
 """
@@ -56,19 +60,17 @@ import hashlib
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.cycle_analyzer import arm_static_cycles
-from repro.core.pipeline import ShaderCompiler, VariantSet
-from repro.glsl.metrics import lines_of_code
+from repro.core.pipeline import VariantSet
 from repro.gpu.jit import clear_frontend_memo
 from repro.gpu.platform import Platform, all_platforms, platform_by_name
 from repro.harness.environment import ShaderExecutionEnvironment
 from repro.harness.results import (
     ShaderCase, ShaderResult, ShardInfo, StudyResult, VariantRecord,
 )
-from repro.search.cache import ResultCache, source_digest
-from repro.search.engine import EvaluationEngine, Sample
+from repro.search.cache import ResultCache, SourceRecord, source_digest
+from repro.search.engine import EvaluationEngine, Sample, compile_source
 from repro.search.scheduler import MeasureBatch, Scheduler, Tasks
 
 
@@ -133,7 +135,7 @@ class StudyConfig:
     #: ``merge_study_results`` can reassemble the full study.
     shard: Optional[ShardSpec] = None
     #: when > 0: persist the result cache after every N cases and release
-    #: each finished case's compiled variant set from the cache's memory
+    #: each finished case's source record from the cache's memory
     #: (streaming mode — memory stays bounded by one case serially, or by
     #: N x max_workers cases compiled but not yet assembled in parallel
     #: runs).
@@ -248,37 +250,38 @@ def _beat(path: Optional[str]) -> None:
 
 def _run_one(case: ShaderCase, case_index: int, platforms: List[Platform],
              engine: EvaluationEngine, seed: int) -> ShaderResult:
-    variant_set = engine.variants_for(case)
-
-    shader_result = ShaderResult(
-        name=case.name,
-        family=case.family,
-        loc=lines_of_code(case.source),
-        arm_static_cycles=engine.static_cycles_for(case.source),
-    )
-
-    for platform in platforms:
-        sample = engine.measure(case.source, platform.name,
-                                _variant_seed(seed, case_index, -1))
-        shader_result.original_times_ns[platform.name] = sample.mean_ns
-
-    # Variants in the order of their smallest producing flag index.
-    for variant_id, (text, indices) in enumerate(
-            variant_set.indices_by_text.items()):
-        record = VariantRecord(
+    record = engine.variants_for(case)
+    variant_set = VariantSet.from_index_to_text(record.index_to_text)
+    shader_result = ShaderResult(name=case.name, family=case.family,
+                                 loc=record.loc,
+                                 arm_static_cycles=record.arm_static_cycles)
+    for variant_id, text in _case_texts(case.source, variant_set):
+        unit_seed = _variant_seed(seed, case_index, variant_id)
+        samples = {platform.name: engine.measure(text, platform.name,
+                                                 unit_seed)
+                   for platform in platforms}
+        times = {name: sample.mean_ns for name, sample in samples.items()}
+        if variant_id < 0:
+            shader_result.original_times_ns = times
+            continue
+        shader_result.variants.append(VariantRecord(
             variant_id=variant_id,
-            flag_indices=indices,
-            text_hash=hashlib.sha256(text.encode()).hexdigest()[:16],
-        )
-        for platform in platforms:
-            sample = engine.measure(text, platform.name,
-                                    _variant_seed(seed, case_index,
-                                                  variant_id))
-            record.times_ns[platform.name] = sample.mean_ns
-            record.static_ops[platform.name] = sample.static_ops
-            record.registers[platform.name] = sample.registers
-        shader_result.variants.append(record)
+            flag_indices=variant_set.indices_by_text[text],
+            text_hash=source_digest(text)[:16],
+            times_ns=times,
+            static_ops={name: sample.static_ops
+                        for name, sample in samples.items()},
+            registers={name: sample.registers
+                       for name, sample in samples.items()}))
     return shader_result
+
+
+def _case_texts(source: str,
+                variant_set: VariantSet) -> Iterator[Tuple[int, str]]:
+    """A case's measured texts as ``(variant id, text)``: the unaltered
+    source at -1, then each distinct variant in the order of its smallest
+    producing flag index."""
+    return enumerate([source, *variant_set.indices_by_text], start=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +297,8 @@ class _PoolFeed:
     """Feeds one session's pool case by case, with no phase barrier.
 
     A case is *admitted* when its compile task is submitted (or, for a
-    source whose variant set the cache holds, when its measure batches
-    are), and *assembled* when the engine has stored its results and
+    source whose record the cache holds, when its measure batches are),
+    and *assembled* when the engine has stored its results and
     ``assemble`` has read them back.  Cases admitted while a compile of
     their source runs share it.
     """
@@ -315,8 +318,8 @@ class _PoolFeed:
         self.waiting: Dict[str, List[int]] = {}
         self.compiles: Dict[Tasks, str] = {}      # compile map -> digest
         self.measures: Dict[Tasks, int] = {}      # measure map -> case
-        #: case -> (variant set, static cycles) from its compile task.
-        self.compiled: Dict[int, Tuple[Dict[int, str], float]] = {}
+        #: case -> its source's record, from its compile task.
+        self.compiled: Dict[int, SourceRecord] = {}
         self.batches: Dict[int, List[MeasureBatch]] = {}
         #: case -> samples per batch, once every batch returned.
         self.samples: Dict[int, List[List[Sample]]] = {}
@@ -351,9 +354,9 @@ class _PoolFeed:
         if digest in self.waiting:
             self.waiting[digest].append(position)
             return
-        index_to_text = self.engine.cache.get_variants(digest)
-        if index_to_text is not None:
-            self._submit_measures(position, index_to_text)
+        record = self.engine.cache.get_variants(digest)
+        if record is not None:
+            self._submit_measures(position, record)
             return
         self.waiting[digest] = [position]
         tasks = self.scheduler.map(_compile_case_variants, [source])
@@ -364,27 +367,26 @@ class _PoolFeed:
         if digest is None:
             self.samples[self.measures.pop(tasks)] = list(tasks)
             return
-        compiled = next(tasks)
+        record = next(tasks)
         for position in self.waiting.pop(digest):
-            self.compiled[position] = compiled
-            self._submit_measures(position, compiled[0])
+            self.compiled[position] = record
+            self._submit_measures(position, record)
 
-    def _submit_measures(self, position: int,
-                         index_to_text: Dict[int, str]) -> None:
+    def _submit_measures(self, position: int, record: SourceRecord) -> None:
         """Send out the case's unmeasured units, one batch per text, in
         the order :func:`_run_one` reads them."""
-        source = self.cases[position].source
-        variant_set = VariantSet.from_index_to_text(index_to_text)
+        variant_set = VariantSet.from_index_to_text(record.index_to_text)
         batches: List[MeasureBatch] = []
-        for variant_id, text in enumerate(
-                [source, *variant_set.indices_by_text], start=-1):
+        for variant_id, text in _case_texts(self.cases[position].source,
+                                            variant_set):
             unit_seed = _variant_seed(self.seed, self.case_indices[position],
                                       variant_id)
-            tasks = tuple(
-                (platform.name, unit_seed) for platform in self.platforms
+            platforms = tuple(
+                platform.name for platform in self.platforms
                 if not self.engine.has_sample(text, platform.name, unit_seed))
-            if tasks:
-                batches.append(MeasureBatch(text=text, tasks=tasks))
+            if platforms:
+                batches.append(MeasureBatch(text=text, seed=unit_seed,
+                                            platforms=platforms))
         self.batches[position] = batches
         if batches:
             self.measures[self.scheduler.map(_measure_batch, batches)] = \
@@ -395,16 +397,14 @@ class _PoolFeed:
     def _store(self, position: int) -> None:
         """Hand the case's worker results to the engine, which stores them
         (and counts the work) in the order a serial run would."""
-        compiled = self.compiled.pop(position, None)
-        if compiled is not None:
-            self.engine.prime_compiled(self.cases[position].source,
-                                       *compiled)
+        record = self.compiled.pop(position, None)
+        if record is not None:
+            self.engine.prime_compiled(self.cases[position].source, record)
         for batch, samples in zip(self.batches.pop(position),
                                   self.samples.pop(position)):
-            for (platform_name, unit_seed), sample in zip(batch.tasks,
-                                                          samples):
+            for platform_name, sample in zip(batch.platforms, samples):
                 self.engine.record_sample(batch.text, platform_name,
-                                          unit_seed, sample)
+                                          batch.seed, sample)
 
 
 # A pool task starts from an empty front-end memo, so its work, and every
@@ -412,37 +412,25 @@ class _PoolFeed:
 # whichever tasks; and a worker holds one task's entries, not the study's.
 
 
-def _compile_case_variants(source: str) -> Tuple[Dict[int, str], float]:
-    """Pool worker: emitted text for all 256 combinations of one shader and
-    its ARM static cycle count, whose driver compile starts from the
-    front-end entry the variant walk just made (module-level so it pickles
-    into process-pool workers)."""
+def _compile_case_variants(source: str) -> SourceRecord:
+    """Pool worker: the source's record, from :func:`compile_source`
+    (module-level so it pickles into process-pool workers)."""
     clear_frontend_memo()
-    index_to_text = ShaderCompiler(source).all_variants().index_to_text
-    return index_to_text, arm_static_cycles(source)
+    return compile_source(source)
 
 
 def _measure_batch(batch: MeasureBatch) -> List[Sample]:
-    """Pool worker: measure one shader text on every (platform, seed) task.
+    """Pool worker: measure one shader text under its seed on each of the
+    batch's platforms, in order.
 
     The text crosses the process boundary once per batch; the vendor JITs'
-    shared front-end memo then parses it once for all platforms here.  The
-    batch's tasks are grouped per platform and run through
-    :meth:`~repro.harness.environment.ShaderExecutionEnvironment.run_many`,
-    so each (text, platform) unit compiles, profiles, and costs once no
-    matter how many measurement seeds it carries.
+    shared front-end memo then parses it once for all platforms here.
     """
     clear_frontend_memo()
-    by_platform: Dict[str, List[Tuple[int, int]]] = {}
-    for position, (platform_name, seed) in enumerate(batch.tasks):
-        by_platform.setdefault(platform_name, []).append((position, seed))
-    results: List[Optional[Sample]] = [None] * len(batch.tasks)
-    for platform_name, tasks in by_platform.items():
-        env = ShaderExecutionEnvironment(platform_by_name(platform_name))
-        reports = env.run_many(batch.text, [seed for _, seed in tasks])
-        for (position, _), report in zip(tasks, reports):
-            results[position] = Sample.from_report(report)
-    return results  # type: ignore[return-value]
+    return [Sample.from_report(
+                ShaderExecutionEnvironment(platform_by_name(name))
+                .run(batch.text, batch.seed))
+            for name in batch.platforms]
 
 
 def _variant_seed(seed: int, case_index: int, variant_id: int) -> int:

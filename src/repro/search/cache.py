@@ -5,6 +5,12 @@ cached entry is valid exactly as long as the shader text, the flag
 combination, the simulated platform, and the measurement seed are all
 unchanged — evaluation order, corpus position, and strategy never matter.
 
+Beside the measurements, each compiled source is one ``variants:<digest>``
+record (:class:`SourceRecord`): the 256-combination emitted texts, ARM's
+static cycle count and the lines of code, the three facts of paper Fig. 4
+that come from the source alone.  They are compiled, stored, read and
+released together, so a source is either fully compiled or not at all.
+
 The cache is a plain ``str -> dict`` map with an optional file behind it,
 so repeated studies, ``tune`` runs, and benchmark invocations skip both
 recompilation and re-measurement.  Whatever its suffix, the file is a
@@ -29,6 +35,7 @@ import hashlib
 import json
 import logging
 import threading
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -38,10 +45,10 @@ from repro.jsonlog import JsonLog
 logger = logging.getLogger("repro.search.cache")
 
 #: Bump when the cached payload layout or the key recipe changes.
-#: (Compiled variant sets and static cycle counts are additive
-#: "variants:<digest>" and "static_cycles:<digest>" entries, so they did
-#: not need a version bump.)  2: ``[key, value]`` log records.
-CACHE_VERSION = 2
+#: 2: ``[key, value]`` log records.  3: a source's variant set, static
+#: cycle count and lines of code are one ``variants:<digest>`` record (a
+#: version-2 store kept the count apart, as ``static_cycles:<digest>``).
+CACHE_VERSION = 3
 
 
 @lru_cache(maxsize=4096)
@@ -62,6 +69,18 @@ def make_key(source: str, flag_index: int, platform: str, seed: int) -> str:
     text (where the producing combination is irrelevant to the measurement).
     """
     return f"{source_digest(source)}:{flag_index}:{platform}:{seed}"
+
+
+@dataclass(frozen=True)
+class SourceRecord:
+    """What a study needs of a source beyond its measurements."""
+
+    #: flag index -> emitted text, for all 256 combinations.
+    index_to_text: Dict[int, str]
+    #: ARM's static cycle count (paper Fig. 4b).
+    arm_static_cycles: float
+    #: lines of code after preprocessing (paper Fig. 4a).
+    loc: int
 
 
 def _value_digest(value: object) -> str:
@@ -129,13 +148,13 @@ class ResultCache:
                     self._log.append([key, value])
 
     # ------------------------------------------------------------------
-    # Compiled variant sets
+    # Compiled sources
     # ------------------------------------------------------------------
-    # The pass pipeline is as cacheable as the measurements: persisting the
-    # 256-combination emitted texts (deduplicated) lets a warm cache replay
-    # a whole study — and the report pipeline on top of it — with zero
-    # compiles.  These entries bypass the hit/miss counters, which meter
-    # measurement lookups only.
+    # The pass pipeline is as cacheable as the measurements: persisting each
+    # source's record lets a warm cache replay a whole study — and the
+    # report pipeline on top of it — with zero compiles and no front end.
+    # These entries bypass the hit/miss counters, which meter measurement
+    # lookups only.
 
     @staticmethod
     def variants_key(digest: str) -> str:
@@ -144,20 +163,23 @@ class ResultCache:
     def has_variants(self, digest: str) -> bool:
         return self.variants_key(digest) in self._entries
 
-    def get_variants(self, digest: str) -> Optional[Dict[int, str]]:
-        """The stored ``flag index -> emitted text`` map, or None."""
+    def get_variants(self, digest: str) -> Optional[SourceRecord]:
+        """The stored record of a source, or None (also for a record with
+        a missing or malformed field, which is compiled again)."""
         entry = self._entries.get(self.variants_key(digest))
-        if not isinstance(entry, dict):
-            return None
         try:
             texts = entry["texts"]
-            return {int(index): texts[pos]
-                    for index, pos in entry["combos"].items()}
+            return SourceRecord(
+                index_to_text={int(index): texts[pos]
+                               for index, pos in entry["combos"].items()},
+                arm_static_cycles=float(entry["cycles"]),
+                loc=int(entry["loc"]))
         except (KeyError, IndexError, TypeError, ValueError, AttributeError):
             return None
 
-    def put_variants(self, digest: str, index_to_text: Dict[int, str]) -> None:
-        """Store a variant set, deduplicating the (heavily shared) texts.
+    def put_variants(self, digest: str, record: SourceRecord) -> None:
+        """Store a source's record, deduplicating the (heavily shared)
+        texts.
 
         The real flag indices are stored (JSON-stringified), so sparse or
         partial maps round-trip faithfully.
@@ -165,45 +187,24 @@ class ResultCache:
         texts: list = []
         positions: Dict[str, int] = {}
         combos: Dict[str, int] = {}
-        for index in sorted(index_to_text):
-            text = index_to_text[index]
+        for index in sorted(record.index_to_text):
+            text = record.index_to_text[index]
             if text not in positions:
                 positions[text] = len(texts)
                 texts.append(text)
             combos[str(index)] = positions[text]
-        self.put(self.variants_key(digest), {"texts": texts, "combos": combos})
+        self.put(self.variants_key(digest),
+                 {"texts": texts, "combos": combos,
+                  "cycles": record.arm_static_cycles, "loc": record.loc})
 
     def release_variants(self, digest: str) -> None:
-        """Evict a variants entry from memory (a streaming study's bound).
+        """Evict a source's record from memory (a streaming study's bound).
 
         A file-backed cache still holds it in its log; a memory-only one
         loses it, and a later request for the same source compiles again.
         """
         with self._lock:
             self._entries.pop(self.variants_key(digest), None)
-
-    # ------------------------------------------------------------------
-    # Static cycle counts
-    # ------------------------------------------------------------------
-    # ARM's static cycle count of a source (paper Fig. 4b) needs a driver
-    # compile of it, so it is kept beside the source's variant set: a warm
-    # study replays it without a front end.  Unmetered, like the variants.
-
-    @staticmethod
-    def static_cycles_key(digest: str) -> str:
-        return f"static_cycles:{digest}"
-
-    def get_static_cycles(self, digest: str) -> Optional[float]:
-        """The stored static cycle count of a source, or None."""
-        entry = self._entries.get(self.static_cycles_key(digest))
-        try:
-            return float(entry["cycles"])
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def put_static_cycles(self, digest: str, cycles: float) -> None:
-        """Store the static cycle count of a source."""
-        self.put(self.static_cycles_key(digest), {"cycles": cycles})
 
     # ------------------------------------------------------------------
     # Disk store

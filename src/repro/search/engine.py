@@ -5,10 +5,11 @@ The engine wraps :class:`ShaderCompiler` and
 ``evaluate(case, flags, platform)`` call.  The content-addressed
 :class:`ResultCache` is the one store of what it produces:
 
-1. compiled variant sets — the 256-combination emitted texts per source
-   (the front-end module itself lives in the vendor JITs' shared LRU,
-   :func:`repro.gpu.jit.shared_frontend`, and no engine pins it), and each
-   source's ARM static cycle count;
+1. compiled sources — one record per source (:func:`compile_source`):
+   its 256-combination emitted texts, ARM static cycle count and lines of
+   code, compiled and stored together (the front-end module itself lives
+   in the vendor JITs' shared LRU, :func:`repro.gpu.jit.shared_frontend`,
+   and no engine pins it);
 2. measurements — per (text, platform, seed), so flag combinations that
    collapse to the same emitted text (most of them — Fig. 4c) are timed
    once.
@@ -31,24 +32,37 @@ seed.)
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 from typing import (
     Callable, Dict, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from repro.core.pipeline import ShaderCompiler, VariantSet
+from repro.analysis.cycle_analyzer import arm_static_cycles
+from repro.core.pipeline import ShaderCompiler
+from repro.glsl.metrics import lines_of_code
 from repro.gpu.platform import Platform, all_platforms
 from repro.harness.environment import (
     ExecutionReport, ShaderExecutionEnvironment,
 )
 from repro.harness.results import ShaderCase
 from repro.passes import OptimizationFlags
-from repro.search.cache import ResultCache, make_key, source_digest
+from repro.search.cache import (
+    ResultCache, SourceRecord, make_key, source_digest,
+)
 
 FlagsLike = Union[OptimizationFlags, int]
 PlatformLike = Union[Platform, str]
+
+
+def compile_source(source: str) -> SourceRecord:
+    """Compile a source's record: all 256 flag combinations, then ARM's
+    static cycle count, whose driver compile starts from the front-end
+    entry the variant walk just made, then the lines of code."""
+    return SourceRecord(
+        index_to_text=ShaderCompiler(source).all_variants().index_to_text,
+        arm_static_cycles=arm_static_cycles(source),
+        loc=lines_of_code(source))
 
 
 @dataclass(frozen=True)
@@ -151,51 +165,31 @@ class EvaluationEngine:
         self._compiled.add(digest)
         self.compile_count += combinations
 
-    def variants_for(self, case: ShaderCase) -> VariantSet:
-        """The full deduplicated 256-combination variant set.
+    def variants_for(self, case: ShaderCase) -> SourceRecord:
+        """The source's record: its full 256-combination variant set, ARM
+        static cycle count and lines of code.
 
-        Read from the result cache when it holds the set; otherwise
+        Read from the result cache when it holds the record; otherwise
         compiled and stored there, so a warm disk cache replays the whole
-        study without a single pass-pipeline run (the report pipeline's
-        zero-compile re-render guarantee).
+        study without a single pass-pipeline run or front end (the report
+        pipeline's zero-compile re-render guarantee).
         """
         self.check_cancelled()
         digest = source_digest(case.source)
-        cached = self.cache.get_variants(digest)
-        if cached is not None:
-            return VariantSet.from_index_to_text(cached)
-        self._count_compiles(digest, 256)
-        variant_set = ShaderCompiler(case.source).all_variants()
-        self.cache.put_variants(digest, variant_set.index_to_text)
-        return variant_set
+        record = self.cache.get_variants(digest)
+        if record is None:
+            record = compile_source(case.source)
+            self.prime_compiled(case.source, record)
+        return record
 
-    def prime_compiled(self, source: str, index_to_text: Dict[int, str],
-                       static_cycles: float) -> None:
-        """Store a variant set and ARM static cycle count computed elsewhere
-        (a pool worker), where the cache lacks them, counting that work as
-        this engine's: :meth:`variants_for` then :meth:`static_cycles_for`
-        store and count exactly this on a miss."""
+    def prime_compiled(self, source: str, record: SourceRecord) -> None:
+        """Store a source's record, compiled here or in a pool worker,
+        where the cache lacks it, counting the compile as this engine's
+        work."""
         digest = source_digest(source)
         if self.cache.get_variants(digest) is None:
             self._count_compiles(digest, 256)
-            self.cache.put_variants(digest, index_to_text)
-        if self.cache.get_static_cycles(digest) is None:
-            self._compiled.add(digest)
-            self.cache.put_static_cycles(digest, static_cycles)
-
-    def static_cycles_for(self, source: str) -> float:
-        """ARM's static cycle count of *source* (paper Fig. 4b), read from
-        the result cache; a miss runs the ARM compile, counted as this
-        source's front end, and stores the count."""
-        from repro.analysis.cycle_analyzer import arm_static_cycles
-
-        digest = source_digest(source)
-        cycles = self.cache.get_static_cycles(digest)
-        if cycles is None:
-            self._compiled.add(digest)
-            cycles = arm_static_cycles(source)
-            self.cache.put_static_cycles(digest, cycles)
-        return cycles
+            self.cache.put_variants(digest, record)
 
     def text_for(self, source: str, flags: FlagsLike) -> str:
         """Emitted text of *source* under *flags*: from the cached variant
@@ -203,7 +197,8 @@ class EvaluationEngine:
         when it had to emit the text."""
         flags = self._coerce_flags(flags)
         digest = source_digest(source)
-        text = (self.cache.get_variants(digest) or {}).get(flags.index)
+        record = self.cache.get_variants(digest)
+        text = record.index_to_text.get(flags.index) if record else None
         if text is None:
             compiled = ShaderCompiler(source).compile(flags)
             self._count_compiles(digest, compiled.emitted)
@@ -304,7 +299,7 @@ class EvaluationEngine:
                               text_hash=cached["text_hash"], from_cache=True)
         text = self.text_for(case.source, flags)
         sample = self.measure(text, name)
-        text_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
+        text_hash = source_digest(text)[:16]
         self.cache.put(key, {"mean_ns": sample.mean_ns,
                              "static_ops": sample.static_ops,
                              "registers": sample.registers,

@@ -39,13 +39,17 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 class MeasureBatch:
     """Every pending measurement of one shader text, shipped as one task.
 
+    A study measures each text of a case under one seed on every platform,
+    so a batch is the text, that seed and the platforms still to measure.
     A pool pickles the text once instead of once per platform, and the
     worker's shared JIT front-end memo parses it once for all of them.
     """
 
     text: str
-    #: (platform name, measurement seed) per pending measurement.
-    tasks: Tuple[Tuple[str, int], ...]
+    #: the measurement seed of the text on every platform.
+    seed: int
+    #: names of the platforms to measure the text on, in order.
+    platforms: Tuple[str, ...]
 
 
 def default_workers() -> int:
@@ -95,28 +99,22 @@ class Scheduler:
     """Order-preserving map over work units, on one process pool per
     :meth:`session` when asked to be parallel.
 
-    ``cancel_check`` is an optional zero-argument callable that cancels by
-    raising: ``map`` runs it before it submits and before every serial
-    unit, and :meth:`finished` before it waits.  The study service installs
-    its per-job timeout/cancel hook here so one runaway study cannot wedge
-    its thread on the pool.
+    A caller cancels by raising out of its :meth:`session`, which then
+    drops the pool's tasks that have not started: the study runs its
+    engine's cancel hook (the service's per-job timeout/cancel check)
+    before every wait on :meth:`finished` and before every case, so one
+    runaway study cannot wedge its thread on the pool.
     """
 
-    def __init__(self, max_workers: Optional[int] = None,
-                 cancel_check: Optional[Callable[[], None]] = None):
+    def __init__(self, max_workers: Optional[int] = None):
         self.max_workers = (default_workers() if max_workers is None
                             else max(1, int(max_workers)))
-        self.cancel_check = cancel_check
         self._pool: Optional[ProcessPoolExecutor] = None
         self._finished: "queue.SimpleQueue[Tasks]" = queue.SimpleQueue()
 
     @property
     def parallel(self) -> bool:
         return self.max_workers > 1
-
-    def _check_cancelled(self) -> None:
-        if self.cancel_check is not None:
-            self.cancel_check()
 
     @contextmanager
     def session(self) -> Iterator[bool]:
@@ -153,21 +151,15 @@ class Scheduler:
         before ``map`` returns.
         """
         units = list(items)
-        self._check_cancelled()
         if self._pool is None:
-            return iter([self._checked(fn, unit) for unit in units])
+            return iter([fn(unit) for unit in units])
         return Tasks([self._pool.submit(fn, unit) for unit in units],
                      self._finished)
 
     def finished(self, timeout: Optional[float] = None) -> Optional[Tasks]:
         """The next pooled map whose every task is done, each map once, in
         the order they finish; None when none finished within *timeout*."""
-        self._check_cancelled()
         try:
             return self._finished.get(timeout=timeout)
         except queue.Empty:
             return None
-
-    def _checked(self, fn: Callable[[T], R], unit: T) -> R:
-        self._check_cancelled()
-        return fn(unit)

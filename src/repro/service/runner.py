@@ -3,15 +3,15 @@
 One :class:`JobRunner` owns the process-wide :class:`ResultCache` and a
 small pool of :class:`EvaluationEngine` instances (one per measurement
 seed — the engine's default seed is baked into its search-path cache
-keys).  All engines share the one cache, and compiled variant sets are
+keys).  All engines share the one cache, and compiled sources are
 persisted into it, so *any* overlap between jobs — across tenants, across
 restarts — is a cache hit instead of a recompute or a re-measure.
 
 The runner also enforces per-job cooperative cancellation: a single check
 closure (client cancel + ``--timeout`` deadline) is installed thread-local
-on the engine and on the job's scheduler for the duration of the run, so
-one runaway study aborts at the next compile/measure boundary instead of
-wedging its worker.
+on the engine for the duration of the run, so one runaway study aborts at
+the next compile/measure boundary, or at the next wait on its process
+pool, instead of wedging its worker.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.harness.study import StudyConfig, run_study
 from repro.passes import OptimizationFlags
 from repro.search.cache import ResultCache
 from repro.search.engine import EvaluationEngine
-from repro.search.scheduler import Scheduler
 from repro.search.strategies import make_strategy
 from repro.service.jobs import (
     DISPATCH_STRATEGY, Job, JobCancelled, STUDY_STRATEGY,
@@ -53,8 +52,8 @@ class JobRunner:
 
         Engines are keyed by seed because the search path keys cache
         entries on the engine's own seed; every engine shares the one
-        :class:`ResultCache`, so measurements and compiled variant sets
-        cross seeds and jobs freely.
+        :class:`ResultCache`, so measurements and compiled sources cross
+        seeds and jobs freely.
         """
         engine = self._engines.get(seed)
         if engine is None:
@@ -104,7 +103,7 @@ class JobRunner:
         engine.set_cancel_check(check)
         try:
             if spec.strategy == STUDY_STRATEGY:
-                return self._run_study(job, engine, check, publish)
+                return self._run_study(job, engine, publish)
             if spec.strategy == DISPATCH_STRATEGY:
                 return self._run_dispatch(job, check, publish)
             return self._run_search(job, engine, publish)
@@ -113,7 +112,7 @@ class JobRunner:
             self.cache.save()
 
     def _run_study(self, job: Job, engine: EvaluationEngine,
-                   check: Callable[[], None], publish: Publish) -> dict:
+                   publish: Publish) -> dict:
         """The exhaustive per-variant study (paper protocol) as a job."""
         spec = job.spec
         platforms = spec.resolve_platforms()
@@ -134,9 +133,8 @@ class JobRunner:
         study = run_study(
             spec.cases(),
             StudyConfig(platforms=platforms, seed=spec.seed,
-                        progress=progress),
-            engine=engine,
-            scheduler=Scheduler(self.job_workers, cancel_check=check))
+                        max_workers=self.job_workers, progress=progress),
+            engine=engine)
 
         result_path = None
         if self.results_dir is not None:

@@ -201,9 +201,9 @@ def test_study_json_must_cover_every_combination_once(study):
 def test_variant_cache_roundtrips_sparse_indices(tmp_path):
     """put_variants must preserve the real flag indices, even for sparse
     maps (a dense-remap regression poisoned warm caches silently)."""
-    from repro.search.cache import ResultCache
+    from repro.search.cache import ResultCache, SourceRecord
     cache = ResultCache(tmp_path / "c.json")
-    sparse = {3: "textA", 7: "textB", 250: "textA"}
+    sparse = SourceRecord({3: "textA", 7: "textB", 250: "textA"}, 12.5, 4)
     cache.put_variants("digest", sparse)
     cache.save()
     reloaded = ResultCache(tmp_path / "c.json")

@@ -27,6 +27,7 @@ from repro.search import (
     STRATEGIES, EvaluationEngine, Exhaustive, Genetic, GreedyHillClimb,
     RandomSampling, ResultCache, Scheduler, make_strategy,
 )
+from repro.search.cache import SourceRecord
 
 
 TARGET = 0b10110001  # planted optimum for synthetic landscapes
@@ -193,31 +194,59 @@ def test_disk_cache_round_trip_does_zero_compiles(tmp_path, small_corpus,
     assert replay.speedup_pct == baseline.speedup_pct
 
 
+def _count_everywhere(monkeypatch, function):
+    """Record each call of *function* through any ``repro`` module's
+    binding of it; returns the list the calls land in."""
+    import sys
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, function.__name__, None) is function):
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
+
+
 def test_warm_study_replay_parses_nothing(tmp_path, monkeypatch,
                                          small_corpus, two_platforms):
-    """The ARM static cycle count is kept in the cache beside the variant
-    set, so a warm replay runs no front end, not even for Fig. 4b."""
+    """A source's variant set, ARM static cycle count and lines of code are
+    one cache record, so a warm replay, serial or pooled, runs no front
+    end, no variant walk and no LOC count, and reads the Fig. 4a and 4b
+    facts the cold run computed."""
     import repro.gpu.jit as jit
     from helpers import count_calls
 
-    store = tmp_path / "cache.jsonl"
-    config = StudyConfig(platforms=two_platforms)
-    cold_engine = EvaluationEngine(platforms=two_platforms,
-                                   cache=ResultCache(store))
-    cold = run_study(small_corpus, config, engine=cold_engine)
-    assert cold_engine.frontend_count == len(small_corpus)
-    assert [shader.arm_static_cycles for shader in cold.shaders] == [
-        arm_static_cycles(case.source) for case in small_corpus]
+    expected = [(lines_of_code(case.source), arm_static_cycles(case.source))
+                for case in small_corpus]
+    for workers in (1, 2):
+        store = tmp_path / f"cache{workers}.jsonl"
+        config = StudyConfig(platforms=two_platforms, max_workers=workers)
+        cold_engine = EvaluationEngine(platforms=two_platforms,
+                                       cache=ResultCache(store))
+        cold = run_study(small_corpus, config, engine=cold_engine)
+        assert cold_engine.frontend_count == len(small_corpus)
 
-    jit.clear_frontend_memo()
-    parses = count_calls(monkeypatch, jit, "parse_shader")
-    warm_engine = EvaluationEngine(platforms=two_platforms,
-                                   cache=ResultCache(store))
-    warm = run_study(small_corpus, config, engine=warm_engine)
-    assert warm.to_json() == cold.to_json()
-    assert parses == []
-    assert warm_engine.frontend_count == 0
-    assert warm_engine.compile_count == warm_engine.measure_count == 0
+        jit.clear_frontend_memo()
+        calls = [count_calls(monkeypatch, jit, "parse_shader"),
+                 count_calls(monkeypatch, ShaderCompiler, "all_variants"),
+                 _count_everywhere(monkeypatch, lines_of_code),
+                 _count_everywhere(monkeypatch, arm_static_cycles)]
+        warm_engine = EvaluationEngine(platforms=two_platforms,
+                                       cache=ResultCache(store))
+        warm = run_study(small_corpus, config, engine=warm_engine)
+        monkeypatch.undo()
+        assert calls == [[], [], [], []], workers
+        assert warm.to_json() == cold.to_json()
+        assert warm_engine.frontend_count == 0
+        assert warm_engine.compile_count == warm_engine.measure_count == 0
+        for study in (cold, warm):
+            assert [(shader.loc, shader.arm_static_cycles)
+                    for shader in study.shaders] == expected
 
 
 def test_measurements_identical_across_processes(tmp_path):
@@ -614,13 +643,13 @@ def test_warm_store_appends_only_changed_entries(tmp_path):
     store = tmp_path / "cache.json"
     cold = ResultCache(store)
     cold.put("k", {"mean_ns": 1.0})
-    cold.put_variants("d", {0: "text", 1: "text"})
+    cold.put_variants("d", SourceRecord({0: "text", 1: "text"}, 2.5, 3))
     cold.save()
     before = store.read_bytes()
 
     warm = ResultCache(store)
     warm.put("k", {"mean_ns": 1.0})
-    warm.put_variants("d", {0: "text", 1: "text"})
+    warm.put_variants("d", SourceRecord({0: "text", 1: "text"}, 2.5, 3))
     warm.save()
     assert store.read_bytes() == before
 

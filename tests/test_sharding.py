@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from helpers import assert_engine_keeps_no_store
-from repro.analysis.cycle_analyzer import arm_static_cycles
 from repro.cli import main
 from repro.corpus import default_corpus
 from repro.gpu.vendors import INTEL, NVIDIA
@@ -18,7 +17,9 @@ from repro.harness.results import (
 from repro.harness.study import (
     ShardSpec, StudyConfig, _measure_batch, run_study,
 )
-from repro.search.cache import CACHE_VERSION, ResultCache, source_digest
+from repro.search.cache import (
+    CACHE_VERSION, ResultCache, SourceRecord, source_digest,
+)
 
 
 def _corpus():
@@ -256,26 +257,60 @@ def test_jsonl_cache_appends_safely_after_torn_tail(tmp_path):
     assert reloaded.get("k3") == {"mean_ns": 3.0}
 
 
-def test_jsonl_cache_discards_wrong_version(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    path.write_text('{"version": 999}\n{"k": "k1", "v": {"mean_ns": 1.0}}\n')
-    cache = ResultCache(path)
-    assert len(cache) == 0
-    cache.put("k2", {"mean_ns": 2.0})
-    cache.save()
-    lines = path.read_text().splitlines()
-    assert json.loads(lines[0])["version"] != 999       # rewritten, not appended
-    assert ResultCache(path).get("k1") is None
+def test_jsonl_cache_discards_wrong_version(tmp_path, caplog):
+    """A store of another layout (a foreign version, or version 2, which
+    kept static cycle counts apart) replays nothing, with one warning
+    naming both headers, and the next append rewrites it in this one."""
+    stores = {
+        "future.jsonl": ('{"version": 999}\n'
+                         '{"k": "k1", "v": {"mean_ns": 1.0}}\n'),
+        "v2.jsonl": ('{"version": 2}\n'
+                     '["static_cycles:k1", {"cycles": 7.5}]\n'),
+    }
+    for name, text in stores.items():
+        path = tmp_path / name
+        path.write_text(text)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="repro.jsonlog"):
+            cache = ResultCache(path)
+        assert len(cache) == 0
+        [warning] = [record.getMessage() for record in caplog.records]
+        assert text.split("\n")[0] in warning
+        assert '{"version": 3}' in warning
+        cache.put("k2", {"mean_ns": 2.0})
+        cache.save()
+        lines = path.read_text().splitlines()
+        assert lines == ['{"version": 3}', '["k2", {"mean_ns": 2.0}]']
+        assert ResultCache(path).get("k1") is None
 
 
 def test_jsonl_cache_persists_variant_sets(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResultCache(path)
-    cache.put_variants("digest", {0: "a", 1: "a", 2: "b"})
+    record = SourceRecord({0: "a", 1: "a", 2: "b"}, 7.5, 3)
+    cache.put_variants("digest", record)
     cache.release_variants("digest")                    # evicted from memory…
     assert cache.get_variants("digest") is None
+    assert len(cache) == 0
     reloaded = ResultCache(path)                        # …but on disk
-    assert reloaded.get_variants("digest") == {0: "a", 1: "a", 2: "b"}
+    assert reloaded.get_variants("digest") == record
+
+
+@pytest.mark.parametrize("field", ["cycles", "loc"])
+def test_a_source_record_missing_a_field_is_a_miss(tmp_path, field):
+    """A record without a valid count or LOC is compiled again, never
+    read with a field missing."""
+    path = tmp_path / "cache.jsonl"
+    ResultCache(path).put_variants(
+        "digest", SourceRecord({0: "a", 1: "b"}, 7.5, 3))
+    header, line = path.read_text().splitlines()
+    key, value = json.loads(line)
+    del value[field]
+    path.write_text(f"{header}\n{json.dumps([key, value])}\n")
+    assert ResultCache(path).get_variants("digest") is None
+    value[field] = "many"
+    path.write_text(f"{header}\n{json.dumps([key, value])}\n")
+    assert ResultCache(path).get_variants("digest") is None
 
 
 def test_cache_merge_from_unions_and_detects_conflicts(tmp_path):
@@ -390,6 +425,8 @@ def test_memory_only_streaming_study_releases_variants():
                          engine=engine)
     assert not any(engine.cache.has_variants(source_digest(case.source))
                    for case in corpus)
+    # Nothing but measurements is left in memory.
+    assert len(engine.cache) == engine.measure_count
     plain = run_study(corpus, StudyConfig(platforms=[INTEL], seed=9))
     assert streamed.to_json() == plain.to_json()
 
@@ -411,8 +448,8 @@ def test_parallel_streaming_bounds_the_variant_sets_in_memory(tmp_path):
     assembled, in_flight, held = [], [], []
 
     class Cache(ResultCache):
-        def put_variants(self, digest, index_to_text):
-            super().put_variants(digest, index_to_text)
+        def put_variants(self, digest, record):
+            super().put_variants(digest, record)
             held.append(sum(map(self.has_variants, digests)))
 
     class CountingScheduler(Scheduler):
@@ -432,8 +469,10 @@ def test_parallel_streaming_bounds_the_variant_sets_in_memory(tmp_path):
     assert len(in_flight) == len(corpus)    # one compile per source
     assert max(in_flight) == window
     assert held and max(held) <= window
-    # Released from the cache's memory as cases finish.
+    # Released from the cache's memory as cases finish: nothing but
+    # measurements is left.
     assert not any(map(engine.cache.has_variants, digests))
+    assert len(engine.cache) == engine.measure_count
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +484,13 @@ _TEST_PID = None
 _PID_LOG = None
 
 
-def _logging_static_cycles(source):
-    with open(_PID_LOG, "a") as log:
-        log.write(f"{os.getpid()}\n")
-    return arm_static_cycles(source)
+def _logging(function):
+    """*function*, logging the pid of every process that calls it."""
+    def logged(source):
+        with open(_PID_LOG, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return function(source)
+    return logged
 
 
 def _dying_measure_batch(batch):
@@ -480,36 +522,66 @@ def test_a_parallel_study_runs_on_one_pool(monkeypatch):
 
 def test_a_cold_parallel_study_counts_static_cycles_in_the_workers(
         tmp_path, monkeypatch):
-    import repro.analysis.cycle_analyzer as cycle_analyzer
-    import repro.harness.study as study_mod
+    """A source's record (its static cycle count and lines of code
+    included) compiles in a pool worker, never here: cold, and again when
+    the stored record lacks its count or its lines of code."""
+    import repro.search.engine as engine_mod
+    from repro.search.engine import EvaluationEngine
 
-    monkeypatch.setattr(sys.modules[__name__], "_PID_LOG",
-                        str(tmp_path / "pids"))
-    for module in (study_mod, cycle_analyzer):
-        monkeypatch.setattr(module, "arm_static_cycles",
-                            _logging_static_cycles)
+    pid_log = tmp_path / "pids"
+    monkeypatch.setattr(sys.modules[__name__], "_PID_LOG", str(pid_log))
+    for name in ("arm_static_cycles", "lines_of_code"):
+        monkeypatch.setattr(engine_mod, name,
+                            _logging(getattr(engine_mod, name)))
     corpus = _corpus()
-    parallel = run_study(corpus, StudyConfig(platforms=[INTEL], seed=9,
-                                             max_workers=2))
-    pids = set((tmp_path / "pids").read_text().split())
-    assert pids and str(os.getpid()) not in pids
+    store = tmp_path / "c.jsonl"
+    config = StudyConfig(platforms=[INTEL], seed=9, max_workers=2,
+                         cache_path=str(store))
+    parallel = run_study(corpus, config)
+    pids = pid_log.read_text().split()
+    assert len(pids) == 2 * len(corpus)
+    assert str(os.getpid()) not in pids
+
+    header, *lines = store.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    damaged = [record for record in records
+               if record[0].startswith("variants:")][:2]
+    del damaged[0][1]["cycles"]
+    del damaged[1][1]["loc"]
+    store.write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
+    pid_log.unlink()
+    engine = EvaluationEngine(platforms=[INTEL], seed=9,
+                              cache=ResultCache(store))
+    again = run_study(corpus, config, engine=engine)
+    pids = pid_log.read_text().split()
+    assert len(pids) == 2 * 2 and str(os.getpid()) not in pids
+    assert engine.compile_count == 2 * 256
+    assert engine.measure_count == 0
     monkeypatch.undo()
-    assert parallel.to_json() == run_study(
-        corpus, StudyConfig(platforms=[INTEL], seed=9)).to_json()
+    serial = run_study(corpus, StudyConfig(platforms=[INTEL], seed=9))
+    assert parallel.to_json() == again.to_json() == serial.to_json()
 
 
 def test_parallel_studies_write_the_serial_cache_log(tmp_path):
     """Cases store their results in case order whatever order the pool
-    returns them in: every run writes the same log bytes."""
+    returns them in: every run writes the same log bytes, streaming or
+    not.  A source's compiled facts are its one ``variants:`` record;
+    every other entry is a measurement."""
     corpus = _corpus()
     logs = []
-    for name, workers in (("a", 2), ("b", 2), ("serial", 1)):
+    for name, workers, every in (("a", 2, 0), ("b", 2, 1), ("serial", 1, 0)):
         path = tmp_path / f"{name}.jsonl"
         run_study(corpus, StudyConfig(platforms=[INTEL], seed=9,
                                       max_workers=workers,
+                                      checkpoint_every=every,
                                       cache_path=str(path)))
         logs.append(path.read_bytes())
     assert logs[0] == logs[1] == logs[2]
+    keys = [json.loads(line)[0] for line in logs[2].splitlines()[1:]]
+    assert [key for key in keys if key.startswith("variants:")] == [
+        f"variants:{source_digest(case.source)}" for case in corpus]
+    assert all(key.startswith("variants:") or key.split(":")[1] == "-1"
+               for key in keys)
 
 
 def test_a_parallel_study_submits_only_missing_work(tmp_path):
@@ -554,7 +626,7 @@ def test_a_pool_task_does_the_same_work_whatever_ran_before():
     from repro.search.scheduler import MeasureBatch
 
     source = _corpus()[0].source
-    batch = MeasureBatch(text=source, tasks=(("Intel", 1), ("NVIDIA", 1)))
+    batch = MeasureBatch(text=source, seed=1, platforms=("Intel", "NVIDIA"))
 
     def steps(task, item):
         before = jit_pipeline_steps()
@@ -606,6 +678,31 @@ def test_sharded_streaming_caches_merge_warm(tmp_path):
     run_study(corpus, StudyConfig(platforms=[INTEL], seed=9), engine=engine)
     assert engine.compile_count == 0
     assert engine.measure_count == 0
+
+
+def test_merge_results_refuses_a_cache_of_another_layout(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    """A --caches file with another header (a store written before the
+    current layout) fails before anything is written, instead of merging
+    as empty."""
+    monkeypatch.chdir(tmp_path)
+    part = run_study(_corpus()[:1], StudyConfig(
+        platforms=[INTEL], seed=9, shard=ShardSpec(1, 1)))
+    (tmp_path / "s1.json").write_text(part.to_json())
+    ResultCache("good.jsonl").put("k1", {"mean_ns": 1.0})
+    (tmp_path / "old.jsonl").write_text(
+        '{"version": 2}\n["static_cycles:digest", {"cycles": 7.5}]\n')
+    with pytest.raises(SystemExit) as exited:
+        main(["merge-results", "s1.json", "--output", "merged.json",
+              "--caches", "good.jsonl", "old.jsonl",
+              "--cache-out", "merged-cache.json"])
+    assert exited.value.code == 2
+    error = capsys.readouterr().err
+    assert "'old.jsonl'" in error
+    assert '{"version": 2}' in error and '{"version": 3}' in error
+    assert not (tmp_path / "merged.json").exists()
+    assert not (tmp_path / "merged-cache.json").exists()
 
 
 @pytest.mark.parametrize("bad_cache", ["typo.jsonl", "a-directory"])
