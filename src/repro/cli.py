@@ -784,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: $REPRO_JOBS or serial)")
     p.add_argument("--cache", default="",
                    help="persist the result cache to this append-only log; "
-                        "every entry is on disk the moment it is measured")
+                        "each case's entries are on disk once it finishes")
     p.add_argument("--shard", default="",
                    help="run one shard, e.g. 1/3; merge the saved outputs "
                         "with `repro merge-results`")

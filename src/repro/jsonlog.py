@@ -16,7 +16,8 @@ once:
   records around it still replay.
 - **Header**: a file whose first line is not exactly this store's header
   (another layout version, a foreign file) replays nothing, with one
-  warning naming both headers, and the next append rewrites the file.
+  warning naming both headers, and the next append rewrites the file;
+  until then the log keeps that line as ``foreign_header``.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ class JsonLog:
 
     def __init__(self, path: Union[str, Path], header: dict):
         self.path = Path(path)
-        self._header_line = json.dumps(header)
+        self.header_line = json.dumps(header)
         self._handle: Optional[IO[str]] = None
-        #: set by :meth:`replay` on a header mismatch: the first append
-        #: truncates the file instead of appending to it.
-        self._rewrite = False
+        #: the file's first line, set by :meth:`replay` when it is not this
+        #: store's header: the first append then truncates the file
+        #: instead of appending to it, and clears this.
+        self.foreign_header: Optional[str] = None
 
     def replay(self) -> List[object]:
         """Every intact record, in file order (see the module docstring)."""
@@ -53,11 +55,11 @@ class JsonLog:
         head, _, body = text.partition("\n")
         if not head:
             return []
-        if head != self._header_line:
-            self._rewrite = True
+        if head != self.header_line:
+            self.foreign_header = head
             logger.warning("%s: header %.80s is not this store's header %s; "
                            "its records are ignored",
-                           self.path, head, self._header_line)
+                           self.path, head, self.header_line)
             return []
         # One json.loads over the whole body is what keeps a warm replay as
         # fast as parsing a single blob; one call per line costs ~2x.
@@ -83,20 +85,21 @@ class JsonLog:
         """Write *record* as one line (opening the file on first use)."""
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = (self._rewrite or not self.path.exists()
+            rewrite = self.foreign_header is not None
+            fresh = (rewrite or not self.path.exists()
                      or self.path.stat().st_size == 0)
             torn_tail = False
             if not fresh:
                 with open(self.path, "rb") as existing:
                     existing.seek(-1, os.SEEK_END)
                     torn_tail = existing.read(1) != b"\n"
-            self._handle = open(self.path, "w" if self._rewrite else "a",
+            self._handle = open(self.path, "w" if rewrite else "a",
                                 buffering=1)
-            self._rewrite = False
+            self.foreign_header = None
             if torn_tail:
                 self._handle.write("\n")
             if fresh:
-                self._handle.write(self._header_line + "\n")
+                self._handle.write(self.header_line + "\n")
         self._handle.write(json.dumps(record) + "\n")
 
     def flush(self) -> None:

@@ -24,9 +24,9 @@ A store in another layout (a different version header, or a pre-log
 one-blob file) replays nothing and is rewritten on the next ``put``: its
 entries become misses and are never misread.  :meth:`ResultCache.merge_from`
 unions another store into this one (the ``repro merge-results`` cache
-path), rejecting conflicting values for the same key — with
-content-addressed keys and deterministic measurement, a conflict can only
-mean corruption.
+path), refusing a store of another layout and conflicting values for the
+same key — with content-addressed keys and deterministic measurement, a
+conflict can only mean corruption.
 """
 
 from __future__ import annotations
@@ -200,8 +200,9 @@ class ResultCache:
     def release_variants(self, digest: str) -> None:
         """Evict a source's record from memory (a streaming study's bound).
 
-        A file-backed cache still holds it in its log; a memory-only one
-        loses it, and a later request for the same source compiles again.
+        Records are read from memory only, so a later request for the same
+        source compiles it again; a file-backed cache's log still holds it
+        for the next process that loads the file.
         """
         with self._lock:
             self._entries.pop(self.variants_key(digest), None)
@@ -213,14 +214,23 @@ class ResultCache:
     def merge_from(self, other: Union["ResultCache", str, Path]) -> int:
         """Union *other*'s entries into this store; returns how many were new.
 
-        Conflicting values for the same key raise ``ValueError``: keys are
-        content-addressed and measurement is deterministic, so two shard
-        caches can only disagree through corruption or a version skew.
-        The error names the offending key and both value digests, so an
-        operator can grep each store for the damaged entry.
+        A store of another layout (its file's header is not this
+        version's) raises ``ValueError`` naming the file and both headers,
+        instead of merging as empty.  Conflicting values for the same key
+        raise ``ValueError`` too: keys are content-addressed and
+        measurement is deterministic, so two shard caches can only
+        disagree through corruption or a version skew.  The error names
+        the offending key and both value digests, so an operator can grep
+        each store for the damaged entry.
         """
         if not isinstance(other, ResultCache):
             other = ResultCache(other)
+        log = other._log
+        if log is not None and log.foreign_header is not None:
+            raise ValueError(
+                f"cannot merge cache {str(log.path)!r}: its header "
+                f"{log.foreign_header:.80} is not this version's header "
+                f"{log.header_line}")
         with self._lock:
             added = 0
             for key, value in other._entries.items():

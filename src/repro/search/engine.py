@@ -170,9 +170,9 @@ class EvaluationEngine:
         static cycle count and lines of code.
 
         Read from the result cache when it holds the record; otherwise
-        compiled and stored there, so a warm disk cache replays the whole
-        study without a single pass-pipeline run or front end (the report
-        pipeline's zero-compile re-render guarantee).
+        compiled and stored there.  The study reads records through its
+        case feed; this stays under the name ``perfbench``'s tracer
+        resolves.
         """
         self.check_cancelled()
         digest = source_digest(case.source)
@@ -221,10 +221,16 @@ class EvaluationEngine:
     # Measurement
     # ------------------------------------------------------------------
 
-    def has_sample(self, text: str, platform: str, seed: int) -> bool:
-        """Whether the cache holds this measurement.  Unmetered: it moves
-        neither the cache's hit nor its miss counter."""
-        return make_key(text, -1, platform, seed) in self.cache
+    def cached_sample(self, text: str, platform: str,
+                      seed: int) -> Optional[Sample]:
+        """The cached measurement of *text* on *platform* under *seed*,
+        or None; a metered cache read (one hit or one miss)."""
+        cached = self.cache.get(make_key(text, -1, platform, seed))
+        if cached is None:
+            return None
+        return Sample(mean_ns=cached["mean_ns"],
+                      static_ops=int(cached["static_ops"]),
+                      registers=int(cached["registers"]))
 
     def record_sample(self, text: str, platform: str, seed: int,
                       sample: Sample) -> None:
@@ -257,13 +263,8 @@ class EvaluationEngine:
         samples: List[Optional[Sample]] = []
         pending: List[Tuple[int, int]] = []
         for position, seed in enumerate(seeds):
-            cached = self.cache.get(make_key(text, -1, name, seed))
-            if cached is not None:
-                samples.append(Sample(mean_ns=cached["mean_ns"],
-                                      static_ops=int(cached["static_ops"]),
-                                      registers=int(cached["registers"])))
-            else:
-                samples.append(None)
+            samples.append(self.cached_sample(text, name, seed))
+            if samples[-1] is None:
                 pending.append((position, seed))
         if pending:
             reports = self.environment(name).run_many(

@@ -11,9 +11,10 @@ A :meth:`Scheduler.session` holds one pool for a whole study: every
 :meth:`Scheduler.map` inside it submits each item as its own task at once
 and returns a :class:`Tasks` iterator over the results in input order, and
 :meth:`Scheduler.finished` hands back each map once all its tasks are done,
-so a caller can feed the pool as results arrive.  Outside a session, with
-``max_workers <= 1`` or when the pool fails to start, ``map`` runs the
-items here, one after another.
+so a caller can feed the pool as results arrive.  A session with
+``max_workers <= 1``, or whose pool fails to start, opens no pool, and
+``map`` runs only in a session that did: the study's case feed then runs
+its tasks itself (see :mod:`repro.harness.study`).
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ class Tasks(Generic[R]):
 
 
 class Scheduler:
-    """Order-preserving map over work units, on one process pool per
-    :meth:`session` when asked to be parallel.
+    """Order-preserving map over work units on one process pool per
+    :meth:`session`, when asked to be parallel.
 
     A caller cancels by raising out of its :meth:`session`, which then
     drops the pool's tasks that have not started: the study runs its
@@ -121,10 +122,10 @@ class Scheduler:
         """Hold one process pool open for the block; yields whether it did.
 
         Serial schedulers, and pools that fail to start (constrained
-        sandboxes), yield False and ``map`` runs here.  However the block
-        exits — returning, raising, cancelled or interrupted by a signal
-        handler — the pool drops its tasks that have not started and waits
-        for its workers, so no process outlives the session.
+        sandboxes), yield False and open no pool for ``map``.  However the
+        block exits — returning, raising, cancelled or interrupted by a
+        signal handler — the pool drops its tasks that have not started
+        and waits for its workers, so no process outlives the session.
         """
         if not self.parallel:
             yield False
@@ -141,19 +142,15 @@ class Scheduler:
             self._pool = None
             pool.shutdown(wait=True, cancel_futures=True)
 
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
-        """Apply *fn* to every item; an iterator over the results in input
-        order.
-
-        In a session each item is submitted now, as its own pool task, and
-        the iterator is that map's :class:`Tasks`; a worker's exception is
-        raised when its result is read.  Otherwise the items run here
-        before ``map`` returns.
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> Tasks[R]:
+        """Submit *fn* over every item to the session's pool, each item as
+        its own task; the map's :class:`Tasks` iterates the results in
+        input order, and a worker's exception is raised when its result is
+        read.  Raises ``RuntimeError`` outside a session that holds a pool.
         """
-        units = list(items)
         if self._pool is None:
-            return iter([fn(unit) for unit in units])
-        return Tasks([self._pool.submit(fn, unit) for unit in units],
+            raise RuntimeError("Scheduler.map needs an open pool session")
+        return Tasks([self._pool.submit(fn, unit) for unit in items],
                      self._finished)
 
     def finished(self, timeout: Optional[float] = None) -> Optional[Tasks]:

@@ -475,7 +475,6 @@ def _pid(_):
 
 def test_scheduler_preserves_order_and_parallel_equals_serial():
     items = list(range(100))
-    serial = list(Scheduler(max_workers=1).map(_square, items))
     scheduler = Scheduler(max_workers=4)
     with scheduler.session() as pooled:
         assert pooled
@@ -484,10 +483,11 @@ def test_scheduler_preserves_order_and_parallel_equals_serial():
         lone = scheduler.map(_pid, [0])
         assert scheduler.finished(60) is not None
         assert scheduler.finished(60) is not None
-        assert list(parallel) == serial == [x * x for x in items]
+        assert list(parallel) == [x * x for x in items]
         assert next(lone) != os.getpid()
-    # Outside a session the items run here.
-    assert list(scheduler.map(_pid, [0])) == [os.getpid()]
+    # Outside a session there is no pool to map on.
+    with pytest.raises(RuntimeError, match="pool session"):
+        scheduler.map(_pid, [0])
 
 
 def test_scheduler_propagates_worker_exceptions():
@@ -498,8 +498,6 @@ def test_scheduler_propagates_worker_exceptions():
         assert [next(results) for _ in range(5)] == [0, 1, 2, 3, 4]
         with pytest.raises(RuntimeError, match="worker failed"):
             next(results)
-    with pytest.raises(RuntimeError, match="worker failed"):
-        list(Scheduler(max_workers=1).map(_boom, list(range(10))))
 
 
 def test_scheduler_session_cancels_and_leaves_no_worker():
@@ -552,6 +550,69 @@ def test_parallel_study_counts_the_work_a_serial_one_does(small_corpus,
     assert serial.frontend_count == parallel.frontend_count == 2
     assert serial.compile_count == parallel.compile_count == 2 * SPACE_SIZE
     assert serial.measure_count == parallel.measure_count > 0
+    # Every unit is looked up once, and a cold study misses on each.
+    assert serial.cache.hits == parallel.cache.hits == 0
+    assert serial.cache.misses == parallel.cache.misses \
+        == serial.measure_count
+
+
+def test_a_cancel_hook_stops_a_serial_study_inside_its_first_case(
+        small_corpus, two_platforms, monkeypatch):
+    """A serial study runs the engine's cancel hook before each of a
+    case's tasks, so a hook that raises stops the study inside the case,
+    before all of its measurements ran."""
+
+    class Cancelled(Exception):
+        pass
+
+    prepared = []
+    prepare = ShaderExecutionEnvironment.prepare
+
+    def counting_prepare(environment, source):
+        prepared.append(source)
+        return prepare(environment, source)
+
+    calls = []
+
+    def hook():
+        calls.append(len(prepared))
+        if len(calls) == 4:
+            raise Cancelled
+
+    monkeypatch.setattr(ShaderExecutionEnvironment, "prepare",
+                        counting_prepare)
+    engine = EvaluationEngine(platforms=two_platforms)
+    engine.set_cancel_check(hook)
+    finished = []
+    with pytest.raises(Cancelled):
+        run_study(small_corpus, StudyConfig(
+            platforms=two_platforms,
+            progress=lambda *args: finished.append(args)), engine=engine)
+    texts = 1 + ShaderCompiler(small_corpus[0].source).all_variants() \
+        .unique_count
+    assert len(calls) == 4 and not finished
+    assert 0 < len(prepared) < texts * len(two_platforms)
+    assert set(prepared) <= {small_corpus[0].source, *ShaderCompiler(
+        small_corpus[0].source).all_variants().indices_by_text}
+
+
+def test_a_serial_study_parses_each_text_once(small_corpus, two_platforms,
+                                              monkeypatch):
+    """A serial study's tasks keep the shared front-end memo, so a case
+    measures its original on the front end its variant walk made: every
+    source and variant text is parsed once."""
+    import repro.gpu.jit as jit
+    from helpers import count_calls
+
+    texts = set()
+    for case in small_corpus:
+        texts.update([case.source, *ShaderCompiler(case.source)
+                      .all_variants().indices_by_text])
+    jit.clear_frontend_memo()
+    parsed = count_calls(monkeypatch, jit, "parse_shader")
+    run_study(small_corpus, StudyConfig(platforms=two_platforms,
+                                        max_workers=1))
+    assert len(parsed) == len(texts)
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,37 @@ def test_parallel_streaming_bounds_the_variant_sets_in_memory(tmp_path):
     assert len(engine.cache) == engine.measure_count
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streaming_keeps_a_recurring_source_until_its_last_case(tmp_path,
+                                                                workers):
+    """A source's record leaves the cache's memory after the last case
+    that reads it, so the engine counts one compile of a source that
+    recurs and logs its record once, streaming or not, serially or on a
+    pool."""
+    from repro.harness.results import ShaderCase
+    from repro.search.engine import EvaluationEngine
+
+    corpus = _corpus()[:2]
+    corpus.append(ShaderCase(name="again", family=corpus[0].family,
+                             source=corpus[0].source))
+    digests = {source_digest(case.source) for case in corpus}
+    results, logs = [], []
+    for every in (0, 1):
+        path = tmp_path / f"every{every}.jsonl"
+        engine = EvaluationEngine(platforms=[INTEL], seed=9,
+                                  cache=ResultCache(path))
+        results.append(run_study(corpus, StudyConfig(
+            platforms=[INTEL], seed=9, max_workers=workers,
+            checkpoint_every=every), engine=engine).to_json())
+        assert engine.compile_count == 2 * 256
+        assert any(map(engine.cache.has_variants, digests)) == (every == 0)
+        logs.append(path.read_bytes())
+    assert results[0] == results[1]
+    assert logs[0] == logs[1]
+    keys = [json.loads(line)[0] for line in logs[1].splitlines()[1:]]
+    assert sum(key.startswith("variants:") for key in keys) == 2
+
+
 # ---------------------------------------------------------------------------
 # The parallel study's one pool
 # ---------------------------------------------------------------------------
@@ -703,6 +734,23 @@ def test_merge_results_refuses_a_cache_of_another_layout(tmp_path,
     assert '{"version": 2}' in error and '{"version": 3}' in error
     assert not (tmp_path / "merged.json").exists()
     assert not (tmp_path / "merged-cache.json").exists()
+
+
+def test_merge_from_refuses_a_store_of_another_layout(tmp_path):
+    """ResultCache.merge_from raises, naming the file and both headers,
+    instead of merging a store of another layout as empty."""
+    old = tmp_path / "old.jsonl"
+    old.write_text(
+        '{"version": 2}\n["static_cycles:digest", {"cycles": 7.5}]\n')
+    merged = ResultCache(tmp_path / "merged.jsonl")
+    with pytest.raises(ValueError) as excinfo:
+        merged.merge_from(old)
+    message = str(excinfo.value)
+    assert repr(str(old)) in message
+    assert '{"version": 2}' in message
+    assert f'{{"version": {CACHE_VERSION}}}' in message
+    assert len(merged) == 0
+    assert not (tmp_path / "merged.jsonl").exists()
 
 
 @pytest.mark.parametrize("bad_cache", ["typo.jsonl", "a-directory"])
